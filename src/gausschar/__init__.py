@@ -22,7 +22,6 @@ from .modp import (
     BudgetExceededError,
     Character,
     UnitFunction,
-    character_function,
     count_unit_functions,
     enumerate_characters,
     enumerate_unit_functions,
@@ -42,7 +41,6 @@ from .spectral import (
     has_unit_fourier_magnitude,
     kurlberg_test,
     parseval_sum,
-    spectral_character_test,
     spectral_witness,
     twisted_gauss_sum,
 )

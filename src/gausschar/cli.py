@@ -135,70 +135,55 @@ def _cmd_classify(args) -> int:
     return 0 if consistent else 1
 
 
-def _element_record(z: CyclotomicElement) -> dict:
-    return {"order": z.order, "coeffs": list(z.coeffs), "integer": z.as_integer()}
+def _emit_value(args, f, value: CyclotomicElement, params=(), norm=None, flags=()) -> int:
+    """Print one exact value computed from f, as a table or one JSON record.
 
-
-def _print_element(label: str, z: CyclotomicElement) -> None:
-    print(f"{label}order    {z.order}")
-    print(f"{label}coeffs   {_coeff_text(z.coeffs)}")
-    print(f"{label}integer  {_int_or_none_text(z.as_integer())}")
+    ``params`` are the (name, int) inputs besides f, ``norm`` is the value's
+    norm_squared when the command reports it, and ``flags`` are (name, bool)
+    conclusions printed last.
+    """
+    if args.output == "json":
+        record = {"command": args.subcommand, "p": f.p, "n": f.n, "exps": list(f.exps),
+                  "order": value.order, "coeffs": list(value.coeffs),
+                  "integer": value.as_integer()}
+        record.update(params)
+        if norm is not None:
+            record["norm_squared_coeffs"] = list(norm.coeffs)
+            record["norm_squared_integer"] = norm.as_integer()
+        record.update(flags)
+        _emit_json(record)
+        return 0
+    print(f"function   {f.to_text()}")
+    for name, v in params:
+        print(f"{name:<11}{v}")
+    print(f"order    {value.order}")
+    print(f"coeffs   {_coeff_text(value.coeffs)}")
+    print(f"integer  {_int_or_none_text(value.as_integer())}")
+    if norm is not None:
+        print(f"norm_squared  {_coeff_text(norm.coeffs)}"
+              f" (integer {_int_or_none_text(norm.as_integer())})")
+    for name, flag in flags:
+        print(f"{name}  {'true' if flag else 'false'}")
+    return 0
 
 
 def _cmd_gauss_sum(args) -> int:
     f = parse_unit_function(args.fn)
     value = spectral.gauss_sum(f).value
-    norm = value.norm_squared()
-    if args.output == "json":
-        record = {"command": "gauss-sum", "p": f.p, "n": f.n, "exps": list(f.exps)}
-        record.update(_element_record(value))
-        record["norm_squared_coeffs"] = list(norm.coeffs)
-        record["norm_squared_integer"] = norm.as_integer()
-        _emit_json(record)
-    else:
-        print(f"function   {f.to_text()}")
-        _print_element("", value)
-        print(f"norm_squared  {_coeff_text(norm.coeffs)}"
-              f" (integer {_int_or_none_text(norm.as_integer())})")
-    return 0
+    return _emit_value(args, f, value, norm=value.norm_squared())
 
 
 def _cmd_fourier(args) -> int:
     f = parse_unit_function(args.fn)
     value = spectral.fourier_sum(f, args.xi).value
     norm = value.norm_squared()
-    unit = norm.as_integer() == f.p
-    if args.output == "json":
-        record = {"command": "fourier", "p": f.p, "n": f.n, "exps": list(f.exps),
-                  "xi": args.xi % f.p}
-        record.update(_element_record(value))
-        record["norm_squared_coeffs"] = list(norm.coeffs)
-        record["norm_squared_integer"] = norm.as_integer()
-        record["unit_magnitude"] = unit
-        _emit_json(record)
-    else:
-        print(f"function   {f.to_text()}")
-        print(f"xi         {args.xi % f.p}")
-        _print_element("", value)
-        print(f"norm_squared  {_coeff_text(norm.coeffs)}"
-              f" (integer {_int_or_none_text(norm.as_integer())})")
-        print(f"unit_magnitude  {'true' if unit else 'false'}")
-    return 0
+    return _emit_value(args, f, value, [("xi", args.xi % f.p)], norm,
+                       [("unit_magnitude", norm.as_integer() == f.p)])
 
 
 def _cmd_autocorr(args) -> int:
     f = parse_unit_function(args.fn)
-    value = spectral.autocorrelation(f, args.h)
-    if args.output == "json":
-        record = {"command": "autocorr", "p": f.p, "n": f.n, "exps": list(f.exps),
-                  "h": args.h % f.p}
-        record.update(_element_record(value))
-        _emit_json(record)
-    else:
-        print(f"function   {f.to_text()}")
-        print(f"h          {args.h % f.p}")
-        _print_element("", value)
-    return 0
+    return _emit_value(args, f, spectral.autocorrelation(f, args.h), [("h", args.h % f.p)])
 
 
 def _cmd_search(args) -> int:

@@ -36,37 +36,39 @@ def _check_order(n: int) -> None:
         raise ValueError(f"root-of-unity order {n} exceeds MAX_ORDER = {MAX_ORDER}")
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 by trial division, as ascending
+    (prime, exponent) pairs; empty for n = 1."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def euler_phi(n: int) -> int:
-    """Euler's totient of n, by trial-division factorization."""
+    """Euler's totient of n, from its factorization."""
     if n < 1:
         raise ValueError(f"totient is defined for positive integers, got {n}")
     result = 1
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            result *= (d - 1) * d ** (e - 1)
-        d += 1
-    if m > 1:
-        result *= m - 1
+    for q, e in factorize(n):
+        result *= (q - 1) * q ** (e - 1)
     return result
 
 
 def _divisors(n: int) -> list[int]:
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    divs = [1]
+    for q, e in factorize(n):
+        divs = [d * q ** k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +193,21 @@ def _canonicalize(order: int, raw: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _power_map(order: int, coeffs, s: int) -> tuple[int, ...]:
+    """Power-basis coordinates of the sum of coeffs[i] * zeta_order^(i*s):
+    the image of an element under zeta -> zeta_order^s."""
+    ctx = _context(order)
+    table = ctx.power_table
+    deg = ctx.degree
+    out = [0] * deg
+    for i, c in enumerate(coeffs):
+        if c:
+            row = table[i * s % order]
+            for t in range(deg):
+                out[t] += c * row[t]
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Elements.
 
@@ -290,15 +307,7 @@ class CyclotomicElement:
             raise ValueError(f"automorphism exponent {k} is not coprime to the order {n}")
         if k == 1:
             return self
-        table = _context(n).power_table
-        deg = len(self.coeffs)
-        out = [0] * deg
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = table[i * k % n]
-                for t in range(deg):
-                    out[t] += c * row[t]
-        return CyclotomicElement(n, tuple(out))
+        return CyclotomicElement(n, _power_map(n, self.coeffs, k))
 
     def conjugate(self) -> "CyclotomicElement":
         """Complex conjugation zeta -> zeta^(N-1); an involutive automorphism."""
@@ -317,17 +326,7 @@ class CyclotomicElement:
             raise ValueError(f"cannot embed order {n} into order {m}: {n} does not divide {m}")
         if m == n:
             return self
-        step = m // n
-        ctx = _context(m)
-        table = ctx.power_table
-        deg = ctx.degree
-        out = [0] * deg
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = table[i * step % m]
-                for t in range(deg):
-                    out[t] += c * row[t]
-        return CyclotomicElement(m, tuple(out))
+        return CyclotomicElement(m, _power_map(m, self.coeffs, m // n))
 
     def in_subfield(self, d: int) -> bool:
         """Whether the element lies in Q(zeta_d), for d dividing the order.

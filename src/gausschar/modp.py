@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
+from .cyclo import factorize
+
 #: Functions an enumeration may visit before refusing to run (CLI-overridable).
 DEFAULT_BUDGET = 10 ** 7
 
@@ -45,26 +47,12 @@ def check_odd_prime(p: int) -> None:
         raise ValueError(f"modulus must be an odd prime, got {p}")
 
 
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def find_primitive_root(p: int) -> int:
     """Smallest generator of the cyclic group of units mod p; deterministic."""
     check_odd_prime(p)
-    factors = _prime_factors(p - 1)
+    factors = factorize(p - 1)
     for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+        if all(pow(g, (p - 1) // q, p) != 1 for q, _ in factors):
             return g
     raise AssertionError(f"no primitive root modulo {p}")
 
@@ -116,12 +104,16 @@ class UnitFunction:
     exps: tuple
 
     def __post_init__(self):
-        check_odd_prime(self.p)
-        if self.n < 1:
-            raise ValueError(f"value order n must be at least 1, got {self.n}")
+        if type(self.exps) is not tuple:
+            object.__setattr__(self, "exps", tuple(self.exps))
+        # The length check comes first: it is free, while the primality test
+        # is trial division and would stall on a huge p.
         if len(self.exps) != self.p - 1:
             raise ValueError(
                 f"need {self.p - 1} exponents for p = {self.p}, got {len(self.exps)}")
+        check_odd_prime(self.p)
+        if self.n < 1:
+            raise ValueError(f"value order n must be at least 1, got {self.n}")
         if any(not (0 <= e < self.n) for e in self.exps):
             raise ValueError(f"exponents must lie in [0, {self.n})")
 
@@ -232,11 +224,6 @@ class Character:
             exps[x - 1] = scale * t % n
             x = x * self.g % p
         return UnitFunction(p, n, tuple(exps))
-
-
-def character_function(chi: Character) -> UnitFunction:
-    """Exponent table of a character with denominator p - 1."""
-    return chi.unit_function()
 
 
 def enumerate_characters(p: int, n: int) -> list:

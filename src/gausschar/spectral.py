@@ -33,10 +33,6 @@ class SpectralValue:
             raise ValueError("spectral values must live in order lcm(n, p)")
 
 
-def common_order(f: UnitFunction) -> int:
-    return lcm(f.n, f.p)
-
-
 def gauss_sum(f: UnitFunction) -> SpectralValue:
     """The sum of f(x) e(x/p) over the units mod p, in Z[zeta_lcm(n,p)]."""
     return twisted_gauss_sum(f, 1)
@@ -86,11 +82,6 @@ def spectral_witness(f: UnitFunction) -> "int | None":
     return None
 
 
-def spectral_character_test(f: UnitFunction) -> bool:
-    """Whether some unit a has |fhat(a)| = 1 (the spectral character test)."""
-    return spectral_witness(f) is not None
-
-
 def autocorrelation(f: UnitFunction, h: int) -> CyclotomicElement:
     """The sum of f(x) conj(f(x+h)) over x in F_p, as an element of Z[zeta_n].
 
@@ -127,7 +118,7 @@ def parseval_sum(f: UnitFunction) -> int:
     Always equals p*(p-1); a non-rational total means the arithmetic core is
     broken and raises InconsistencyError.
     """
-    total = CyclotomicElement.zero(common_order(f))
+    total = CyclotomicElement.zero(lcm(f.n, f.p))
     for xi in range(f.p):
         total = total + fourier_sum(f, xi).value.norm_squared()
     value = total.as_integer()

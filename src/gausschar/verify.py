@@ -1,12 +1,19 @@
 """Exhaustive verification of the exact character criteria at small moduli.
 
-Each verifier enumerates every admissible exponent table for its (p, n)
-cell, evaluates an analytic test on each function (Gauss-sum magnitude,
-Fourier witness, subfield membership, or autocorrelation profile), compares
-the outcome against the brute-force homomorphism oracle, and returns a
-structured report.  A report succeeds exactly when its ``mismatches`` list
-is empty (the existence search ``remark_p_divides_n`` instead succeeds when
-it finds at least one hit).
+Every statement runs through one loop, ``_run``.  It enumerates every
+admissible exponent table for the (p, n) cell (or takes the pinned tables
+it is given), hands each function to the statement's judge, and tallies the
+answers into a structured report.  A judge maps f to
+``(spectral_hit, oracle_hit, agrees, witness)``: whether the analytic test
+(Gauss-sum magnitude, Fourier witness, subfield membership or
+autocorrelation profile) holds for f, whether the brute-force homomorphism
+oracle's side holds, whether the two sides relate as the statement
+predicts, and the ``(exps, a)`` record to list as a witness, or None.
+Functions whose sides disagree are listed as mismatches, and a report
+succeeds exactly when there are none (the existence search
+``remark_p_divides_n`` instead succeeds when it lists at least one
+witness).  Per-cell constants are computed once by the public verifier,
+before its judge is built.
 """
 
 from __future__ import annotations
@@ -88,10 +95,6 @@ class VerificationReport:
         }
 
 
-def _elapsed_ms(t0: float) -> int:
-    return int((time.perf_counter() - t0) * 1000)
-
-
 def _require_p_not_dividing_n(p: int, n: int) -> None:
     modp.check_odd_prime(p)
     if n < 1:
@@ -104,71 +107,70 @@ def _gauss_norm_is_p(f: UnitFunction) -> bool:
     return spectral.gauss_sum(f).value.norm_squared().as_integer() == f.p
 
 
+def _is_nontrivial_character(f: UnitFunction) -> bool:
+    return modp.is_character_oracle(f) and not f.is_trivial
+
+
+def _run(statement: str, p: int, n: int, budget: int, judge,
+         functions=None, existence: bool = False,
+         fix_f1: bool = True) -> VerificationReport:
+    """Judge every function of the cell (every table with f(1) = 1 unless
+    ``fix_f1`` is off, or just ``functions`` when given) and tally the
+    report."""
+    t0 = time.perf_counter()
+    rep = VerificationReport(statement, p, n, budget)
+    if functions is None:
+        functions = modp.enumerate_unit_functions(p, n, fix_f1=fix_f1, budget=budget)
+    for f in functions:
+        spectral_hit, oracle_hit, agrees, witness = judge(f)
+        rep.total_functions += 1
+        rep.passing_spectral += spectral_hit
+        rep.passing_oracle += oracle_hit
+        if witness is not None:
+            rep.witnesses.append(witness)
+        if not agrees:
+            rep.mismatches.append(f.exps)
+    rep.success = bool(rep.witnesses) if existence else not rep.mismatches
+    rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    return rep
+
+
 def verify_prop_1_1(p: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Sign functions with f(1) = 1: among all 2^(p-2) of them, exactly the
     quadratic-residue table has norm_squared(tau(f)) = p."""
-    t0 = time.perf_counter()
-    rep = VerificationReport("prop_1_1", p, 2, budget)
     legendre = modp.legendre_unit_function(p).exps
-    for f in modp.enumerate_unit_functions(p, 2, fix_f1=True, budget=budget):
-        rep.total_functions += 1
+
+    def judge(f):
         hit = _gauss_norm_is_p(f)
         is_legendre = f.exps == legendre
-        if hit:
-            rep.passing_spectral += 1
-            rep.witnesses.append((f.exps, p - 1))
-        if is_legendre:
-            rep.passing_oracle += 1
-        if hit != is_legendre:
-            rep.mismatches.append(f.exps)
-    rep.success = not rep.mismatches
-    rep.elapsed_ms = _elapsed_ms(t0)
-    return rep
+        return hit, is_legendre, hit == is_legendre, (f.exps, p - 1) if hit else None
+    return _run("prop_1_1", p, 2, budget, judge)
 
 
 def verify_thm_1_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Spectral witness test against the oracle, over all mu_n-valued f with
     f(1) = 1: some |fhat(a)| = 1 iff f is a nontrivial character."""
     _require_p_not_dividing_n(p, n)
-    t0 = time.perf_counter()
-    rep = VerificationReport("thm_1_2", p, n, budget)
-    for f in modp.enumerate_unit_functions(p, n, fix_f1=True, budget=budget):
-        rep.total_functions += 1
-        witness = spectral.spectral_witness(f)
-        spectral_hit = witness is not None
-        oracle_hit = modp.is_character_oracle(f) and not f.is_trivial
-        if spectral_hit:
-            rep.passing_spectral += 1
-            rep.witnesses.append((f.exps, witness))
-        if oracle_hit:
-            rep.passing_oracle += 1
-        if spectral_hit != oracle_hit:
-            rep.mismatches.append(f.exps)
-    rep.success = not rep.mismatches
-    rep.elapsed_ms = _elapsed_ms(t0)
-    return rep
+
+    def judge(f):
+        a = spectral.spectral_witness(f)
+        hit = a is not None
+        oracle_hit = _is_nontrivial_character(f)
+        return hit, oracle_hit, hit == oracle_hit, (f.exps, a) if hit else None
+    return _run("thm_1_2", p, n, budget, judge)
 
 
 def verify_cor_1_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Dichotomy check over all mu_n-valued f (f(1) free): the witness set
     {a : |fhat(a)| = 1} is empty or all of the units, never in between."""
     _require_p_not_dividing_n(p, n)
-    t0 = time.perf_counter()
-    rep = VerificationReport("cor_1_3", p, n, budget)
-    for f in modp.enumerate_unit_functions(p, n, fix_f1=False, budget=budget):
-        rep.total_functions += 1
-        hits = sum(1 for a in range(1, p) if spectral.has_unit_fourier_magnitude(f, a))
-        if hits == p - 1:
-            rep.passing_spectral += 1
-            rep.witnesses.append((f.exps, 1))
-        elif hits:
-            rep.mismatches.append(f.exps)
-        g = f.normalized()
-        if modp.is_character_oracle(g) and not g.is_trivial:
-            rep.passing_oracle += 1
-    rep.success = not rep.mismatches
-    rep.elapsed_ms = _elapsed_ms(t0)
-    return rep
+
+    def judge(f):
+        hits = sum(spectral.has_unit_fourier_magnitude(f, a) for a in range(1, p))
+        full = hits == p - 1
+        return (full, _is_nontrivial_character(f.normalized()), full or not hits,
+                (f.exps, 1) if full else None)
+    return _run("cor_1_3", p, n, budget, judge, fix_f1=False)
 
 
 def verify_lemma_2_1(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -176,49 +178,28 @@ def verify_lemma_2_1(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verificati
     exactly the n constant functions, and each such g is identically
     -tau(g)."""
     _require_p_not_dividing_n(p, n)
-    t0 = time.perf_counter()
-    rep = VerificationReport("lemma_2_1", p, n, budget)
     big = lcm(n, p)
-    for g in modp.enumerate_unit_functions(p, n, fix_f1=False, budget=budget):
-        rep.total_functions += 1
+
+    def judge(g):
         tau = spectral.gauss_sum(g).value
         in_sub = tau.in_subfield(n)
         const = g.is_constant
         if in_sub:
-            rep.passing_spectral += 1
-            rep.witnesses.append((g.exps, None))
-            value_ok = const and zeta_pow(n, g.exps[0]).embed(big) == -tau
-            if not value_ok:
-                rep.mismatches.append(g.exps)
-        elif const:
-            rep.mismatches.append(g.exps)
-        if const:
-            rep.passing_oracle += 1
-    rep.success = not rep.mismatches
-    rep.elapsed_ms = _elapsed_ms(t0)
-    return rep
+            return True, const, const and zeta_pow(n, g.exps[0]).embed(big) == -tau, (g.exps, None)
+        return False, const, not const, None
+    return _run("lemma_2_1", p, n, budget, judge, fix_f1=False)
 
 
 def verify_prop_2_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Gauss-magnitude test against the oracle, over all mu_n-valued f with
     f(1) = 1: norm_squared(tau(f)) = p iff f is a nontrivial character."""
     _require_p_not_dividing_n(p, n)
-    t0 = time.perf_counter()
-    rep = VerificationReport("prop_2_2", p, n, budget)
-    for f in modp.enumerate_unit_functions(p, n, fix_f1=True, budget=budget):
-        rep.total_functions += 1
+
+    def judge(f):
         hit = _gauss_norm_is_p(f)
-        oracle_hit = modp.is_character_oracle(f) and not f.is_trivial
-        if hit:
-            rep.passing_spectral += 1
-            rep.witnesses.append((f.exps, p - 1))
-        if oracle_hit:
-            rep.passing_oracle += 1
-        if hit != oracle_hit:
-            rep.mismatches.append(f.exps)
-    rep.success = not rep.mismatches
-    rep.elapsed_ms = _elapsed_ms(t0)
-    return rep
+        oracle_hit = _is_nontrivial_character(f)
+        return hit, oracle_hit, hit == oracle_hit, (f.exps, p - 1) if hit else None
+    return _run("prop_2_2", p, n, budget, judge)
 
 
 def verify_cor_2_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -226,28 +207,15 @@ def verify_cor_2_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
     splits as f(1) times a nontrivial character, with the factorization
     rebuilt explicitly and checked."""
     _require_p_not_dividing_n(p, n)
-    t0 = time.perf_counter()
-    rep = VerificationReport("cor_2_3", p, n, budget)
-    for f in modp.enumerate_unit_functions(p, n, fix_f1=False, budget=budget):
-        rep.total_functions += 1
-        hit = _gauss_norm_is_p(f)
+
+    def judge(f):
         g = f.normalized()
-        factors = modp.is_character_oracle(g) and not g.is_trivial
-        if factors:
-            rep.passing_oracle += 1
-            k1 = f.exps[0]
-            rebuilt = tuple((k1 + e) % n for e in g.exps)
-            if rebuilt != f.exps:
-                rep.mismatches.append(f.exps)
-                continue
-        if hit:
-            rep.passing_spectral += 1
-            rep.witnesses.append((f.exps, p - 1))
-        if hit != factors:
-            rep.mismatches.append(f.exps)
-    rep.success = not rep.mismatches
-    rep.elapsed_ms = _elapsed_ms(t0)
-    return rep
+        factors = _is_nontrivial_character(g)
+        if factors and tuple((f.exps[0] + e) % n for e in g.exps) != f.exps:
+            return False, True, False, None
+        hit = _gauss_norm_is_p(f)
+        return hit, factors, hit == factors, (f.exps, p - 1) if hit else None
+    return _run("cor_2_3", p, n, budget, judge, fix_f1=False)
 
 
 def verify_thm_1_7(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -259,47 +227,27 @@ def verify_thm_1_7(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
     modp.check_odd_prime(p)
     if n < 1:
         raise HypothesisViolation(f"value order n must be at least 1, got {n}")
-    t0 = time.perf_counter()
-    rep = VerificationReport("thm_1_7", p, n, budget)
-    for f in modp.enumerate_unit_functions(p, n, fix_f1=True, budget=budget):
-        rep.total_functions += 1
+
+    def judge(f):
         flat = spectral.kurlberg_test(f)
         oracle_hit = modp.is_character_oracle(f)
-        if flat:
-            rep.passing_spectral += 1
-            rep.witnesses.append((f.exps, None))
-        if oracle_hit:
-            rep.passing_oracle += 1
-        if flat != (oracle_hit and not f.is_trivial):
-            rep.mismatches.append(f.exps)
-    rep.success = not rep.mismatches
-    rep.elapsed_ms = _elapsed_ms(t0)
-    return rep
+        return (flat, oracle_hit, flat == (oracle_hit and not f.is_trivial),
+                (f.exps, None) if flat else None)
+    return _run("thm_1_7", p, n, budget, judge)
 
 
 def remark_counterexample() -> VerificationReport:
     """The pinned counterexample p = 3, n = 6, f = (1, e(5/6)): Gauss sum of
     magnitude sqrt(3) without being a character, showing that dropping the
     p-not-dividing-n hypothesis breaks the magnitude criterion."""
-    t0 = time.perf_counter()
-    rep = VerificationReport("remark_counterexample", 3, 6, budget=1)
-    f = UnitFunction(3, 6, (0, 5))
-    rep.total_functions = 1
-    norm = spectral.gauss_sum(f).value.norm_squared().as_integer()
-    oracle_hit = modp.is_character_oracle(f)
-    witness = spectral.spectral_witness(f)
-    if norm == 3:
-        rep.passing_spectral = 1
-    if oracle_hit:
-        rep.passing_oracle = 1
-    if witness is not None:
-        rep.witnesses.append((f.exps, witness))
-    ok = norm == 3 and not oracle_hit and f.n % f.p == 0 and witness == 2
-    if not ok:
-        rep.mismatches.append(f.exps)
-    rep.success = ok
-    rep.elapsed_ms = _elapsed_ms(t0)
-    return rep
+    def judge(f):
+        hit = _gauss_norm_is_p(f)
+        oracle_hit = modp.is_character_oracle(f)
+        a = spectral.spectral_witness(f)
+        agrees = hit and not oracle_hit and f.n % f.p == 0 and a == 2
+        return hit, oracle_hit, agrees, None if a is None else (f.exps, a)
+    return _run("remark_counterexample", 3, 6, 1, judge,
+                functions=(UnitFunction(3, 6, (0, 5)),))
 
 
 def search_p_divides_n(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -310,21 +258,13 @@ def search_p_divides_n(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verifica
     modp.check_odd_prime(p)
     if n < 1 or n % p != 0:
         raise HypothesisViolation(f"p does not divide n (p={p}, n={n})")
-    t0 = time.perf_counter()
-    rep = VerificationReport("remark_p_divides_n", p, n, budget)
-    for f in modp.enumerate_unit_functions(p, n, fix_f1=True, budget=budget):
-        rep.total_functions += 1
+
+    def judge(f):
         hit = _gauss_norm_is_p(f)
         oracle_hit = modp.is_character_oracle(f)
-        if hit:
-            rep.passing_spectral += 1
-        if oracle_hit:
-            rep.passing_oracle += 1
-        if hit and not oracle_hit:
-            rep.witnesses.append((f.exps, spectral.spectral_witness(f)))
-    rep.success = bool(rep.witnesses)
-    rep.elapsed_ms = _elapsed_ms(t0)
-    return rep
+        found = hit and not oracle_hit
+        return hit, oracle_hit, True, (f.exps, spectral.spectral_witness(f)) if found else None
+    return _run("remark_p_divides_n", p, n, budget, judge, existence=True)
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +294,11 @@ def run_statement(statement: str, p: "int | None" = None, n: "int | None" = None
             raise HypothesisViolation("the counterexample is pinned to p=3, n=6")
         return remark_counterexample()
     if statement == "remark_p_divides_n":
-        if p is None or n is None:
-            raise ValueError("remark_p_divides_n requires p and n")
-        return search_p_divides_n(p, n, budget)
-    try:
+        verifier = search_p_divides_n
+    elif statement in _PARAMETRIC_VERIFIERS:
         verifier = _PARAMETRIC_VERIFIERS[statement]
-    except KeyError:
-        raise ValueError(f"unknown statement {statement!r}") from None
+    else:
+        raise ValueError(f"unknown statement {statement!r}")
     if p is None or n is None:
         raise ValueError(f"{statement} requires p and n")
     return verifier(p, n, budget)

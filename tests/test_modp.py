@@ -7,7 +7,6 @@ from gausschar.modp import (
     BudgetExceededError,
     Character,
     UnitFunction,
-    character_function,
     count_unit_functions,
     enumerate_characters,
     enumerate_unit_functions,
@@ -112,6 +111,23 @@ def test_unit_function_validation():
         UnitFunction(5, 0, (0, 0, 0, 0))
 
 
+def test_unit_function_list_exps_become_a_tuple():
+    f = UnitFunction(3, 2, [0, 1])
+    assert f.exps == (0, 1) and type(f.exps) is tuple
+    assert f == UnitFunction(3, 2, (0, 1))
+    assert hash(f) == hash(UnitFunction(3, 2, (0, 1)))
+
+
+def test_exponent_count_checked_before_primality(monkeypatch):
+    # Trial division of a 25-digit p would run for hours; the length check
+    # must reject the table without ever testing p.
+    def no_primality_test(m):
+        raise AssertionError(f"primality of {m} was tested")
+    monkeypatch.setattr("gausschar.modp.is_prime", no_primality_test)
+    with pytest.raises(ValueError, match="need 1000000000000000000000006 exponents"):
+        parse_unit_function("p=1000000000000000000000007 n=2 exps=0")
+
+
 def test_unit_function_accessors():
     f = UnitFunction(5, 4, (0, 1, 3, 2))
     assert f.exponent(1) == 0
@@ -148,10 +164,10 @@ def test_parse_errors():
 def test_character_function_trivial_and_quadratic():
     for p in SMALL_PRIMES:
         g = find_primitive_root(p)
-        trivial = character_function(Character(p, g, 0))
+        trivial = Character(p, g, 0).unit_function()
         assert trivial.is_trivial
         # index (p-1)/2 is the quadratic character: compare pointwise
-        quad = character_function(Character(p, g, (p - 1) // 2))
+        quad = Character(p, g, (p - 1) // 2).unit_function()
         for x in range(1, p):
             value = 1 if quad.exponent(x) == 0 else -1
             assert quad.exponent(x) in (0, (p - 1) // 2)
@@ -162,7 +178,7 @@ def test_character_fixes_one():
     for p in (7, 11, 13):
         g = find_primitive_root(p)
         for j in range(p - 1):
-            assert character_function(Character(p, g, j)).exponent(1) == 0
+            assert Character(p, g, j).unit_function().exponent(1) == 0
 
 
 def test_character_requires_generator():
@@ -199,7 +215,7 @@ def test_characters_pass_oracle():
     for p in SMALL_PRIMES:
         g = find_primitive_root(p)
         for j in range(p - 1):
-            assert is_character_oracle(character_function(Character(p, g, j)))
+            assert is_character_oracle(Character(p, g, j).unit_function())
 
 
 def test_oracle_rejects_non_characters():

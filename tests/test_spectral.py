@@ -19,7 +19,6 @@ from gausschar.spectral import (
     has_unit_fourier_magnitude,
     kurlberg_test,
     parseval_sum,
-    spectral_character_test,
     spectral_witness,
     twisted_gauss_sum,
 )
@@ -197,14 +196,14 @@ def test_fourier_sum_examples():
 
 
 def test_spectral_character_test_examples():
-    assert spectral_character_test(legendre_unit_function(7))
+    assert spectral_witness(legendre_unit_function(7)) is not None
     assert spectral_witness(legendre_unit_function(7)) == 1
-    assert not spectral_character_test(UnitFunction(7, 2, (0,) * 6))
+    assert spectral_witness(UnitFunction(7, 2, (0,) * 6)) is None
     f = UnitFunction(5, 2, (0, 0, 0, 1))
     # numeric confirmation that no coefficient has |S_a|^2 = 5
     for a in range(1, 5):
         assert abs(abs(numeric_fourier(f, a)) ** 2 - 5) > 0.5
-    assert not spectral_character_test(f)
+    assert spectral_witness(f) is None
 
 
 def test_autocorrelation_examples():

@@ -1,5 +1,6 @@
 import json
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,11 @@ from gausschar.verify import (
     verify_thm_1_2,
     verify_thm_1_7,
 )
+
+#: Every default-grid cell, then five cells that fail to run, in file order.
+GOLDEN = Path(__file__).parent / "data" / "grid_golden.jsonl"
+GOLDEN_ERROR_CELLS = [("thm_1_2", 3, 6), ("thm_1_2", 13, 10), ("prop_1_1", 4, 2),
+                      ("remark_p_divides_n", 3, 2), ("thm_1_7", 3, 0)]
 
 
 def test_prop_1_1_small_primes():
@@ -187,3 +193,15 @@ def test_report_json_round_trip():
     assert parsed["mismatch_count"] == 0
     assert parsed["statement"] == "thm_1_2"
     assert parsed["success"] is True
+
+
+def test_grid_matches_golden():
+    """Every report field except elapsed_ms, witness and mismatch lists
+    included, matches the recorded file line by line."""
+    cells = default_grid() + GOLDEN_ERROR_CELLS
+    expected = GOLDEN.read_text().splitlines()
+    assert len(expected) == len(cells)
+    for cell, rep, line in zip(cells, verify_grid(cells), expected):
+        record = rep.to_json_dict()
+        record.pop("elapsed_ms")
+        assert json.dumps(record, sort_keys=True) == line, cell
