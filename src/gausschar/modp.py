@@ -22,13 +22,24 @@ DEFAULT_BUDGET = 10 ** 7
 
 
 class BudgetExceededError(ValueError):
-    """An enumeration would visit more functions than the budget allows."""
+    """An enumeration would visit n^k functions, more than the budget allows.
 
-    def __init__(self, count: int, budget: int):
+    The message gives the size in decimal while it fits in 256 bits, and as
+    n^k beyond that: the integer can have more digits than Python will
+    convert to a string, and building it for a huge p would exhaust memory.
+    """
+
+    def __init__(self, n: int, k: int, budget: int):
+        size = n ** k if k * n.bit_length() <= 256 else f"{n}^{k}"
         super().__init__(
-            f"enumeration would visit {count} functions, exceeding the budget of {budget}")
-        self.count = count
+            f"enumeration would visit {size} functions, exceeding the budget of {budget}")
+        self._n, self._k = n, k
         self.budget = budget
+
+    @property
+    def count(self) -> int:
+        """The exact enumeration size n^k, built only when asked for."""
+        return self._n ** self._k
 
 
 def is_prime(m: int) -> bool:
@@ -112,10 +123,13 @@ class UnitFunction:
             raise ValueError(
                 f"need {self.p - 1} exponents for p = {self.p}, got {len(self.exps)}")
         check_odd_prime(self.p)
-        if self.n < 1:
-            raise ValueError(f"value order n must be at least 1, got {self.n}")
-        if any(not (0 <= e < self.n) for e in self.exps):
-            raise ValueError(f"exponents must lie in [0, {self.n})")
+        n = self.n
+        if n < 1:
+            raise ValueError(f"value order n must be at least 1, got {n}")
+        for e in self.exps:
+            # bool is an int subclass: True and False would pass the range test.
+            if e is True or e is False or not 0 <= e < n:
+                raise ValueError(f"exponents must be integers in [0, {n}), got {e!r}")
 
     def exponent(self, x: int) -> int:
         """The k with f(x) = e(k/n); x must be a unit mod p."""
@@ -261,10 +275,15 @@ def is_character_oracle(f: UnitFunction) -> bool:
 
 def count_unit_functions(p: int, n: int, fix_f1: bool) -> int:
     """Size of the enumeration: n^(p-2) with f(1) pinned, n^(p-1) without."""
+    return n ** _free_exponents(p, n, fix_f1)
+
+
+def _free_exponents(p: int, n: int, fix_f1: bool) -> int:
+    """The k with n^k tables to enumerate, after validating p and n."""
     check_odd_prime(p)
     if n < 1:
         raise ValueError(f"value order n must be at least 1, got {n}")
-    return n ** (p - 2 if fix_f1 else p - 1)
+    return p - 2 if fix_f1 else p - 1
 
 
 def enumerate_unit_functions(p: int, n: int, fix_f1: bool = True,
@@ -272,12 +291,18 @@ def enumerate_unit_functions(p: int, n: int, fix_f1: bool = True,
     """Every mu_n-valued table exactly once, in lexicographic exponent order.
 
     With ``fix_f1`` the exponent at x = 1 is pinned to 0, i.e. f(1) = 1.
-    Refuses to start (BudgetExceededError, carrying the computed count) when
-    the enumeration size exceeds the budget.
+    Refuses to start (BudgetExceededError) when the enumeration size n^k
+    exceeds the budget.  The power is multiplied up only until it passes the
+    budget, so a huge p costs a few multiplications, not a giant integer.
     """
-    total = count_unit_functions(p, n, fix_f1)
+    k = _free_exponents(p, n, fix_f1)
+    total = 1
+    for _ in range(k if n > 1 else 0):
+        if total > budget:
+            break
+        total *= n
     if total > budget:
-        raise BudgetExceededError(total, budget)
+        raise BudgetExceededError(n, k, budget)
     return _unit_function_stream(p, n, fix_f1)
 
 

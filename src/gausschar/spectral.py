@@ -5,6 +5,20 @@ L = lcm(n, p), the smallest order housing both.  The 1/sqrt(p) Fourier
 normalization is never materialized: with S_xi the unnormalized coefficient,
 |fhat(xi)| = 1 is decided as the integer identity norm_squared(S_xi) = p,
 and |tau(f)| = sqrt(p) as norm_squared(tau(f)) = p.
+
+Such a magnitude test never multiplies in the ring.  A sum S of roots
+zeta_L^s has S * conj(S) equal to the sum of zeta_L^(s - t) over all ordered
+pairs of its exponents, so the norm is one canonical reduction of the
+pairwise-difference multiset.
+
+When p does not divide n, one magnitude test decides the whole Fourier
+witness.  By the Chinese remainder theorem there is a k with k = 1 (mod n)
+and k = -a (mod p); the automorphism sigma_k: zeta_L -> zeta_L^k then fixes
+every value of f and maps tau(f) = S_{-1} to S_a (Berndt-Evans-Williams,
+*Gauss and Jacobi Sums*; Ireland-Rosen ch. 8).  Since sigma_k commutes with
+complex conjugation and fixes the integer p, norm_squared(S_a) = p holds for
+every unit a or for none.  When p divides n no such k need exist, and the
+counterexample at p = 3, n = 6 has its only witness at a = 2.
 """
 
 from __future__ import annotations
@@ -40,15 +54,21 @@ def gauss_sum(f: UnitFunction) -> SpectralValue:
 
 def twisted_gauss_sum(f: UnitFunction, a: int) -> SpectralValue:
     """The sum of f(x) e(a*x/p) over units; the twist a must be a unit."""
-    p, n = f.p, f.n
-    a %= p
+    a %= f.p
     if a == 0:
         raise ValueError("the twist must be a unit modulo p")
+    big, terms = _twisted_terms(f, a)
+    return SpectralValue(sum_of_zeta_powers(big, terms), f.p, f.n)
+
+
+def _twisted_terms(f: UnitFunction, a: int) -> "tuple[int, list]":
+    """L = lcm(n, p) and the exponents e with S = sum of zeta_L^e, where S is
+    the sum of f(x) e(a*x/p) over units and a is reduced mod p."""
+    p, n = f.p, f.n
     big = lcm(n, p)
     u, v = big // n, big // p
     exps = f.exps
-    terms = (u * exps[x - 1] + v * (a * x % p) for x in range(1, p))
-    return SpectralValue(sum_of_zeta_powers(big, terms), p, n)
+    return big, [u * exps[x - 1] + v * (a * x % p) for x in range(1, p)]
 
 
 def fourier_sum(f: UnitFunction, xi: int) -> SpectralValue:
@@ -67,15 +87,27 @@ def fourier_sum(f: UnitFunction, xi: int) -> SpectralValue:
 
 
 def has_unit_fourier_magnitude(f: UnitFunction, a: int) -> bool:
-    """Exact test |fhat(a)| = 1, i.e. norm_squared(S_a) = p; a must be a unit."""
-    if a % f.p == 0:
+    """Exact test |fhat(a)| = 1, i.e. norm_squared(S_a) = p; a must be a unit.
+
+    The norm is one reduction of the pairwise differences of the exponents
+    of S_a (see the module docstring), with no ring product.
+    """
+    a %= f.p
+    if a == 0:
         raise ValueError("the unit-magnitude test is defined on units only")
-    s = fourier_sum(f, a).value
-    return s.norm_squared().as_integer() == f.p
+    big, terms = _twisted_terms(f, f.p - a)
+    norm = sum_of_zeta_powers(big, (s - t for s in terms for t in terms))
+    return norm.as_integer() == f.p
 
 
 def spectral_witness(f: UnitFunction) -> "int | None":
-    """Smallest unit a with |fhat(a)| = 1, or None; deterministic."""
+    """Smallest unit a with |fhat(a)| = 1, or None; deterministic.
+
+    When p does not divide n the witness set is empty or all of the units
+    (see the module docstring), so the single test at a = 1 decides it.
+    """
+    if f.n % f.p:
+        return 1 if has_unit_fourier_magnitude(f, 1) else None
     for a in range(1, f.p):
         if has_unit_fourier_magnitude(f, a):
             return a

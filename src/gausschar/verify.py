@@ -104,7 +104,7 @@ def _require_p_not_dividing_n(p: int, n: int) -> None:
 
 
 def _gauss_norm_is_p(f: UnitFunction) -> bool:
-    return spectral.gauss_sum(f).value.norm_squared().as_integer() == f.p
+    return spectral.has_unit_fourier_magnitude(f, f.p - 1)
 
 
 def _is_nontrivial_character(f: UnitFunction) -> bool:

@@ -128,6 +128,13 @@ def test_exponent_count_checked_before_primality(monkeypatch):
         parse_unit_function("p=1000000000000000000000007 n=2 exps=0")
 
 
+def test_unit_function_rejects_bool_exponents():
+    with pytest.raises(ValueError, match="got True"):
+        UnitFunction(3, 2, (True, False))
+    with pytest.raises(ValueError, match="got False"):
+        UnitFunction(5, 4, (0, 1, False, 2))
+
+
 def test_unit_function_accessors():
     f = UnitFunction(5, 4, (0, 1, 3, 2))
     assert f.exponent(1) == 0
@@ -243,6 +250,15 @@ def test_enumeration_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_unit_functions(5, 2, fix_f1=True, budget=7)
     assert len(list(enumerate_unit_functions(5, 2, fix_f1=True, budget=8))) == 8
+
+
+def test_budget_refusal_builds_no_giant_integer():
+    # 2^15011 has 4519 digits, past Python's int-to-str limit: the refusal
+    # must state the size as a power instead of printing the integer.
+    with pytest.raises(BudgetExceededError, match=r"visit 2\^15011 functions") as err:
+        enumerate_unit_functions(15013, 2, fix_f1=True)
+    assert err.value.count == 2 ** 15011
+    assert err.value.budget == 10 ** 7
 
 
 def test_cross_enumeration_equality():

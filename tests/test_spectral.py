@@ -8,6 +8,7 @@ from gausschar.cyclo import CyclotomicElement, zeta_pow
 from gausschar.modp import (
     UnitFunction,
     enumerate_characters,
+    enumerate_unit_functions,
     legendre_unit_function,
     mod_inverse,
 )
@@ -22,6 +23,7 @@ from gausschar.spectral import (
     spectral_witness,
     twisted_gauss_sum,
 )
+from gausschar.verify import GRID_CELLS, GRID_CELLS_FREE
 
 TOL = 1e-9
 
@@ -204,6 +206,22 @@ def test_spectral_character_test_examples():
     for a in range(1, 5):
         assert abs(abs(numeric_fourier(f, a)) ** 2 - 5) > 0.5
     assert spectral_witness(f) is None
+
+
+def test_magnitude_fast_paths_match_ring_norm_on_grid():
+    # The difference-multiset norm against the ring product z * conj(z) for
+    # every unit a, and the single-test witness against the smallest such a,
+    # on every default-grid cell plus the p | n cell (3, 6), where the
+    # witness must still come from the loop over a.
+    for p, n in GRID_CELLS + ((3, 6),):
+        free = (p, n) in GRID_CELLS_FREE
+        for f in enumerate_unit_functions(p, n, fix_f1=not free):
+            hits = [a for a in range(1, p)
+                    if fourier_sum(f, a).value.norm_squared().as_integer() == p]
+            for a in range(1, p):
+                assert has_unit_fourier_magnitude(f, a) == (a in hits), (f, a)
+            if f.exps[0] == 0:
+                assert spectral_witness(f) == (hits[0] if hits else None), f
 
 
 def test_autocorrelation_examples():
