@@ -36,6 +36,7 @@ from .spectral import (
     InconsistencyError,
     SpectralValue,
     autocorrelation,
+    fourier_norm,
     fourier_sum,
     gauss_sum,
     has_unit_fourier_magnitude,

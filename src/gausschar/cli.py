@@ -24,17 +24,25 @@ _REPORT_HEADER = (f"{'statement':<22} {'p':>4} {'n':>4} {'functions':>10} "
                   f"{'elapsed_ms':>11}  status")
 
 
+def _positive_int(text: str) -> int:
+    """A positive decimal integer: the check on --budget and on GAUSSCHAR_BUDGET."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a decimal integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be a decimal integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
-    return value
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{BUDGET_ENV_VAR} {exc}") from None
 
 
 def _emit_json(record: dict) -> None:
@@ -170,13 +178,13 @@ def _emit_value(args, f, value: CyclotomicElement, params=(), norm=None, flags=(
 def _cmd_gauss_sum(args) -> int:
     f = parse_unit_function(args.fn)
     value = spectral.gauss_sum(f).value
-    return _emit_value(args, f, value, norm=value.norm_squared())
+    return _emit_value(args, f, value, norm=spectral.fourier_norm(f, -1))
 
 
 def _cmd_fourier(args) -> int:
     f = parse_unit_function(args.fn)
     value = spectral.fourier_sum(f, args.xi).value
-    norm = value.norm_squared()
+    norm = spectral.fourier_norm(f, args.xi)
     return _emit_value(args, f, value, [("xi", args.xi % f.p)], norm,
                        [("unit_magnitude", norm.as_integer() == f.p)])
 
@@ -211,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output format (default: table)")
 
     def add_budget(sp):
-        sp.add_argument("--budget", type=int, default=None,
+        sp.add_argument("--budget", type=_positive_int, default=None,
                         help=f"enumeration budget (default: {BUDGET_ENV_VAR} "
                              f"or {DEFAULT_BUDGET})")
 

@@ -64,13 +64,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for q, e in factorize(n):
-        divs = [d * q ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 # ---------------------------------------------------------------------------
 # Integer polynomials: coefficient tuples, constant term first, no trailing
 # zeros.  The zero polynomial is the empty tuple.
@@ -96,40 +89,28 @@ def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return poly_trim(out)
 
 
-def poly_divmod(num: IntPolynomial, den: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-    """Quotient and remainder in Z[x]; the divisor must be monic."""
-    if not den or den[-1] != 1:
-        raise ValueError("polynomial division requires a monic divisor")
-    deg_den = len(den) - 1
-    rem = list(num)
-    if deg_den == 0:
-        return poly_trim(rem), ()
-    if len(rem) <= deg_den:
-        return (), poly_trim(rem)
-    quot = [0] * (len(rem) - deg_den)
-    for k in range(len(rem) - 1, deg_den - 1, -1):
-        c = rem[k]
-        if c:
-            quot[k - deg_den] = c
-            for i in range(deg_den + 1):
-                rem[k - deg_den + i] -= c * den[i]
-    return poly_trim(quot), poly_trim(rem[:deg_den])
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial Phi_n, constant term first.
 
-    Computed by exact division of x^n - 1 by the product of Phi_d over the
-    proper divisors d of n.  Monic with integer coefficients, degree phi(n).
+    Computed as the Moebius product of (x^(n/s) - 1)^mu(s) over squarefree
+    s | n: the mu(s) = 1 binomials are multiplied in, then the mu(s) = -1
+    ones divided out.  The divisions are exact, because the product of the
+    first kind is Phi_n times the product of the second, so no remainder is
+    formed.  Monic with integer coefficients, degree phi(n).
     """
     _check_order(n)
-    poly = poly_trim([-1] + [0] * (n - 1) + [1])
-    for d in _divisors(n)[:-1]:
-        poly, rem = poly_divmod(poly, cyclotomic_polynomial(d))
-        if rem:
-            raise AssertionError(f"cyclotomic division left a remainder at n={n}, d={d}")
-    return poly
+    ups, downs = [n], []  # n/s over squarefree s | n with mu(s) = 1 and -1
+    for q, _ in factorize(n):
+        ups, downs = ups + [m // q for m in downs], downs + [m // q for m in ups]
+    poly = [1]
+    for d in ups:  # a = q * (x^d - 1): a[k] = q[k - d] - q[k]
+        poly = [hi - lo for lo, hi in zip(poly + [0] * d, [0] * d + poly)]
+    for d in downs:  # q = a / (x^d - 1): q[k] = q[k - d] - a[k]
+        poly = [-c for c in poly[:len(poly) - d]]
+        for k in range(d, len(poly)):
+            poly[k] += poly[k - d]
+    return tuple(poly)
 
 
 # ---------------------------------------------------------------------------

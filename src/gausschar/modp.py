@@ -127,8 +127,8 @@ class UnitFunction:
         if n < 1:
             raise ValueError(f"value order n must be at least 1, got {n}")
         for e in self.exps:
-            # bool is an int subclass: True and False would pass the range test.
-            if e is True or e is False or not 0 <= e < n:
+            # Exactly int: bool is an int subclass and would pass the range test.
+            if type(e) is not int or not 0 <= e < n:
                 raise ValueError(f"exponents must be integers in [0, {n}), got {e!r}")
 
     def exponent(self, x: int) -> int:

@@ -6,10 +6,10 @@ normalization is never materialized: with S_xi the unnormalized coefficient,
 |fhat(xi)| = 1 is decided as the integer identity norm_squared(S_xi) = p,
 and |tau(f)| = sqrt(p) as norm_squared(tau(f)) = p.
 
-Such a magnitude test never multiplies in the ring.  A sum S of roots
+No Fourier-sum norm is taken by multiplying in the ring.  A sum S of roots
 zeta_L^s has S * conj(S) equal to the sum of zeta_L^(s - t) over all ordered
-pairs of its exponents, so the norm is one canonical reduction of the
-pairwise-difference multiset.
+pairs of its exponents, so ``fourier_norm`` is one canonical reduction of
+the pairwise-difference multiset.
 
 When p does not divide n, one magnitude test decides the whole Fourier
 witness.  By the Chinese remainder theorem there is a k with k = 1 (mod n)
@@ -77,27 +77,25 @@ def fourier_sum(f: UnitFunction, xi: int) -> SpectralValue:
     S_xi equals sqrt(p) * fhat(xi); at xi = 0 it degenerates to the plain
     value sum of f (the x = 0 term is absent since f(0) = 0).
     """
-    p, n = f.p, f.n
-    xi %= p
-    if xi == 0:
-        big = lcm(n, p)
-        u = big // n
-        return SpectralValue(sum_of_zeta_powers(big, (u * e for e in f.exps)), p, n)
-    return twisted_gauss_sum(f, p - xi)
+    big, terms = _twisted_terms(f, -xi % f.p)
+    return SpectralValue(sum_of_zeta_powers(big, terms), f.p, f.n)
+
+
+def fourier_norm(f: UnitFunction, xi: int) -> CyclotomicElement:
+    """norm_squared(S_xi) = S_xi * conj(S_xi), exactly, for any xi in F_p.
+
+    One reduction of the pairwise differences of the exponents of S_xi (see
+    the module docstring), with no ring product; S_(-1) is tau(f).
+    """
+    big, terms = _twisted_terms(f, -xi % f.p)
+    return sum_of_zeta_powers(big, (s - t for s in terms for t in terms))
 
 
 def has_unit_fourier_magnitude(f: UnitFunction, a: int) -> bool:
-    """Exact test |fhat(a)| = 1, i.e. norm_squared(S_a) = p; a must be a unit.
-
-    The norm is one reduction of the pairwise differences of the exponents
-    of S_a (see the module docstring), with no ring product.
-    """
-    a %= f.p
-    if a == 0:
+    """Exact test |fhat(a)| = 1, i.e. norm_squared(S_a) = p; a must be a unit."""
+    if a % f.p == 0:
         raise ValueError("the unit-magnitude test is defined on units only")
-    big, terms = _twisted_terms(f, f.p - a)
-    norm = sum_of_zeta_powers(big, (s - t for s in terms for t in terms))
-    return norm.as_integer() == f.p
+    return fourier_norm(f, a).as_integer() == f.p
 
 
 def spectral_witness(f: UnitFunction) -> "int | None":
@@ -152,7 +150,7 @@ def parseval_sum(f: UnitFunction) -> int:
     """
     total = CyclotomicElement.zero(lcm(f.n, f.p))
     for xi in range(f.p):
-        total = total + fourier_sum(f, xi).value.norm_squared()
+        total = total + fourier_norm(f, xi)
     value = total.as_integer()
     if value is None:
         raise InconsistencyError("Parseval sum is not a rational integer")

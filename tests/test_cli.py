@@ -174,6 +174,26 @@ def test_budget_env_var(capsys, monkeypatch):
     assert BUDGET_ENV_VAR in err
 
 
+def test_budget_flag_must_be_positive(capsys, monkeypatch):
+    # --budget gets the check GAUSSCHAR_BUDGET gets, before any cell runs.
+    commands = (["verify", "--statement", "prop_1_1", "--p", "5"],
+                ["verify", "--statement", "all"],
+                ["search", "--p", "3", "--n", "6"])
+    for budget, message in (("-3", "must be positive"), ("0", "must be positive"),
+                            ("ten", "must be a decimal integer")):
+        for command in commands:
+            with pytest.raises(SystemExit) as excinfo:
+                main(command + ["--budget", budget])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --budget: {message}" in err, (command, budget)
+            monkeypatch.setenv(BUDGET_ENV_VAR, budget)
+            code, _, err = run_cli(capsys, *command)
+            monkeypatch.delenv(BUDGET_ENV_VAR)
+            assert code == 2
+            assert f"error: {BUDGET_ENV_VAR} {message}" in err, (command, budget)
+
+
 def test_no_floats_anywhere(capsys):
     commands = [
         ["verify", "--statement", "prop_1_1", "--p", "7", "--witnesses"],

@@ -10,7 +10,6 @@ from gausschar.cyclo import (
     cyclotomic_polynomial,
     euler_phi,
     evaluate_poly,
-    poly_divmod,
     poly_mul,
     poly_trim,
     sum_of_zeta_powers,
@@ -48,28 +47,14 @@ def test_cyclotomic_vanishes_at_zeta():
         assert evaluate_poly(cyclotomic_polynomial(n), zeta_pow(n, 1)).is_zero
 
 
-def test_poly_divmod_requires_monic():
-    with pytest.raises(ValueError):
-        poly_divmod((1, 2, 3), (1, 2))
-
-
-def test_poly_divmod_reconstructs():
-    rng = random.Random(7)
-    for _ in range(200):
-        num = tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 10)))
-        den = tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 5))) + (1,)
-        quot, rem = poly_divmod(num, den)
-        assert _poly_add(poly_mul(quot, den), rem) == poly_trim(num)
-        assert len(rem) < len(den)
-
-
-def _padded(a, b):
-    n = max(len(a), len(b))
-    return zip(tuple(a) + (0,) * (n - len(a)), tuple(b) + (0,) * (n - len(b)))
-
-
-def _poly_add(a, b):
-    return poly_trim(x + y for x, y in _padded(a, b))
+def test_cyclotomic_matches_sympy():
+    # An outside reference for Phi_n: every n up to 200, the orders of the
+    # large-order classifications, and two orders near MAX_ORDER.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in list(range(1, 201)) + [330, 390, 930, 2002, 9240, 9700]:
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in reversed(expected)), n
 
 
 def test_zeta_pow_examples():

@@ -135,6 +135,13 @@ def test_unit_function_rejects_bool_exponents():
         UnitFunction(5, 4, (0, 1, False, 2))
 
 
+def test_unit_function_rejects_non_integer_exponents():
+    with pytest.raises(ValueError, match="got 1.0"):
+        UnitFunction(3, 2, (0, 1.0))
+    with pytest.raises(ValueError, match="got '1'"):
+        UnitFunction(3, 2, (0, "1"))
+
+
 def test_unit_function_accessors():
     f = UnitFunction(5, 4, (0, 1, 3, 2))
     assert f.exponent(1) == 0

@@ -15,6 +15,7 @@ from gausschar.modp import (
 from gausschar.spectral import (
     SpectralValue,
     autocorrelation,
+    fourier_norm,
     fourier_sum,
     gauss_sum,
     has_unit_fourier_magnitude,
@@ -210,14 +211,17 @@ def test_spectral_character_test_examples():
 
 def test_magnitude_fast_paths_match_ring_norm_on_grid():
     # The difference-multiset norm against the ring product z * conj(z) for
-    # every unit a, and the single-test witness against the smallest such a,
-    # on every default-grid cell plus the p | n cell (3, 6), where the
-    # witness must still come from the loop over a.
+    # every xi (as elements, xi = 0 included) and the magnitude test for every
+    # unit a, and the single-test witness against the smallest such a, on
+    # every default-grid cell plus the p | n cell (3, 6), where the witness
+    # must still come from the loop over a.
     for p, n in GRID_CELLS + ((3, 6),):
         free = (p, n) in GRID_CELLS_FREE
         for f in enumerate_unit_functions(p, n, fix_f1=not free):
-            hits = [a for a in range(1, p)
-                    if fourier_sum(f, a).value.norm_squared().as_integer() == p]
+            norms = [fourier_sum(f, xi).value.norm_squared() for xi in range(p)]
+            for xi in range(p):
+                assert fourier_norm(f, xi) == norms[xi], (f, xi)
+            hits = [a for a in range(1, p) if norms[a].as_integer() == p]
             for a in range(1, p):
                 assert has_unit_fourier_magnitude(f, a) == (a in hits), (f, a)
             if f.exps[0] == 0:
