@@ -98,15 +98,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classify(args) -> int:
     f = parse_unit_function(args.fn)
-    oracle_hit = modp.is_character_oracle(f)
     warnings = []
     if f.n % f.p == 0:
         warnings.append("p divides n")
     if f.exps[0] != 0:
         warnings.append("f(1) != 1")
     applicable = not warnings
+    # The spectral side goes first: it refuses an order above MAX_ORDER at
+    # once, while the oracle is quadratic in p.
     witness = spectral.spectral_witness(f) if applicable else None
     spectral_hit = (witness is not None) if applicable else None
+    oracle_hit = modp.is_character_oracle(f)
     consistent = True
     if applicable:
         consistent = spectral_hit == (oracle_hit and not f.is_trivial)

@@ -124,14 +124,13 @@ class _OrderContext:
     relation x^deg = -(Phi_N - x^deg).
     """
 
-    __slots__ = ("order", "degree", "phi_poly", "power_table")
+    __slots__ = ("degree", "power_table")
 
     def __init__(self, order: int):
-        self.order = order
-        self.phi_poly = cyclotomic_polynomial(order)
-        deg = len(self.phi_poly) - 1
+        phi_poly = cyclotomic_polynomial(order)
+        deg = len(phi_poly) - 1
         self.degree = deg
-        top = [-c for c in self.phi_poly[:-1]]
+        top = [-c for c in phi_poly[:-1]]
         row = [0] * deg
         row[0] = 1
         table = [tuple(row)]
@@ -177,16 +176,11 @@ def _canonicalize(order: int, raw: list[int]) -> tuple[int, ...]:
 def _power_map(order: int, coeffs, s: int) -> tuple[int, ...]:
     """Power-basis coordinates of the sum of coeffs[i] * zeta_order^(i*s):
     the image of an element under zeta -> zeta_order^s."""
-    ctx = _context(order)
-    table = ctx.power_table
-    deg = ctx.degree
-    out = [0] * deg
+    raw = [0] * order
     for i, c in enumerate(coeffs):
         if c:
-            row = table[i * s % order]
-            for t in range(deg):
-                out[t] += c * row[t]
-    return tuple(out)
+            raw[i * s % order] += c
+    return _canonicalize(order, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +286,7 @@ class CyclotomicElement:
 
     def conjugate(self) -> "CyclotomicElement":
         """Complex conjugation zeta -> zeta^(N-1); an involutive automorphism."""
-        if self.order <= 2:
-            return self
-        return self.galois(self.order - 1)
+        return self.galois(-1)
 
     def embed(self, new_order: int) -> "CyclotomicElement":
         """Image under zeta_N -> zeta_M^(M/N); requires N | M.
@@ -358,8 +350,10 @@ def sum_of_zeta_powers(order: int, exponents: Iterable[int]) -> CyclotomicElemen
     """Canonical sum of zeta_order^e over the given exponents (with repeats).
 
     Accumulates multiplicities per exponent and reduces once; the workhorse
-    behind every Gauss-type sum in this package.
+    behind every Gauss-type sum in this package.  The order is checked
+    before any exponent is read: a caller may pass (p-1)^2 of them.
     """
+    _check_order(order)
     counts = [0] * order
     for e in exponents:
         counts[e % order] += 1

@@ -115,6 +115,9 @@ class UnitFunction:
     exps: tuple
 
     def __post_init__(self):
+        # Exactly int: a float or bool p or n would pass the checks below.
+        if type(self.p) is not int or type(self.n) is not int:
+            raise ValueError(f"p and n must be integers, got p={self.p!r}, n={self.n!r}")
         if type(self.exps) is not tuple:
             object.__setattr__(self, "exps", tuple(self.exps))
         # The length check comes first: it is free, while the primality test
@@ -178,7 +181,9 @@ def parse_unit_function(text: str) -> UnitFunction:
 
 def legendre_unit_function(p: int) -> UnitFunction:
     """The quadratic-residue indicator as a mu_2-valued table."""
-    exps = tuple(0 if legendre_symbol(x, p) == 1 else 1 for x in range(1, p))
+    check_odd_prime(p)
+    squares = _nonzero_squares(p)
+    exps = tuple(0 if x in squares else 1 for x in range(1, p))
     return UnitFunction(p, 2, exps)
 
 
@@ -274,16 +279,9 @@ def is_character_oracle(f: UnitFunction) -> bool:
 
 
 def count_unit_functions(p: int, n: int, fix_f1: bool) -> int:
-    """Size of the enumeration: n^(p-2) with f(1) pinned, n^(p-1) without."""
-    return n ** _free_exponents(p, n, fix_f1)
-
-
-def _free_exponents(p: int, n: int, fix_f1: bool) -> int:
-    """The k with n^k tables to enumerate, after validating p and n."""
-    check_odd_prime(p)
-    if n < 1:
-        raise ValueError(f"value order n must be at least 1, got {n}")
-    return p - 2 if fix_f1 else p - 1
+    """Size of the enumeration: n^(p-2) with f(1) pinned, n^(p-1) without.
+    A formula only: the enumerator is what validates a cell."""
+    return n ** (p - 2 if fix_f1 else p - 1)
 
 
 def enumerate_unit_functions(p: int, n: int, fix_f1: bool = True,
@@ -291,11 +289,17 @@ def enumerate_unit_functions(p: int, n: int, fix_f1: bool = True,
     """Every mu_n-valued table exactly once, in lexicographic exponent order.
 
     With ``fix_f1`` the exponent at x = 1 is pinned to 0, i.e. f(1) = 1.
-    Refuses to start (BudgetExceededError) when the enumeration size n^k
-    exceeds the budget.  The power is multiplied up only until it passes the
-    budget, so a huge p costs a few multiplications, not a giant integer.
+    The one place a (p, n) cell is validated, cheapest check first: p odd
+    and at least 3, n at least 1, then the budget (BudgetExceededError when
+    the n^k tables exceed it), then p's primality by trial division.  The
+    power is multiplied up only until it passes the budget, so a huge p
+    costs a few multiplications, not a giant integer or a trial division.
     """
-    k = _free_exponents(p, n, fix_f1)
+    if p < 3 or p % 2 == 0:
+        raise ValueError(f"modulus must be an odd prime, got {p}")
+    if n < 1:
+        raise ValueError(f"value order n must be at least 1, got {n}")
+    k = p - 2 if fix_f1 else p - 1
     total = 1
     for _ in range(k if n > 1 else 0):
         if total > budget:
@@ -303,6 +307,7 @@ def enumerate_unit_functions(p: int, n: int, fix_f1: bool = True,
         total *= n
     if total > budget:
         raise BudgetExceededError(n, k, budget)
+    check_odd_prime(p)
     return _unit_function_stream(p, n, fix_f1)
 
 

@@ -1,9 +1,12 @@
 """Exhaustive verification of the exact character criteria at small moduli.
 
-Every statement runs through one loop, ``_run``.  It enumerates every
-admissible exponent table for the (p, n) cell (or takes the pinned tables
-it is given), hands each function to the statement's judge, and tallies the
-answers into a structured report.  A judge maps f to
+Every statement runs through one loop, ``_run``.  Each public verifier
+first opens its (p, n) cell with ``_cell``, which validates it (through
+``modp.enumerate_unit_functions``, cheapest check first, the budget before
+primality) and applies the statement's divisibility hypothesis; only then
+are per-cell constants built.  ``_run`` hands each function of the opened
+stream (or of the pinned tables it is given) to the statement's judge, and
+tallies the answers into a structured report.  A judge maps f to
 ``(spectral_hit, oracle_hit, agrees, witness)``: whether the analytic test
 (Gauss-sum magnitude, Fourier witness, subfield membership or
 autocorrelation profile) holds for f, whether the brute-force homomorphism
@@ -12,8 +15,7 @@ predicts, and the ``(exps, a)`` record to list as a witness, or None.
 Functions whose sides disagree are listed as mismatches, and a report
 succeeds exactly when there are none (the existence search
 ``remark_p_divides_n`` instead succeeds when it lists at least one
-witness).  Per-cell constants are computed once by the public verifier,
-before its judge is built.
+witness).
 """
 
 from __future__ import annotations
@@ -95,12 +97,16 @@ class VerificationReport:
         }
 
 
-def _require_p_not_dividing_n(p: int, n: int) -> None:
-    modp.check_odd_prime(p)
-    if n < 1:
-        raise HypothesisViolation(f"value order n must be at least 1, got {n}")
-    if n % p == 0:
-        raise HypothesisViolation(f"p divides n (p={p}, n={n})")
+def _cell(p: int, n: int, budget: int, fix_f1: bool = True,
+          p_divides_n: "bool | None" = False):
+    """Open a cell: validate (p, n) against the budget, then hold it to the
+    statement's hypothesis that p divides n (True), does not (False), or
+    either (None).  Returns the unstarted enumeration of the cell."""
+    functions = modp.enumerate_unit_functions(p, n, fix_f1=fix_f1, budget=budget)
+    if p_divides_n is not None and (n % p == 0) != p_divides_n:
+        raise HypothesisViolation(
+            f"p {'does not divide' if p_divides_n else 'divides'} n (p={p}, n={n})")
+    return functions
 
 
 def _gauss_norm_is_p(f: UnitFunction) -> bool:
@@ -111,16 +117,11 @@ def _is_nontrivial_character(f: UnitFunction) -> bool:
     return modp.is_character_oracle(f) and not f.is_trivial
 
 
-def _run(statement: str, p: int, n: int, budget: int, judge,
-         functions=None, existence: bool = False,
-         fix_f1: bool = True) -> VerificationReport:
-    """Judge every function of the cell (every table with f(1) = 1 unless
-    ``fix_f1`` is off, or just ``functions`` when given) and tally the
-    report."""
+def _run(statement: str, p: int, n: int, budget: int, judge, functions,
+         existence: bool = False) -> VerificationReport:
+    """Judge every function of the opened cell and tally the report."""
     t0 = time.perf_counter()
     rep = VerificationReport(statement, p, n, budget)
-    if functions is None:
-        functions = modp.enumerate_unit_functions(p, n, fix_f1=fix_f1, budget=budget)
     for f in functions:
         spectral_hit, oracle_hit, agrees, witness = judge(f)
         rep.total_functions += 1
@@ -138,46 +139,47 @@ def _run(statement: str, p: int, n: int, budget: int, judge,
 def verify_prop_1_1(p: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Sign functions with f(1) = 1: among all 2^(p-2) of them, exactly the
     quadratic-residue table has norm_squared(tau(f)) = p."""
+    functions = _cell(p, 2, budget)
     legendre = modp.legendre_unit_function(p).exps
 
     def judge(f):
         hit = _gauss_norm_is_p(f)
         is_legendre = f.exps == legendre
         return hit, is_legendre, hit == is_legendre, (f.exps, p - 1) if hit else None
-    return _run("prop_1_1", p, 2, budget, judge)
+    return _run("prop_1_1", p, 2, budget, judge, functions)
 
 
 def verify_thm_1_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Spectral witness test against the oracle, over all mu_n-valued f with
     f(1) = 1: some |fhat(a)| = 1 iff f is a nontrivial character."""
-    _require_p_not_dividing_n(p, n)
+    functions = _cell(p, n, budget)
 
     def judge(f):
         a = spectral.spectral_witness(f)
         hit = a is not None
         oracle_hit = _is_nontrivial_character(f)
         return hit, oracle_hit, hit == oracle_hit, (f.exps, a) if hit else None
-    return _run("thm_1_2", p, n, budget, judge)
+    return _run("thm_1_2", p, n, budget, judge, functions)
 
 
 def verify_cor_1_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Dichotomy check over all mu_n-valued f (f(1) free): the witness set
     {a : |fhat(a)| = 1} is empty or all of the units, never in between."""
-    _require_p_not_dividing_n(p, n)
+    functions = _cell(p, n, budget, fix_f1=False)
 
     def judge(f):
         hits = sum(spectral.has_unit_fourier_magnitude(f, a) for a in range(1, p))
         full = hits == p - 1
         return (full, _is_nontrivial_character(f.normalized()), full or not hits,
                 (f.exps, 1) if full else None)
-    return _run("cor_1_3", p, n, budget, judge, fix_f1=False)
+    return _run("cor_1_3", p, n, budget, judge, functions)
 
 
 def verify_lemma_2_1(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Subfield filter over all mu_n-valued g: tau(g) lies in Q(zeta_n) for
     exactly the n constant functions, and each such g is identically
     -tau(g)."""
-    _require_p_not_dividing_n(p, n)
+    functions = _cell(p, n, budget, fix_f1=False)
     big = lcm(n, p)
 
     def judge(g):
@@ -187,26 +189,26 @@ def verify_lemma_2_1(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verificati
         if in_sub:
             return True, const, const and zeta_pow(n, g.exps[0]).embed(big) == -tau, (g.exps, None)
         return False, const, not const, None
-    return _run("lemma_2_1", p, n, budget, judge, fix_f1=False)
+    return _run("lemma_2_1", p, n, budget, judge, functions)
 
 
 def verify_prop_2_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Gauss-magnitude test against the oracle, over all mu_n-valued f with
     f(1) = 1: norm_squared(tau(f)) = p iff f is a nontrivial character."""
-    _require_p_not_dividing_n(p, n)
+    functions = _cell(p, n, budget)
 
     def judge(f):
         hit = _gauss_norm_is_p(f)
         oracle_hit = _is_nontrivial_character(f)
         return hit, oracle_hit, hit == oracle_hit, (f.exps, p - 1) if hit else None
-    return _run("prop_2_2", p, n, budget, judge)
+    return _run("prop_2_2", p, n, budget, judge, functions)
 
 
 def verify_cor_2_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Factorization form with f(1) free: norm_squared(tau(f)) = p iff f
     splits as f(1) times a nontrivial character, with the factorization
     rebuilt explicitly and checked."""
-    _require_p_not_dividing_n(p, n)
+    functions = _cell(p, n, budget, fix_f1=False)
 
     def judge(f):
         g = f.normalized()
@@ -215,7 +217,7 @@ def verify_cor_2_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
             return False, True, False, None
         hit = _gauss_norm_is_p(f)
         return hit, factors, hit == factors, (f.exps, p - 1) if hit else None
-    return _run("cor_2_3", p, n, budget, judge, fix_f1=False)
+    return _run("cor_2_3", p, n, budget, judge, functions)
 
 
 def verify_thm_1_7(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -224,16 +226,14 @@ def verify_thm_1_7(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
     exactly the nontrivial characters: the trivial character autocorrelates
     to p - 2 off zero, so it is counted on the oracle side only.  No
     divisibility hypothesis here."""
-    modp.check_odd_prime(p)
-    if n < 1:
-        raise HypothesisViolation(f"value order n must be at least 1, got {n}")
+    functions = _cell(p, n, budget, p_divides_n=None)
 
     def judge(f):
         flat = spectral.kurlberg_test(f)
         oracle_hit = modp.is_character_oracle(f)
         return (flat, oracle_hit, flat == (oracle_hit and not f.is_trivial),
                 (f.exps, None) if flat else None)
-    return _run("thm_1_7", p, n, budget, judge)
+    return _run("thm_1_7", p, n, budget, judge, functions)
 
 
 def remark_counterexample() -> VerificationReport:
@@ -246,8 +246,7 @@ def remark_counterexample() -> VerificationReport:
         a = spectral.spectral_witness(f)
         agrees = hit and not oracle_hit and f.n % f.p == 0 and a == 2
         return hit, oracle_hit, agrees, None if a is None else (f.exps, a)
-    return _run("remark_counterexample", 3, 6, 1, judge,
-                functions=(UnitFunction(3, 6, (0, 5)),))
+    return _run("remark_counterexample", 3, 6, 1, judge, (UnitFunction(3, 6, (0, 5)),))
 
 
 def search_p_divides_n(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -255,16 +254,14 @@ def search_p_divides_n(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verifica
     still has norm_squared = p; only possible because p divides n.  The
     report succeeds when at least one such function is found; hits are
     returned as witnesses and no count formula is asserted."""
-    modp.check_odd_prime(p)
-    if n < 1 or n % p != 0:
-        raise HypothesisViolation(f"p does not divide n (p={p}, n={n})")
+    functions = _cell(p, n, budget, p_divides_n=True)
 
     def judge(f):
         hit = _gauss_norm_is_p(f)
         oracle_hit = modp.is_character_oracle(f)
         found = hit and not oracle_hit
         return hit, oracle_hit, True, (f.exps, spectral.spectral_witness(f)) if found else None
-    return _run("remark_p_divides_n", p, n, budget, judge, existence=True)
+    return _run("remark_p_divides_n", p, n, budget, judge, functions, existence=True)
 
 
 # ---------------------------------------------------------------------------

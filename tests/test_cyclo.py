@@ -57,6 +57,57 @@ def test_cyclotomic_matches_sympy():
         assert cyclotomic_polynomial(n) == tuple(int(c) for c in reversed(expected)), n
 
 
+def test_reduction_matches_sympy():
+    # An outside reference for the reduction mod Phi_N behind from_coeffs,
+    # galois and embed: sympy's dense remainder over ZZ of the same integer
+    # polynomial (the polynomial-level routine, about 20x faster than
+    # Poly.rem at order 2002).
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.densearith import dup_rem
+    from sympy.polys.densebasic import dup_strip
+    from sympy.polys.domains import ZZ
+    x = sympy.Symbol("x")
+    rng = random.Random(23)
+
+    def reference(order, terms):
+        phi = [ZZ(int(c)) for c in sympy.Poly(sympy.cyclotomic_poly(order, x), x).all_coeffs()]
+        dense = [0] * (max(terms, default=0) + 1)
+        for e, c in terms.items():
+            dense[e] += c
+        dividend = dup_strip([ZZ(c) for c in reversed(dense)])
+        rem = [int(c) for c in reversed(dup_rem(dividend, phi, ZZ))]
+        return tuple(rem + [0] * (euler_phi(order) - len(rem)))
+
+    def element(order):
+        return CyclotomicElement(order, tuple(rng.randint(-3, 3) for _ in range(euler_phi(order))))
+
+    for order in list(range(1, 61)) + [330, 390, 930, 2002]:
+        # Exponents past N: no folding by zeta^N = 1 on the reference side.
+        terms = {rng.randrange(order + 5): rng.randint(-3, 3) for _ in range(12)}
+        raw = [terms.get(e, 0) for e in range(order + 5)]
+        assert CyclotomicElement.from_coeffs(order, raw).coeffs == reference(order, terms), order
+        z = element(order)
+        units = [k for k in range(1, order) if gcd(k, order) == 1]
+        for k in {-1, rng.choice(units or [1])}:
+            image = {}
+            for i, c in enumerate(z.coeffs):
+                image[i * k % order] = image.get(i * k % order, 0) + c
+            assert z.galois(k).coeffs == reference(order, image), (order, k)
+        divisors = [d for d in range(1, order) if order % d == 0]
+        for d in {divisors[0], divisors[len(divisors) // 2], divisors[-1]} if divisors else ():
+            w = element(d)
+            image = {i * (order // d): c for i, c in enumerate(w.coeffs)}
+            assert w.embed(order).coeffs == reference(order, image), (d, order)
+
+
+def test_sum_of_zeta_powers_checks_order_before_exponents():
+    def exploding():
+        raise AssertionError("exponents were read")
+        yield 0
+    with pytest.raises(ValueError, match="exceeds MAX_ORDER"):
+        sum_of_zeta_powers(10007, exploding())
+
+
 def test_zeta_pow_examples():
     assert zeta_pow(4, 2) == CyclotomicElement.from_int(4, -1)
     assert zeta_pow(6, 2).coeffs == (-1, 1)

@@ -142,6 +142,31 @@ def test_unit_function_rejects_non_integer_exponents():
         UnitFunction(3, 2, (0, "1"))
 
 
+def test_unit_function_requires_integer_p_and_n():
+    with pytest.raises(ValueError, match="p and n must be integers"):
+        UnitFunction(3, 2.0, (0, 1))
+    with pytest.raises(ValueError, match="p and n must be integers"):
+        UnitFunction(3.0, 2, (0, 1))
+    with pytest.raises(ValueError, match="p and n must be integers"):
+        UnitFunction(3, True, (0, 0))
+    # Checked before the length: a float p would otherwise report a count.
+    with pytest.raises(ValueError, match="p and n must be integers"):
+        UnitFunction(5.0, 2, (0, 1))
+
+
+def test_legendre_table_tests_p_once(monkeypatch):
+    calls = []
+
+    def counting_is_prime(m):
+        calls.append(m)
+        return is_prime(m)
+    monkeypatch.setattr("gausschar.modp.is_prime", counting_is_prime)
+    f = legendre_unit_function(13)
+    # One check of p, then UnitFunction's own.
+    assert len(calls) <= 2
+    assert f.exps == tuple(0 if legendre_symbol(x, 13) == 1 else 1 for x in range(1, 13))
+
+
 def test_unit_function_accessors():
     f = UnitFunction(5, 4, (0, 1, 3, 2))
     assert f.exponent(1) == 0
@@ -257,6 +282,31 @@ def test_enumeration_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_unit_functions(5, 2, fix_f1=True, budget=7)
     assert len(list(enumerate_unit_functions(5, 2, fix_f1=True, budget=8))) == 8
+
+
+def test_enumeration_checks_cheapest_first(monkeypatch):
+    calls = []
+
+    def guarded_is_prime(m):
+        if m > 10 ** 6:
+            raise AssertionError(f"primality of {m} was tested")
+        calls.append(m)
+        return is_prime(m)
+    monkeypatch.setattr("gausschar.modp.is_prime", guarded_is_prime)
+    # Parity, p < 3 and n < 1 are refused before the budget is looked at.
+    for p, n in [(9, 0), (1, 2), (10 ** 18 + 4, 2)]:
+        with pytest.raises(ValueError, match="odd prime|at least 1") as err:
+            enumerate_unit_functions(p, n)
+        assert not isinstance(err.value, BudgetExceededError)
+    # The budget is refused before an odd p is ever trial-divided.
+    with pytest.raises(BudgetExceededError):
+        enumerate_unit_functions(10 ** 18 + 3, 2)
+    assert calls == []
+    # A cell in budget tests p exactly once before the stream starts.
+    enumerate_unit_functions(7, 6)
+    assert calls == [7]
+    with pytest.raises(ValueError, match="odd prime, got 9"):
+        enumerate_unit_functions(9, 2)
 
 
 def test_budget_refusal_builds_no_giant_integer():

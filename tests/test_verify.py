@@ -135,6 +135,38 @@ def test_budget_propagates():
         verify_prop_1_1(5, budget=7)
 
 
+def _forbid(monkeypatch, name):
+    def forbidden(*args):
+        raise AssertionError(f"{name} was called")
+    monkeypatch.setattr(f"gausschar.modp.{name}", forbidden)
+
+
+def test_budget_refused_before_primality(monkeypatch):
+    # Trial division of a 19-digit p would run for hours.
+    _forbid(monkeypatch, "is_prime")
+    with pytest.raises(BudgetExceededError):
+        verify_thm_1_2(10 ** 18 + 3, 2)
+    with pytest.raises(BudgetExceededError):
+        search_p_divides_n(10 ** 18 + 3, 2 * (10 ** 18 + 3))
+
+
+def test_budget_refused_before_cell_constants(monkeypatch):
+    _forbid(monkeypatch, "legendre_unit_function")
+    with pytest.raises(BudgetExceededError):
+        verify_prop_1_1(100003)
+
+
+def test_cell_error_precedence():
+    # Over budget and p | n at once: the budget is reported.
+    with pytest.raises(BudgetExceededError):
+        verify_thm_1_2(13, 26)
+    # n < 1 is a bad cell, not a hypothesis of the statement.
+    for verifier in (verify_thm_1_2, verify_thm_1_7, search_p_divides_n):
+        with pytest.raises(ValueError, match="value order n must be at least 1, got 0") as err:
+            verifier(3, 0)
+        assert not isinstance(err.value, HypothesisViolation)
+
+
 def test_run_statement_dispatch():
     rep = run_statement("thm_1_2", 5, 2)
     assert rep.statement == "thm_1_2" and rep.total_functions == 8
