@@ -3,7 +3,8 @@
 Primitive roots, the quadratic-residue symbol, mu_n-valued function tables,
 multiplicative characters, the exhaustive function enumerators, and the
 brute-force homomorphism oracle that every analytic test is checked against.
-Primality is decided by trial division: moduli stay small by design.
+Primality is decided by a deterministic Miller-Rabin test, exact below
+3.317e24 and refused above.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
-from .cyclo import factorize
+from .cyclo import MAX_ORDER, factorize
 
 #: Functions an enumeration may visit before refusing to run (CLI-overridable).
 DEFAULT_BUDGET = 10 ** 7
@@ -42,14 +43,43 @@ class BudgetExceededError(ValueError):
         return self._n ** self._k
 
 
+#: The first thirteen primes, the Miller-Rabin bases.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: The smallest strong pseudoprime to every base in _MR_BASES (Sorenson and
+#: Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+#: Without 41 the bound would be 318665857834031151167461, which passes
+#: all twelve bases 2..37.
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(m: int) -> bool:
+    """Whether m is prime, by Miller-Rabin over the bases 2..41.
+
+    Deterministic and proven correct for every m below _MR_BOUND; a larger m
+    raises ValueError rather than get a probabilistic answer.
+    """
+    if m >= _MR_BOUND:
+        raise ValueError(f"primality of {m} is decided only below {_MR_BOUND}")
     if m < 2:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    for q in _MR_BASES:
+        if m % q == 0:
+            return m == q
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1 if d == 2 else 2
     return True
 
 
@@ -120,8 +150,8 @@ class UnitFunction:
             raise ValueError(f"p and n must be integers, got p={self.p!r}, n={self.n!r}")
         if type(self.exps) is not tuple:
             object.__setattr__(self, "exps", tuple(self.exps))
-        # The length check comes first: it is free, while the primality test
-        # is trial division and would stall on a huge p.
+        # The length check comes first: it is free, and it keeps a huge p
+        # from ever reaching the primality test.
         if len(self.exps) != self.p - 1:
             raise ValueError(
                 f"need {self.p - 1} exponents for p = {self.p}, got {len(self.exps)}")
@@ -291,9 +321,12 @@ def enumerate_unit_functions(p: int, n: int, fix_f1: bool = True,
     With ``fix_f1`` the exponent at x = 1 is pinned to 0, i.e. f(1) = 1.
     The one place a (p, n) cell is validated, cheapest check first: p odd
     and at least 3, n at least 1, then the budget (BudgetExceededError when
-    the n^k tables exceed it), then p's primality by trial division.  The
-    power is multiplied up only until it passes the budget, so a huge p
-    costs a few multiplications, not a giant integer or a trial division.
+    the n^k tables exceed it), then p at most MAX_ORDER, then p's primality.
+    The power is multiplied up only until it passes the budget, so a huge p
+    costs a few multiplications, not a giant integer.  Every statement
+    works at an order of at least p or does O(p^2) work, so at n = 1, where
+    the budget passes a single function, a p above MAX_ORDER is refused
+    before its table of p - 1 exponents is built.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError(f"modulus must be an odd prime, got {p}")
@@ -307,6 +340,8 @@ def enumerate_unit_functions(p: int, n: int, fix_f1: bool = True,
         total *= n
     if total > budget:
         raise BudgetExceededError(n, k, budget)
+    if p > MAX_ORDER:
+        raise ValueError(f"modulus {p} exceeds MAX_ORDER = {MAX_ORDER}")
     check_odd_prime(p)
     return _unit_function_stream(p, n, fix_f1)
 

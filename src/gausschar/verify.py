@@ -183,10 +183,9 @@ def verify_lemma_2_1(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verificati
     big = lcm(n, p)
 
     def judge(g):
-        tau = spectral.gauss_sum(g).value
-        in_sub = tau.in_subfield(n)
         const = g.is_constant
-        if in_sub:
+        if spectral.gauss_sum_in_subfield(g, n):
+            tau = spectral.gauss_sum(g).value
             return True, const, const and zeta_pow(n, g.exps[0]).embed(big) == -tau, (g.exps, None)
         return False, const, not const, None
     return _run("lemma_2_1", p, n, budget, judge, functions)

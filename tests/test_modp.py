@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -26,6 +26,27 @@ def test_is_prime():
     primes_below_60 = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59}
     for m in range(-5, 60):
         assert is_prime(m) == (m in primes_below_60)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def by_trial_division(m):
+        return m >= 2 and all(m % d for d in range(2, isqrt(m) + 1))
+    for m in range(10 ** 5):
+        assert is_prime(m) == by_trial_division(m), m
+
+
+def test_is_prime_on_strong_pseudoprimes_and_past_its_bound():
+    # Strong pseudoprimes to the bases 2, 3, 5, 7, then to 2..31, then to
+    # every base 2..37, the last of which only base 41 exposes.
+    for composite in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(composite)
+    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 18 + 3)
+    assert not is_prime((10 ** 9 + 7) * (10 ** 9 + 9))
+    # The smallest strong pseudoprime to all thirteen bases, and beyond:
+    # no probabilistic answer is given.
+    for m in (3317044064679887385961981, 10 ** 25 + 7):
+        with pytest.raises(ValueError, match="decided only below"):
+            is_prime(m)
 
 
 def test_find_primitive_root_small_cases():

@@ -1,30 +1,40 @@
 import cmath
 import random
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
-from gausschar.cyclo import CyclotomicElement, zeta_pow
+from gausschar import spectral
+from gausschar.cyclo import (
+    CyclotomicElement,
+    cyclotomic_polynomial,
+    euler_phi,
+    factorize,
+    zeta_pow,
+)
 from gausschar.modp import (
     UnitFunction,
     enumerate_characters,
     enumerate_unit_functions,
+    is_prime,
     legendre_unit_function,
     mod_inverse,
 )
 from gausschar.spectral import (
     SpectralValue,
+    _split_prime,
     autocorrelation,
     fourier_norm,
     fourier_sum,
     gauss_sum,
+    gauss_sum_in_subfield,
     has_unit_fourier_magnitude,
     kurlberg_test,
     parseval_sum,
     spectral_witness,
     twisted_gauss_sum,
 )
-from gausschar.verify import GRID_CELLS, GRID_CELLS_FREE
+from gausschar.verify import GRID_CELLS, GRID_CELLS_FREE, default_grid
 
 TOL = 1e-9
 
@@ -226,6 +236,84 @@ def test_magnitude_fast_paths_match_ring_norm_on_grid():
                 assert has_unit_fourier_magnitude(f, a) == (a in hits), (f, a)
             if f.exps[0] == 0:
                 assert spectral_witness(f) == (hits[0] if hits else None), f
+
+
+def test_split_prime_map_is_a_ring_homomorphism():
+    # zeta_L -> omega respects reduction mod Phi_L exactly when omega is a
+    # root of Phi_L mod ell; the ring operations and sigma_k are then checked
+    # on random canonical elements.  At order 9700 only the root condition
+    # is checked: any element there builds the dense 329 MB power table.
+    rng = random.Random(139)
+    for order in list(range(1, 61)) + [330, 2002, 9700]:
+        ell, pw = _split_prime(order)
+        assert is_prime(ell) and ell > 2 ** 61 and (ell - 1) % order == 0
+        assert not any(is_prime(m) for m in range(ell - order, 2 ** 61, -order))
+        omega = pw[1 % order]
+        assert pw == [pow(omega, i, ell) for i in range(order)]
+        assert pow(omega, order, ell) == 1
+        assert all(pow(omega, order // q, ell) != 1 for q, _ in factorize(order))
+        phi = cyclotomic_polynomial(order)
+        assert sum(c * pow(omega, i, ell) for i, c in enumerate(phi)) % ell == 0
+        if order == 9700:
+            continue
+
+        def image(z, k=1):
+            return sum(c * pw[i * k % order] for i, c in enumerate(z.coeffs)) % ell
+
+        units = [k for k in range(1, order + 1) if gcd(k, order) == 1]
+        for _ in range(3 if order <= 60 else 1):
+            a, b = (CyclotomicElement(order, tuple(rng.randint(-9, 9) for _ in range(euler_phi(order))))
+                    for _ in range(2))
+            assert image(a * b) == image(a) * image(b) % ell, order
+            assert image(a + b) == (image(a) + image(b)) % ell, order
+            k = rng.choice(units)
+            assert image(a.galois(k)) == image(a, k), (order, k)
+
+
+def test_split_prime_filter_refuses_an_order_above_max_order():
+    # The filter's table of omega powers has one entry per root of unity,
+    # so the order is refused before it is built.
+    f = UnitFunction(3, 10 ** 11, (0, 5))
+    for decide, args in ((has_unit_fourier_magnitude, (f, 1)), (kurlberg_test, (f,)),
+                         (gauss_sum_in_subfield, (f, f.n))):
+        with pytest.raises(ValueError, match="exceeds MAX_ORDER"):
+            decide(*args)
+
+
+def test_split_prime_filter_passes_exactly_the_canonical_hits(monkeypatch):
+    # On every default-grid cell, each of the three decision points hands
+    # to its canonical test exactly the inputs canonical equality accepts:
+    # no hit is lost to the prime-field image and no miss gets through it.
+    real_norm, real_autocorrelation = fourier_norm, autocorrelation
+    canonical_calls = []
+    for name in ("fourier_norm", "autocorrelation", "sum_of_zeta_powers"):
+        def counting(*args, _real=getattr(spectral, name)):
+            canonical_calls.append(name)
+            return _real(*args)
+        monkeypatch.setattr(spectral, name, counting)
+
+    def survives(decide, *args):
+        before = len(canonical_calls)
+        decide(*args)
+        return len(canonical_calls) > before
+
+    free = ("cor_1_3", "lemma_2_1", "cor_2_3")
+    kinds = {"thm_1_7": "flat", "lemma_2_1": "subfield"}
+    cells = {(kinds.get(statement, "magnitude"), p, n, statement not in free)
+             for statement, p, n in default_grid()}
+    for kind, p, n, fix_f1 in sorted(cells):
+        for f in enumerate_unit_functions(p, n, fix_f1=fix_f1):
+            if kind == "flat":
+                hit = f.exps[0] == 0 and all(
+                    real_autocorrelation(f, h).as_integer() == -1 for h in range(1, p))
+                assert survives(kurlberg_test, f) == hit, f
+            elif kind == "subfield":
+                hit = gauss_sum(f).value.in_subfield(n)
+                assert survives(gauss_sum_in_subfield, f, n) == hit, f
+            else:
+                for a in range(1, p):
+                    hit = real_norm(f, a).as_integer() == p
+                    assert survives(has_unit_fourier_magnitude, f, a) == hit, (f, a)
 
 
 def test_autocorrelation_examples():

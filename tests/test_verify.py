@@ -150,6 +150,16 @@ def test_budget_refused_before_primality(monkeypatch):
         search_p_divides_n(10 ** 18 + 3, 2 * (10 ** 18 + 3))
 
 
+def test_huge_p_at_n_one_refused_before_primality(monkeypatch):
+    # n = 1 passes the budget with a single function; p above MAX_ORDER is
+    # refused before it is tested or its table of p - 1 exponents is built.
+    _forbid(monkeypatch, "is_prime")
+    for verifier in (verify_thm_1_7, verify_thm_1_2):
+        with pytest.raises(ValueError, match="exceeds MAX_ORDER") as err:
+            verifier(10 ** 18 + 3, 1)
+        assert not isinstance(err.value, BudgetExceededError)
+
+
 def test_budget_refused_before_cell_constants(monkeypatch):
     _forbid(monkeypatch, "legendre_unit_function")
     with pytest.raises(BudgetExceededError):
