@@ -9,6 +9,23 @@ on that.  Coefficients are arbitrary-precision Python integers and no
 operation ever leaves Z: Phi_N is monic, so reduction involves no division
 by leading coefficients.  Nothing here is ever evaluated in floating point.
 
+Every reduction mod Phi_N is one integer remainder, by Kronecker
+substitution (Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", arXiv 0712.4046).  A polynomial P is packed into
+the integer P(2^s), one s-bit slot per coefficient, and reduced by the
+integer M = Phi_N(2^s): from P = Q * Phi_N + R follows P(2^s) = R(2^s)
+(mod M).  The slot width is chosen per call, from a bound on the remainder
+(``_OrderContext``), so that 2 * max|R_i| + H(Phi_N) < 2^(s-1), where H is
+the largest absolute coefficient.  Then
+|R(2^s)| < 2 * max|R_i| * 2^(s(phi-1)) and
+M > 2^(s*phi) - 2 * H(Phi_N) * 2^(s(phi-1)) give |R(2^s)| < M/2, so the
+balanced residue of P(2^s) mod M, the one in (-M/2, M/2], is exactly
+R(2^s), and its balanced base-2^s digits are the coefficients of R.  A ring
+product packs both factors and multiplies the two integers once before the
+same remainder, and zeta^k is the residue of 2^(s*k).  The O(phi^2) work is
+CPython's big-integer multiply and remainder; no table of size N * phi is
+ever built.
+
 Mixed orders are rejected rather than auto-promoted; callers embed into a
 common order first (see ``CyclotomicElement.embed``), which keeps equality
 semantics explicit and avoids silent order blowup.
@@ -17,11 +34,13 @@ semantics explicit and avoids silent order blowup.
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
-#: Ceiling on root-of-unity orders; guards Phi_N computation and table sizes.
+#: Ceiling on root-of-unity orders; bounds the size of Phi_N and of every
+#: reduction.
 MAX_ORDER = 10_000
 
 
@@ -89,20 +108,23 @@ def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return poly_trim(out)
 
 
-@functools.lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial Phi_n, constant term first.
+def _moebius_product(n: int, cofactor: bool = False) -> IntPolynomial:
+    """Phi_n, or with ``cofactor`` Psi_n = (x^n - 1) / Phi_n, as a product of
+    binomials x^d - 1.
 
-    Computed as the Moebius product of (x^(n/s) - 1)^mu(s) over squarefree
+    Phi_n is the Moebius product of (x^(n/s) - 1)^mu(s) over squarefree
     s | n: the mu(s) = 1 binomials are multiplied in, then the mu(s) = -1
-    ones divided out.  The divisions are exact, because the product of the
-    first kind is Phi_n times the product of the second, so no remainder is
-    formed.  Monic with integer coefficients, degree phi(n).
+    ones divided out.  Psi_n is the product of the Phi_d over the proper
+    divisors d of n, that is the same binomials with the signs of mu
+    reversed and s = 1 left out.  The divisions are exact, because the
+    product of the binomials multiplied in is the result times the product
+    of those divided out, so no remainder is formed.
     """
-    _check_order(n)
     ups, downs = [n], []  # n/s over squarefree s | n with mu(s) = 1 and -1
     for q, _ in factorize(n):
         ups, downs = ups + [m // q for m in downs], downs + [m // q for m in ups]
+    if cofactor:
+        ups, downs = downs, ups[1:]
     poly = [1]
     for d in ups:  # a = q * (x^d - 1): a[k] = q[k - d] - q[k]
         poly = [hi - lo for lo, hi in zip(poly + [0] * d, [0] * d + poly)]
@@ -113,34 +135,141 @@ def cyclotomic_polynomial(n: int) -> IntPolynomial:
     return tuple(poly)
 
 
+@functools.lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> IntPolynomial:
+    """The n-th cyclotomic polynomial Phi_n, constant term first.
+
+    The Moebius product of the binomials x^(n/s) - 1 over squarefree s | n
+    (see ``_moebius_product``).  Monic with integer coefficients, degree
+    phi(n).
+    """
+    _check_order(n)
+    return _moebius_product(n)
+
+
 # ---------------------------------------------------------------------------
-# Per-order reduction tables.
+# Reduction mod Phi_N by one integer remainder.
+
+#: struct codes of the slot widths, in bytes, that are packed and unpacked in
+#: C: signed, little-endian, standard sizes.  Other widths go byte by byte.
+_SLOT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _slot_offset(width: int, count: int) -> int:
+    """The integer with 2^(8*width - 1) in each of ``count`` slots."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack_wide(width: int, *coeffs: int) -> bytes:
+    return b"".join(c.to_bytes(width, "little", signed=True) for c in coeffs)
+
+
+def _unpack_wide(width: int, buf: bytes) -> tuple[int, ...]:
+    return tuple(int.from_bytes(buf[i:i + width], "little", signed=True)
+                 for i in range(0, len(buf), width))
+
 
 class _OrderContext:
-    """Cached tables for one order: Phi_N and canonical vectors of zeta^k.
+    """Per-order constants of the reduction mod Phi_N.
 
-    ``power_table[k]`` holds the power-basis coordinates of zeta_N^k for
-    0 <= k < N, built by repeated multiplication by x using the monic
-    relation x^deg = -(Phi_N - x^deg).
+    ``row_bound`` is B_N = 1 + min(phi, N - phi) * H(Phi_N) * H(Psi_N), with
+    H the largest absolute coefficient and Psi_N = (x^N - 1) / Phi_N.  Every
+    coefficient of x^k mod Phi_N, for every k, is at most B_N in absolute
+    value.  Proof: x^k = x^(k mod N) mod Phi_N, and x^k with k < phi is its
+    own residue.  For phi <= k < N the quotient Q of x^k by Phi_N has its
+    coefficients among those of the power series 1/Phi_N (Phi_N is
+    palindromic up to sign), which is -Psi_N / (1 - x^N), so they are at most
+    H(Psi_N); Q has degree k - phi < N - phi, so each coefficient of
+    x^k - Q * Phi_N below degree phi sums at most min(phi, N - phi) products
+    of a Q and a Phi_N coefficient.  A raw vector whose absolute
+    coefficients sum to W therefore reduces to coefficients of at most
+    W * B_N.
+
+    ``slots(W)`` returns the narrowest slot width that reduces such a vector
+    exactly (see the module docstring), with its constants cached per width.
     """
 
-    __slots__ = ("degree", "power_table")
+    __slots__ = ("order", "degree", "phi_poly", "phi_height", "row_bound", "_slots")
 
     def __init__(self, order: int):
         phi_poly = cyclotomic_polynomial(order)
         deg = len(phi_poly) - 1
+        self.order = order
         self.degree = deg
-        top = [-c for c in phi_poly[:-1]]
-        row = [0] * deg
-        row[0] = 1
-        table = [tuple(row)]
-        for _ in range(1, order):
-            carry = row[-1]
-            row = [0] + row[:-1]
-            if carry:
-                row = [row[i] + carry * top[i] for i in range(deg)]
-            table.append(tuple(row))
-        self.power_table = tuple(table)
+        self.phi_poly = phi_poly
+        self.phi_height = max(map(abs, phi_poly))
+        psi_height = max(map(abs, _moebius_product(order, cofactor=True)))
+        self.row_bound = 1 + min(deg, order - deg) * self.phi_height * psi_height
+        self._slots = {}
+
+    def slots(self, weight: int) -> "_Slots":
+        """Slots for raw vectors whose absolute coefficients sum to at most
+        ``weight``.  The width is the fewest bytes with
+        2^(s-1) > 2 * weight * B_N + H(Phi_N), s = 8 * width, rounded up to
+        1, 2, 4 or 8 bytes, the widths that ``struct`` packs in C."""
+        need = 2 * weight * self.row_bound + self.phi_height
+        width = (need.bit_length() + 8) >> 3
+        if width <= 8:
+            width = 1 << (width - 1).bit_length()
+        slots = self._slots.get(width)
+        if slots is None:
+            slots = self._slots[width] = _Slots(self, width)
+        return slots
+
+
+class _Slots:
+    """Kronecker packing with ``width``-byte slots, s = 8 * width bits, for one
+    order: the modulus M = Phi_N(2^s), and packers for phi and for N slots."""
+
+    __slots__ = ("width", "degree", "modulus", "half_modulus", "degree_offset",
+                 "order_offset", "_pack_degree", "_pack_order", "_unpack")
+
+    def __init__(self, ctx: _OrderContext, width: int):
+        deg = ctx.degree
+        code = _SLOT_CODES.get(width)
+        if code:
+            codec = struct.Struct(f"<{deg}{code}")
+            self._pack_degree, self._unpack = codec.pack, codec.unpack
+            self._pack_order = struct.Struct(f"<{ctx.order}{code}").pack
+        else:
+            self._pack_degree = self._pack_order = functools.partial(_pack_wide, width)
+            self._unpack = functools.partial(_unpack_wide, width)
+        self.width = width
+        self.degree = deg
+        self.degree_offset = _slot_offset(width, deg)
+        self.order_offset = _slot_offset(width, ctx.order)
+        # Phi_N is monic of degree phi.
+        self.modulus = (1 << 8 * width * deg) + self.pack(ctx.phi_poly[:deg])
+        self.half_modulus = self.modulus >> 1
+
+    def pack(self, coeffs) -> int:
+        """The sum of coeffs[i] * 2^(s*i), for phi or N coefficients, each
+        below 2^(s-1) in absolute value.
+
+        Each coefficient is written as an s-bit two's complement slot; the
+        XOR with the offset flips each slot's top bit, turning slot c into
+        c + 2^(s-1) >= 0, and subtracting the offset removes that bias.
+        """
+        if len(coeffs) == self.degree:
+            packer, offset = self._pack_degree, self.degree_offset
+        else:
+            packer, offset = self._pack_order, self.order_offset
+        return (int.from_bytes(packer(*coeffs), "little") ^ offset) - offset
+
+    def reduce(self, value: int) -> tuple[int, ...]:
+        """Power-basis coordinates of P mod Phi_N, from value = P(2^s).
+
+        The balanced residue of value mod M is R(2^s); adding the offset
+        makes each of its balanced base-2^s digits R_i + 2^(s-1), without
+        carries, and the XOR turns each into the two's complement slot of R_i.
+        """
+        m = self.modulus
+        r = value % m
+        if r > self.half_modulus:
+            r -= m
+        offset = self.degree_offset
+        slots = ((r + offset) ^ offset).to_bytes(self.width * self.degree, "little")
+        return self._unpack(slots)
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,10 +278,14 @@ def _context(order: int) -> _OrderContext:
     return _OrderContext(order)
 
 
-def _canonicalize(order: int, raw: list[int]) -> tuple[int, ...]:
-    """Reduce a coefficient list of any length to power-basis coordinates."""
+def _canonicalize(order: int, raw: list[int],
+                  weight: "int | None" = None) -> tuple[int, ...]:
+    """Reduce a coefficient list of any length to power-basis coordinates.
+
+    ``weight`` bounds the sum of the absolute coefficients; it is computed
+    here when the caller does not know it.
+    """
     ctx = _context(order)
-    deg = ctx.degree
     if len(raw) > order:
         # zeta^order = 1, so exponents fold mod the order before division.
         folded = [0] * order
@@ -160,17 +293,15 @@ def _canonicalize(order: int, raw: list[int]) -> tuple[int, ...]:
             if c:
                 folded[e % order] += c
         raw = folded
-    out = list(raw[:deg])
-    if len(out) < deg:
-        out.extend([0] * (deg - len(out)))
-    table = ctx.power_table
-    for e in range(deg, len(raw)):
-        c = raw[e]
-        if c:
-            row = table[e]
-            for i in range(deg):
-                out[i] += c * row[i]
-    return tuple(out)
+    deg = ctx.degree
+    if len(raw) <= deg:
+        return tuple(raw) + (0,) * (deg - len(raw))
+    if len(raw) < order:
+        raw = raw + [0] * (order - len(raw))
+    if weight is None:
+        weight = sum(map(abs, raw))
+    slots = ctx.slots(weight)
+    return slots.reduce(slots.pack(raw))
 
 
 def _power_map(order: int, coeffs, s: int) -> tuple[int, ...]:
@@ -180,7 +311,7 @@ def _power_map(order: int, coeffs, s: int) -> tuple[int, ...]:
     for i, c in enumerate(coeffs):
         if c:
             raw[i * s % order] += c
-    return _canonicalize(order, raw)
+    return _canonicalize(order, raw, sum(map(abs, coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +389,11 @@ class CyclotomicElement:
             return NotImplemented
         self._require_same_order(other)
         a, b = self.coeffs, other.coeffs
-        conv = [0] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                k = i
-                for bj in b:
-                    conv[k] += ai * bj
-                    k += 1
-        return CyclotomicElement(self.order, _canonicalize(self.order, conv))
+        # The product's absolute coefficients sum to at most sa * sb, and
+        # no factor has a coefficient above max(sa, sb).
+        sa, sb = sum(map(abs, a)), sum(map(abs, b))
+        slots = _context(self.order).slots(max(sa * sb, sa, sb))
+        return CyclotomicElement(self.order, slots.reduce(slots.pack(a) * slots.pack(b)))
 
     __rmul__ = __mul__
 
@@ -341,9 +469,14 @@ class CyclotomicElement:
 # Root-of-unity constructors.
 
 def zeta_pow(order: int, k: int) -> CyclotomicElement:
-    """Canonical form of zeta_order^k (k is reduced mod the order)."""
+    """Canonical form of zeta_order^k (k is reduced mod the order): a basis
+    vector for k < phi, else read from the residue of 2^(s*k)."""
     ctx = _context(order)
-    return CyclotomicElement(order, ctx.power_table[k % order])
+    k %= order
+    if k < ctx.degree:
+        return CyclotomicElement(order, (0,) * k + (1,) + (0,) * (ctx.degree - k - 1))
+    slots = ctx.slots(1)
+    return CyclotomicElement(order, slots.reduce(1 << 8 * slots.width * k))
 
 
 def sum_of_zeta_powers(order: int, exponents: Iterable[int]) -> CyclotomicElement:
@@ -357,7 +490,7 @@ def sum_of_zeta_powers(order: int, exponents: Iterable[int]) -> CyclotomicElemen
     counts = [0] * order
     for e in exponents:
         counts[e % order] += 1
-    return CyclotomicElement(order, _canonicalize(order, counts))
+    return CyclotomicElement(order, _canonicalize(order, counts, sum(counts)))
 
 
 def evaluate_poly(poly: IntPolynomial, z: CyclotomicElement) -> CyclotomicElement:

@@ -347,7 +347,18 @@ def enumerate_unit_functions(p: int, n: int, fix_f1: bool = True,
 
 
 def _unit_function_stream(p: int, n: int, fix_f1: bool) -> Iterator[UnitFunction]:
+    """The tables of a cell that ``enumerate_unit_functions`` has validated.
+
+    Each table is set up field by field, without ``UnitFunction.__post_init__``:
+    p and n were checked once for the cell, and ``itertools.product`` over
+    range(n) yields int exponents in [0, n) by construction.
+    """
     free = p - 2 if fix_f1 else p - 1
     head = (0,) if fix_f1 else ()
+    new, set_field = object.__new__, object.__setattr__
     for tail in itertools.product(range(n), repeat=free):
-        yield UnitFunction(p, n, head + tail)
+        f = new(UnitFunction)
+        set_field(f, "p", p)
+        set_field(f, "n", n)
+        set_field(f, "exps", head + tail)
+        yield f

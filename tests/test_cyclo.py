@@ -14,6 +14,8 @@ from gausschar.cyclo import (
     poly_trim,
     sum_of_zeta_powers,
     zeta_pow,
+    _context,
+    _moebius_product,
 )
 
 
@@ -40,6 +42,9 @@ def test_cyclotomic_product_over_divisors():
             if n % d == 0:
                 prod = poly_mul(prod, cyclotomic_polynomial(d))
         assert prod == poly_trim([-1] + [0] * (n - 1) + [1])
+        # Psi_n, the product over the proper divisors, behind the row bound.
+        psi = _moebius_product(n, cofactor=True)
+        assert poly_mul(cyclotomic_polynomial(n), psi) == prod
 
 
 def test_cyclotomic_vanishes_at_zeta():
@@ -98,6 +103,78 @@ def test_reduction_matches_sympy():
             w = element(d)
             image = {i * (order // d): c for i, c in enumerate(w.coeffs)}
             assert w.embed(order).coeffs == reference(order, image), (d, order)
+
+
+def test_huge_coefficients_match_sympy():
+    # The slot width of the integer reduction grows with the coefficients:
+    # products and reductions with coefficients up to 2^200, mixed with
+    # tiny ones, zero and one, against sympy's dense product and remainder.
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.densearith import dup_mul, dup_rem
+    from sympy.polys.densebasic import dup_strip
+    from sympy.polys.domains import ZZ
+    rng = random.Random(47)
+    big = 2 ** 200
+
+    def dense(coeffs):
+        return dup_strip([ZZ(int(c)) for c in reversed(coeffs)])
+
+    def reference(order, poly):
+        rem = [int(c) for c in reversed(dup_rem(poly, dense(cyclotomic_polynomial(order)), ZZ))]
+        return tuple(rem + [0] * (euler_phi(order) - len(rem)))
+
+    for order in list(range(1, 61)) + [330, 2002, 9240]:
+        deg = euler_phi(order)
+        huge = tuple(rng.randint(-big, big) for _ in range(deg))
+        signs = tuple(rng.choice((-1, 1)) for _ in range(deg))
+        mixed = tuple(rng.choice((rng.randint(-big, big), rng.randint(-1, 1))) for _ in range(deg))
+        zero, one = (0,) * deg, (1,) + (0,) * (deg - 1)
+        pairs = [(huge, signs), (mixed, huge), (huge, zero), (one, mixed)]
+        for a, b in pairs if order <= 330 else pairs[:1]:
+            product = CyclotomicElement(order, a) * CyclotomicElement(order, b)
+            assert product.coeffs == reference(order, dup_mul(dense(a), dense(b), ZZ)), order
+        # Past N, so that from_coeffs folds; at 9240 only past 2 * phi, as
+        # far as a product reaches, which keeps sympy's remainder affordable.
+        length = order + 5 if order <= 2002 else 2 * deg + 5
+        raw = [rng.choice((rng.randint(-big, big), rng.randint(-1, 1), 0))
+               for _ in range(length)]
+        assert CyclotomicElement.from_coeffs(order, raw).coeffs == reference(order, dense(raw)), order
+
+
+def test_row_bound_covers_every_power():
+    # The slot width rests on _OrderContext.row_bound bounding every
+    # coefficient of x^k mod Phi_N.  The exact heights come from the row
+    # recurrence x^(k+1) = x * x^k, reduced by x^phi = -(Phi_N - x^phi).
+    for order in list(range(1, 301)) + [2002]:
+        phi_poly = cyclotomic_polynomial(order)
+        deg = len(phi_poly) - 1
+        top = [-c for c in phi_poly[:-1]]
+        one = [1] + [0] * (deg - 1)
+        row, height = one, 1
+        for _ in range(order):
+            carry = row[-1]
+            row = [0] + row[:-1]
+            if carry:
+                row = [row[i] + carry * top[i] for i in range(deg)]
+            height = max(height, max(map(abs, row)))
+        assert row == one, order  # x^N = 1: the recurrence closes up
+        assert _context(order).row_bound >= height, order
+
+
+def test_slot_width_at_its_edge():
+    # One coefficient c at the power k whose residue row is highest reduces
+    # to c times that row.  |c| runs over 2^b - 1 and 3 * 2^b for every bit
+    # size b, so each slot width is tested at both ends of the sizes it
+    # admits.
+    for order in (105, 330, 2002):
+        rows = [zeta_pow(order, k).coeffs for k in range(order)]
+        k = max(range(order), key=lambda j: max(map(abs, rows[j])))
+        assert max(map(abs, rows[k])) > 1, order
+        for bits in range(1, 100):
+            for c in (2 ** bits - 1, 1 - 2 ** bits, 3 << bits):
+                expected = tuple(c * x for x in rows[k])
+                assert CyclotomicElement.from_coeffs(order, [0] * k + [c]).coeffs == expected
+                assert (CyclotomicElement.from_int(order, c) * zeta_pow(order, k)).coeffs == expected
 
 
 def test_sum_of_zeta_powers_checks_order_before_exponents():

@@ -339,6 +339,20 @@ def test_budget_refusal_builds_no_giant_integer():
     assert err.value.budget == 10 ** 7
 
 
+def test_streamed_tables_equal_validated_ones():
+    # The stream sets each table up without UnitFunction's checks; every
+    # table must still be the value the checked constructor builds.
+    for p, n, fix_f1 in [(3, 1, True), (3, 6, False), (5, 4, True), (7, 3, True), (7, 2, False)]:
+        count = 0
+        for f in enumerate_unit_functions(p, n, fix_f1=fix_f1):
+            checked = UnitFunction(p, n, f.exps)
+            assert type(f) is UnitFunction
+            assert f == checked and hash(f) == hash(checked)
+            assert type(f.exps) is tuple
+            count += 1
+        assert count == count_unit_functions(p, n, fix_f1)
+
+
 def test_cross_enumeration_equality():
     # The oracle-passing members of the exhaustive stream are exactly the
     # character tables.

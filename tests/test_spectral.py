@@ -241,8 +241,7 @@ def test_magnitude_fast_paths_match_ring_norm_on_grid():
 def test_split_prime_map_is_a_ring_homomorphism():
     # zeta_L -> omega respects reduction mod Phi_L exactly when omega is a
     # root of Phi_L mod ell; the ring operations and sigma_k are then checked
-    # on random canonical elements.  At order 9700 only the root condition
-    # is checked: any element there builds the dense 329 MB power table.
+    # on random canonical elements, at the largest order too.
     rng = random.Random(139)
     for order in list(range(1, 61)) + [330, 2002, 9700]:
         ell, pw = _split_prime(order)
@@ -254,8 +253,6 @@ def test_split_prime_map_is_a_ring_homomorphism():
         assert all(pow(omega, order // q, ell) != 1 for q, _ in factorize(order))
         phi = cyclotomic_polynomial(order)
         assert sum(c * pow(omega, i, ell) for i, c in enumerate(phi)) % ell == 0
-        if order == 9700:
-            continue
 
         def image(z, k=1):
             return sum(c * pw[i * k % order] for i, c in enumerate(z.coeffs)) % ell
@@ -268,6 +265,24 @@ def test_split_prime_map_is_a_ring_homomorphism():
             assert image(a + b) == (image(a) + image(b)) % ell, order
             k = rng.choice(units)
             assert image(a.galois(k)) == image(a, k), (order, k)
+
+
+def test_large_order_norm_in_bounded_memory():
+    # At (97, 100) the order is 9700 and phi is 3840: the Gauss sum, its ring
+    # norm and the difference-multiset norm must agree, and the reductions
+    # must not build anything of size N * phi (a dense table of the powers
+    # of zeta there would take 329 MB).
+    import tracemalloc
+    rng = random.Random(97)
+    f = UnitFunction(97, 100, (0,) + tuple(rng.randrange(100) for _ in range(95)))
+    tracemalloc.start()
+    try:
+        norm = fourier_norm(f, -1)
+        assert norm == gauss_sum(f).value.norm_squared()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_split_prime_filter_refuses_an_order_above_max_order():
