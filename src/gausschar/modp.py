@@ -182,10 +182,10 @@ class UnitFunction:
 
     def normalized(self) -> "UnitFunction":
         """conj(f(1)) * f: the rescaling of f whose value at 1 is 1."""
-        k1 = self.exps[0]
+        k1, n = self.exps[0], self.n
         if k1 == 0:
             return self
-        return UnitFunction(self.p, self.n, tuple((e - k1) % self.n for e in self.exps))
+        return _trusted_unit_function(self.p, n, tuple((e - k1) % n for e in self.exps))
 
     def to_text(self) -> str:
         return f"p={self.p} n={self.n} exps=" + ",".join(map(str, self.exps))
@@ -346,19 +346,28 @@ def enumerate_unit_functions(p: int, n: int, fix_f1: bool = True,
     return _unit_function_stream(p, n, fix_f1)
 
 
+def _trusted_unit_function(p: int, n: int, exps: tuple) -> UnitFunction:
+    """A table set up field by field, without ``UnitFunction.__post_init__``.
+
+    Only for values already known valid: p an odd prime and n >= 1, checked
+    once for a cell or carried over from a validated table, and exps a
+    tuple of p - 1 int exponents in [0, n) by construction.
+    """
+    f = object.__new__(UnitFunction)
+    fields = f.__dict__
+    fields["p"] = p
+    fields["n"] = n
+    fields["exps"] = exps
+    return f
+
+
 def _unit_function_stream(p: int, n: int, fix_f1: bool) -> Iterator[UnitFunction]:
     """The tables of a cell that ``enumerate_unit_functions`` has validated.
 
-    Each table is set up field by field, without ``UnitFunction.__post_init__``:
-    p and n were checked once for the cell, and ``itertools.product`` over
-    range(n) yields int exponents in [0, n) by construction.
+    ``itertools.product`` over range(n) yields int exponents in [0, n), so
+    each table is trusted (``_trusted_unit_function``).
     """
     free = p - 2 if fix_f1 else p - 1
     head = (0,) if fix_f1 else ()
-    new, set_field = object.__new__, object.__setattr__
     for tail in itertools.product(range(n), repeat=free):
-        f = new(UnitFunction)
-        set_field(f, "p", p)
-        set_field(f, "n", n)
-        set_field(f, "exps", head + tail)
-        yield f
+        yield _trusted_unit_function(p, n, head + tail)

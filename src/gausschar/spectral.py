@@ -31,13 +31,27 @@ it is not -1, and an image moved by sigma_k proves the element is not
 fixed by sigma_k.  Each such "no" is exact and built from exponent lists
 alone.  Only the survivors go on to the canonical reduction, so every "yes"
 is still decided by canonical equality in Z[zeta_L].
+
+An exhaustive verification takes these images for a whole cell at once.
+Each image is a sum with one term per position x (S_a(omega) and
+S_a(omega^-1), tau(omega) - sigma_k(tau)(omega)) or per pair of adjacent
+positions (the shift-1 autocorrelation), so over the n^k tables of a cell
+it is a sumset.  A cell screen splits the positions into a head and a tail,
+builds the tail's sums once as a block of at most _TAIL_TABLES values, and
+emits each head's verdicts against the block with one list comprehension:
+the verdicts come in the enumerator's own lexicographic order, at amortized
+O(1) work per table and in memory bounded by the block.  A screen only
+repeats a rejection its per-function filter would make; every table it
+passes goes on to that filter and then to the canonical test.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
+from typing import Iterator
 
 from .cyclo import CyclotomicElement, _check_order, factorize, sum_of_zeta_powers
 from .modp import UnitFunction, is_prime
@@ -70,7 +84,7 @@ def twisted_gauss_sum(f: UnitFunction, a: int) -> SpectralValue:
     a %= f.p
     if a == 0:
         raise ValueError("the twist must be a unit modulo p")
-    big, terms = _twisted_terms(f, a)
+    big, terms = _twisted_terms(f.p, f.n, f.exps, a)
     return SpectralValue(sum_of_zeta_powers(big, terms), f.p, f.n)
 
 
@@ -98,13 +112,20 @@ def _split_prime(order: int) -> "tuple[int, list]":
     return ell, powers
 
 
-def _twisted_terms(f: UnitFunction, a: int) -> "tuple[int, list]":
+def _images(powers: list, exponents, k: int = 1) -> list:
+    """The image omega^(k*e) in F_ell of zeta_L^(k*e), one per exponent e,
+    where ``powers`` is the list of ``_split_prime(L)``.  Every split-prime
+    filter and every cell screen maps its exponents through this rule."""
+    order = len(powers)
+    return [powers[k * e % order] for e in exponents]
+
+
+def _twisted_terms(p: int, n: int, exps, a: int) -> "tuple[int, list]":
     """L = lcm(n, p) and the exponents e with S = sum of zeta_L^e, where S is
-    the sum of f(x) e(a*x/p) over units and a is reduced mod p."""
-    p, n = f.p, f.n
+    the sum of f(x) e(a*x/p) over units for the table ``exps`` of f and a is
+    reduced mod p."""
     big = lcm(n, p)
     u, v = big // n, big // p
-    exps = f.exps
     return big, [u * exps[x - 1] + v * (a * x % p) for x in range(1, p)]
 
 
@@ -114,7 +135,7 @@ def fourier_sum(f: UnitFunction, xi: int) -> SpectralValue:
     S_xi equals sqrt(p) * fhat(xi); at xi = 0 it degenerates to the plain
     value sum of f (the x = 0 term is absent since f(0) = 0).
     """
-    big, terms = _twisted_terms(f, -xi % f.p)
+    big, terms = _twisted_terms(f.p, f.n, f.exps, -xi % f.p)
     return SpectralValue(sum_of_zeta_powers(big, terms), f.p, f.n)
 
 
@@ -124,8 +145,15 @@ def fourier_norm(f: UnitFunction, xi: int) -> CyclotomicElement:
     One reduction of the pairwise differences of the exponents of S_xi (see
     the module docstring), with no ring product; S_(-1) is tau(f).
     """
-    big, terms = _twisted_terms(f, -xi % f.p)
+    big, terms = _twisted_terms(f.p, f.n, f.exps, -xi % f.p)
     return sum_of_zeta_powers(big, (s - t for s in terms for t in terms))
+
+
+def _magnitude_image_is_p(f: UnitFunction, a: int) -> bool:
+    """Whether S_a(omega) * S_a(omega^-1) = p in the split prime field."""
+    big, terms = _twisted_terms(f.p, f.n, f.exps, -a % f.p)
+    ell, pw = _split_prime(big)
+    return sum(_images(pw, terms)) * sum(_images(pw, terms, -1)) % ell == f.p
 
 
 def has_unit_fourier_magnitude(f: UnitFunction, a: int) -> bool:
@@ -136,9 +164,7 @@ def has_unit_fourier_magnitude(f: UnitFunction, a: int) -> bool:
     """
     if a % f.p == 0:
         raise ValueError("the unit-magnitude test is defined on units only")
-    big, terms = _twisted_terms(f, -a % f.p)
-    ell, pw = _split_prime(big)
-    if sum(pw[e % big] for e in terms) * sum(pw[-e % big] for e in terms) % ell != f.p:
+    if not _magnitude_image_is_p(f, a):
         return False
     return fourier_norm(f, a).as_integer() == f.p
 
@@ -188,12 +214,27 @@ def kurlberg_test(f: UnitFunction) -> bool:
     """
     if f.exps[0] != 0:
         return False
-    n, shifts = f.n, range(1, f.p)
-    ell, pw = _split_prime(n)
+    shifts = range(1, f.p)
+    ell, pw = _split_prime(f.n)
     for h in shifts:
-        if sum(pw[e % n] for e in _autocorrelation_terms(f, h)) % ell != ell - 1:
+        if sum(_images(pw, _autocorrelation_terms(f, h))) % ell != ell - 1:
             return False
     return all(autocorrelation(f, h).as_integer() == -1 for h in shifts)
+
+
+def _subfield_order(p: int, n: int, d: int) -> int:
+    """L = lcm(n, p), once d is checked to divide it and L against MAX_ORDER."""
+    big = lcm(n, p)
+    if d < 1 or big % d:
+        raise ValueError(f"subfield order {d} does not divide the order {big}")
+    _check_order(big)
+    return big
+
+
+def _subfield_automorphisms(big: int, d: int) -> Iterator[int]:
+    """The k != 1 in [1, L) with k = 1 (mod d) and gcd(k, L) = 1, in order:
+    the sigma_k other than the identity that fix Q(zeta_d) pointwise."""
+    return (k for k in range(1 + d, big, d) if gcd(k, big) == 1)
 
 
 def gauss_sum_in_subfield(f: UnitFunction, d: int) -> bool:
@@ -203,15 +244,129 @@ def gauss_sum_in_subfield(f: UnitFunction, d: int) -> bool:
     moves the image of tau(f) in the split prime field; only a survivor is
     built canonically and tested with ``CyclotomicElement.in_subfield``.
     """
-    big, terms = _twisted_terms(f, 1)
-    if d < 1 or big % d:
-        raise ValueError(f"subfield order {d} does not divide the order {big}")
+    big = _subfield_order(f.p, f.n, d)
+    _, terms = _twisted_terms(f.p, f.n, f.exps, 1)
     ell, pw = _split_prime(big)
-    image = sum(pw[e % big] for e in terms) % ell
-    for k in range(1 + d, big, d):
-        if gcd(k, big) == 1 and sum(pw[k * e % big] for e in terms) % ell != image:
+    image = sum(_images(pw, terms)) % ell
+    for k in _subfield_automorphisms(big, d):
+        if sum(_images(pw, terms, k)) % ell != image:
             return False
     return sum_of_zeta_powers(big, terms).in_subfield(d)
+
+
+# ---------------------------------------------------------------------------
+# Cell screens: the split-prime verdicts of every table of a cell at once.
+
+#: Tables a screen's tail block covers at most.  The block is built once per
+#: cell and reused after every head, so a screen holds O(_TAIL_TABLES) sums
+#: however large its cell is.  ``cor_1_3`` keeps p - 1 screens open at once,
+#: so the block is kept small; the per-head work it amortizes is a few
+#: additions per head position.
+_TAIL_TABLES = 256
+
+
+def _tail_start(sizes: list) -> int:
+    """The first tail position j >= 1 for positions with ``sizes`` digits
+    each: the tail j.. is the longest run of last positions, at least one,
+    whose digit combinations number at most _TAIL_TABLES (more only when the
+    last position alone has more digits), and the head keeps position 0."""
+    j, tables = len(sizes) - 1, sizes[-1]
+    while j > 1 and tables * sizes[j - 1] <= _TAIL_TABLES:
+        j -= 1
+        tables *= sizes[j]
+    return j
+
+
+def _lex_sums(rows: list, ell: int) -> list:
+    """Every sum of one entry per row, mod ell, in lexicographic order of
+    the choices: the last row varies fastest, as in ``itertools.product``."""
+    sums = [0]
+    for row in rows:
+        sums = [(s + c) % ell for s in sums for c in row]
+    return sums
+
+
+def _head_sums(rows: list, ell: int) -> Iterator[int]:
+    """``_lex_sums`` of the head rows, produced lazily."""
+    return (sum(choice) % ell for choice in itertools.product(*rows))
+
+
+def _position_rows(p: int, n: int, a: int, fix_f1: bool, image) -> list:
+    """For each position x = 1, ..., p - 1, the row of the contributions of
+    digits 0, ..., n - 1 at x to a sum over x of a term of f(x) e(a*x/p).
+    The exponent of digit d at x is the one the constant table d has there
+    (``_twisted_terms``), and ``image`` maps the exponents of one digit to
+    their contributions.  With ``fix_f1`` the row of x = 1 keeps digit 0
+    alone."""
+    columns = [image(_twisted_terms(p, n, (d,) * (p - 1), a)[1]) for d in range(n)]
+    rows = [list(row) for row in zip(*columns)]
+    if fix_f1:
+        rows[0] = rows[0][:1]
+    return rows
+
+
+def magnitude_screen(p: int, n: int, a: int, fix_f1: bool = True) -> Iterator[bool]:
+    """``_magnitude_image_is_p(f, a)`` for every table f of the cell, in the
+    order ``enumerate_unit_functions(p, n, fix_f1)`` yields them; the cell
+    must already be validated, and a must be a unit.
+
+    S_a(omega) and S_a(omega^-1) are sums of one contribution per position,
+    so over the cell each is a sumset, built head times tail block.
+    """
+    if a % p == 0:
+        raise ValueError("the unit-magnitude test is defined on units only")
+    ell, pw = _split_prime(lcm(n, p))
+    fwd = _position_rows(p, n, -a % p, fix_f1, lambda e: _images(pw, e))
+    bwd = _position_rows(p, n, -a % p, fix_f1, lambda e: _images(pw, e, -1))
+    j = _tail_start([len(row) for row in fwd])
+    block = list(zip(_lex_sums(fwd[j:], ell), _lex_sums(bwd[j:], ell)))
+    heads = zip(_head_sums(fwd[:j], ell), _head_sums(bwd[:j], ell))
+    return itertools.chain.from_iterable(
+        [(hs + s) * (ht + t) % ell == p for s, t in block] for hs, ht in heads)
+
+
+def subfield_screen(p: int, n: int, d: int, fix_f1: bool = True) -> Iterator[bool]:
+    """Whether tau(f) and sigma_k(tau(f)) have equal images in the split
+    prime field, for every table f of the cell in enumeration order, at the
+    first k of ``_subfield_automorphisms`` (k = 1, all True, when there is
+    none); a table it passes is still checked at every k by
+    ``gauss_sum_in_subfield``."""
+    big = _subfield_order(p, n, d)
+    k = next(_subfield_automorphisms(big, d), 1)
+    ell, pw = _split_prime(big)
+    rows = _position_rows(p, n, 1, fix_f1, lambda e: [
+        s - t for s, t in zip(_images(pw, e), _images(pw, e, k))])
+    j = _tail_start([len(row) for row in rows])
+    block = _lex_sums(rows[j:], ell)
+    targets = (-h % ell for h in _head_sums(rows[:j], ell))
+    return itertools.chain.from_iterable([s == t for s in block] for t in targets)
+
+
+def flat_screen(p: int, n: int, fix_f1: bool = True) -> Iterator[bool]:
+    """Whether f(1) = 1 and the image of autocorrelation(f, 1) in the split
+    prime field is -1, for every table f of the cell in enumeration order;
+    a table it passes is still checked at every shift by ``kurlberg_test``.
+
+    The shift-1 sum is a chain: the terms f(x) conj(f(x + 1)) pair adjacent
+    positions, so the sums over the positions after the head are kept once
+    per digit of the position before them.
+    """
+    ell, pw = _split_prime(n)
+    step = [_images(pw, [prev - d for d in range(n)]) for prev in range(n)]
+    digits = [range(1 if fix_f1 else n)] + [range(n)] * (p - 2)
+    j = _tail_start([len(r) for r in digits])
+    after = [[0]] * n
+    for _ in range(p - 2 - j):
+        after = [[(c + s) % ell for c, sums in zip(row, after) for s in sums] for row in step]
+
+    def targets(head):
+        if head[0]:
+            return [-1] * n     # f(1) != 1: no sum mod ell is -1 as an integer
+        h = sum(step[x][y] for x, y in zip(head, head[1:])) + 1
+        return [(-h - c) % ell for c in step[head[-1]]]
+    return itertools.chain.from_iterable(
+        [s == t for t, sums in zip(targets(head), after) for s in sums]
+        for head in itertools.product(*digits[:j]))
 
 
 def parseval_sum(f: UnitFunction) -> int:

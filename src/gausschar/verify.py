@@ -4,16 +4,26 @@ Every statement runs through one loop, ``_run``.  Each public verifier
 first opens its (p, n) cell with ``_cell``, which validates it (through
 ``modp.enumerate_unit_functions``, cheapest check first, the budget before
 primality) and applies the statement's divisibility hypothesis; only then
-are per-cell constants built.  ``_run`` hands each function of the opened
-stream (or of the pinned tables it is given) to the statement's judge, and
-tallies the answers into a structured report.  A judge maps f to
-``(spectral_hit, oracle_hit, agrees, witness)``: whether the analytic test
-(Gauss-sum magnitude, Fourier witness, subfield membership or
-autocorrelation profile) holds for f, whether the brute-force homomorphism
-oracle's side holds, whether the two sides relate as the statement
-predicts, and the ``(exps, a)`` record to list as a witness, or None.
-Functions whose sides disagree are listed as mismatches, and a report
-succeeds exactly when there are none (the existence search
+are per-cell constants built.  Among them is the cell screen, a stream from
+``spectral`` of split-prime verdicts, one per table in enumeration order
+(see the ``spectral`` module docstring): False proves the statement's
+analytic test fails for that table, True leaves it to the per-function
+test.  ``_run`` zips the opened stream (or the pinned tables it is given)
+with the screen, strictly, so a verdict can never drift onto another
+table, and hands each pair to the statement's judge as
+``judge(f, passed)``.  ``passed`` is one verdict, except in ``cor_1_3``,
+where it is a tuple with one verdict per unit a; the pinned
+counterexample's screen is ``(True,)``, and the subfield screen of
+``lemma_2_1`` is True throughout where no sigma_k but the identity fixes
+Q(zeta_n), as at p | n.  A judge returns ``(spectral_hit, oracle_hit,
+agrees, witness)``: whether the analytic test (Gauss-sum magnitude, Fourier
+witness, subfield membership or autocorrelation profile) holds for f,
+whether the brute-force homomorphism oracle's side holds, whether the two
+sides relate as the statement predicts, and the ``(exps, a)`` record to
+list as a witness, or None.  A judge runs the per-function test only where
+``passed`` allows it, so every "yes" is still decided by canonical
+equality.  Functions whose sides disagree are listed as mismatches, and a
+report succeeds exactly when there are none (the existence search
 ``remark_p_divides_n`` instead succeeds when it lists at least one
 witness).
 """
@@ -113,17 +123,23 @@ def _gauss_norm_is_p(f: UnitFunction) -> bool:
     return spectral.has_unit_fourier_magnitude(f, f.p - 1)
 
 
+def _gauss_screen(p: int, n: int, fix_f1: bool = True):
+    """The cell screen of ``_gauss_norm_is_p``: tau(f) is S_(p-1)."""
+    return spectral.magnitude_screen(p, n, p - 1, fix_f1)
+
+
 def _is_nontrivial_character(f: UnitFunction) -> bool:
     return modp.is_character_oracle(f) and not f.is_trivial
 
 
-def _run(statement: str, p: int, n: int, budget: int, judge, functions,
+def _run(statement: str, p: int, n: int, budget: int, judge, functions, screen,
          existence: bool = False) -> VerificationReport:
-    """Judge every function of the opened cell and tally the report."""
+    """Judge every function of the opened cell, with its screen verdict,
+    and tally the report."""
     t0 = time.perf_counter()
     rep = VerificationReport(statement, p, n, budget)
-    for f in functions:
-        spectral_hit, oracle_hit, agrees, witness = judge(f)
+    for f, passed in zip(functions, screen, strict=True):
+        spectral_hit, oracle_hit, agrees, witness = judge(f, passed)
         rep.total_functions += 1
         rep.passing_spectral += spectral_hit
         rep.passing_oracle += oracle_hit
@@ -142,11 +158,11 @@ def verify_prop_1_1(p: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     functions = _cell(p, 2, budget)
     legendre = modp.legendre_unit_function(p).exps
 
-    def judge(f):
-        hit = _gauss_norm_is_p(f)
+    def judge(f, passed):
+        hit = passed and _gauss_norm_is_p(f)
         is_legendre = f.exps == legendre
         return hit, is_legendre, hit == is_legendre, (f.exps, p - 1) if hit else None
-    return _run("prop_1_1", p, 2, budget, judge, functions)
+    return _run("prop_1_1", p, 2, budget, judge, functions, _gauss_screen(p, 2))
 
 
 def verify_thm_1_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -154,12 +170,14 @@ def verify_thm_1_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
     f(1) = 1: some |fhat(a)| = 1 iff f is a nontrivial character."""
     functions = _cell(p, n, budget)
 
-    def judge(f):
-        a = spectral.spectral_witness(f)
+    def judge(f, passed):
+        a = spectral.spectral_witness(f) if passed else None
         hit = a is not None
         oracle_hit = _is_nontrivial_character(f)
         return hit, oracle_hit, hit == oracle_hit, (f.exps, a) if hit else None
-    return _run("thm_1_2", p, n, budget, judge, functions)
+    # p does not divide n, so the witness test is the one at a = 1.
+    screen = spectral.magnitude_screen(p, n, 1)
+    return _run("thm_1_2", p, n, budget, judge, functions, screen)
 
 
 def verify_cor_1_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -167,12 +185,14 @@ def verify_cor_1_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
     {a : |fhat(a)| = 1} is empty or all of the units, never in between."""
     functions = _cell(p, n, budget, fix_f1=False)
 
-    def judge(f):
-        hits = sum(spectral.has_unit_fourier_magnitude(f, a) for a in range(1, p))
+    def judge(f, passed):
+        hits = sum(spectral.has_unit_fourier_magnitude(f, a)
+                   for a, ok in enumerate(passed, 1) if ok)
         full = hits == p - 1
         return (full, _is_nontrivial_character(f.normalized()), full or not hits,
                 (f.exps, 1) if full else None)
-    return _run("cor_1_3", p, n, budget, judge, functions)
+    screen = zip(*(spectral.magnitude_screen(p, n, a, fix_f1=False) for a in range(1, p)))
+    return _run("cor_1_3", p, n, budget, judge, functions, screen)
 
 
 def verify_lemma_2_1(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -182,13 +202,14 @@ def verify_lemma_2_1(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verificati
     functions = _cell(p, n, budget, fix_f1=False)
     big = lcm(n, p)
 
-    def judge(g):
+    def judge(g, passed):
         const = g.is_constant
-        if spectral.gauss_sum_in_subfield(g, n):
+        if passed and spectral.gauss_sum_in_subfield(g, n):
             tau = spectral.gauss_sum(g).value
             return True, const, const and zeta_pow(n, g.exps[0]).embed(big) == -tau, (g.exps, None)
         return False, const, not const, None
-    return _run("lemma_2_1", p, n, budget, judge, functions)
+    screen = spectral.subfield_screen(p, n, n, fix_f1=False)
+    return _run("lemma_2_1", p, n, budget, judge, functions, screen)
 
 
 def verify_prop_2_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -196,11 +217,11 @@ def verify_prop_2_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verificatio
     f(1) = 1: norm_squared(tau(f)) = p iff f is a nontrivial character."""
     functions = _cell(p, n, budget)
 
-    def judge(f):
-        hit = _gauss_norm_is_p(f)
+    def judge(f, passed):
+        hit = passed and _gauss_norm_is_p(f)
         oracle_hit = _is_nontrivial_character(f)
         return hit, oracle_hit, hit == oracle_hit, (f.exps, p - 1) if hit else None
-    return _run("prop_2_2", p, n, budget, judge, functions)
+    return _run("prop_2_2", p, n, budget, judge, functions, _gauss_screen(p, n))
 
 
 def verify_cor_2_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -209,14 +230,14 @@ def verify_cor_2_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
     rebuilt explicitly and checked."""
     functions = _cell(p, n, budget, fix_f1=False)
 
-    def judge(f):
+    def judge(f, passed):
         g = f.normalized()
         factors = _is_nontrivial_character(g)
         if factors and tuple((f.exps[0] + e) % n for e in g.exps) != f.exps:
             return False, True, False, None
-        hit = _gauss_norm_is_p(f)
+        hit = passed and _gauss_norm_is_p(f)
         return hit, factors, hit == factors, (f.exps, p - 1) if hit else None
-    return _run("cor_2_3", p, n, budget, judge, functions)
+    return _run("cor_2_3", p, n, budget, judge, functions, _gauss_screen(p, n, fix_f1=False))
 
 
 def verify_thm_1_7(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -227,25 +248,25 @@ def verify_thm_1_7(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
     divisibility hypothesis here."""
     functions = _cell(p, n, budget, p_divides_n=None)
 
-    def judge(f):
-        flat = spectral.kurlberg_test(f)
+    def judge(f, passed):
+        flat = passed and spectral.kurlberg_test(f)
         oracle_hit = modp.is_character_oracle(f)
         return (flat, oracle_hit, flat == (oracle_hit and not f.is_trivial),
                 (f.exps, None) if flat else None)
-    return _run("thm_1_7", p, n, budget, judge, functions)
+    return _run("thm_1_7", p, n, budget, judge, functions, spectral.flat_screen(p, n))
 
 
 def remark_counterexample() -> VerificationReport:
     """The pinned counterexample p = 3, n = 6, f = (1, e(5/6)): Gauss sum of
     magnitude sqrt(3) without being a character, showing that dropping the
     p-not-dividing-n hypothesis breaks the magnitude criterion."""
-    def judge(f):
-        hit = _gauss_norm_is_p(f)
+    def judge(f, passed):
+        hit = passed and _gauss_norm_is_p(f)
         oracle_hit = modp.is_character_oracle(f)
         a = spectral.spectral_witness(f)
         agrees = hit and not oracle_hit and f.n % f.p == 0 and a == 2
         return hit, oracle_hit, agrees, None if a is None else (f.exps, a)
-    return _run("remark_counterexample", 3, 6, 1, judge, (UnitFunction(3, 6, (0, 5)),))
+    return _run("remark_counterexample", 3, 6, 1, judge, (UnitFunction(3, 6, (0, 5)),), (True,))
 
 
 def search_p_divides_n(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -255,12 +276,13 @@ def search_p_divides_n(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verifica
     returned as witnesses and no count formula is asserted."""
     functions = _cell(p, n, budget, p_divides_n=True)
 
-    def judge(f):
-        hit = _gauss_norm_is_p(f)
+    def judge(f, passed):
+        hit = passed and _gauss_norm_is_p(f)
         oracle_hit = modp.is_character_oracle(f)
         found = hit and not oracle_hit
         return hit, oracle_hit, True, (f.exps, spectral.spectral_witness(f)) if found else None
-    return _run("remark_p_divides_n", p, n, budget, judge, functions, existence=True)
+    return _run("remark_p_divides_n", p, n, budget, judge, functions, _gauss_screen(p, n),
+                existence=True)
 
 
 # ---------------------------------------------------------------------------

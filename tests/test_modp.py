@@ -340,15 +340,18 @@ def test_budget_refusal_builds_no_giant_integer():
 
 
 def test_streamed_tables_equal_validated_ones():
-    # The stream sets each table up without UnitFunction's checks; every
-    # table must still be the value the checked constructor builds.
+    # The stream and normalized() set each table up without UnitFunction's
+    # checks; every table must still be the value the checked constructor
+    # builds.
     for p, n, fix_f1 in [(3, 1, True), (3, 6, False), (5, 4, True), (7, 3, True), (7, 2, False)]:
         count = 0
         for f in enumerate_unit_functions(p, n, fix_f1=fix_f1):
-            checked = UnitFunction(p, n, f.exps)
-            assert type(f) is UnitFunction
-            assert f == checked and hash(f) == hash(checked)
-            assert type(f.exps) is tuple
+            normalized = tuple((e - f.exps[0]) % n for e in f.exps)
+            for table, exps in ((f, f.exps), (f.normalized(), normalized)):
+                checked = UnitFunction(p, n, exps)
+                assert type(table) is UnitFunction
+                assert table == checked and hash(table) == hash(checked)
+                assert type(table.exps) is tuple
             count += 1
         assert count == count_unit_functions(p, n, fix_f1)
 

@@ -331,6 +331,48 @@ def test_split_prime_filter_passes_exactly_the_canonical_hits(monkeypatch):
                     assert survives(has_unit_fourier_magnitude, f, a) == hit, (f, a)
 
 
+def test_cell_screens_align_with_per_function_images():
+    # Verdict i of a cell screen is the split-prime verdict of table i of
+    # the enumeration, computed from that table's exponents alone: the
+    # magnitude image at every twist a, tau(omega) against its image under
+    # the first sigma_k fixing Q(zeta_n), and the shift-1 autocorrelation.
+    cells = {(p, n) for _, p, n in default_grid()} | {(3, 6)}
+    for p, n in sorted(cells):
+        big = lcm(n, p)
+        k = next((k for k in range(1 + n, big, n) if gcd(k, big) == 1), 1)
+        ell, pw = _split_prime(big)
+        ell_n, pw_n = _split_prime(n)
+        for fix_f1 in (True, False):
+            functions = list(enumerate_unit_functions(p, n, fix_f1=fix_f1))
+            for a in range(1, p):
+                expected = [spectral._magnitude_image_is_p(f, a) for f in functions]
+                assert list(spectral.magnitude_screen(p, n, a, fix_f1)) == expected, (p, n, a)
+            expected = []
+            for f in functions:
+                tau = [big // n * e + big // p * x for x, e in enumerate(f.exps, 1)]
+                expected.append(sum(pw[t % big] - pw[k * t % big] for t in tau) % ell == 0)
+            assert list(spectral.subfield_screen(p, n, n, fix_f1)) == expected, (p, n)
+            expected = [f.exps[0] == 0 and sum(pw_n[(s - t) % n] for s, t in
+                                               zip(f.exps, f.exps[1:])) % ell_n == ell_n - 1
+                        for f in functions]
+            assert list(spectral.flat_screen(p, n, fix_f1)) == expected, (p, n)
+
+
+def test_cell_screen_in_bounded_memory():
+    # 4^10 = 1048576 tables: a list of their verdicts alone would take
+    # 8 MB, the screen holds one tail block and one head's verdicts.
+    import tracemalloc
+    spectral._split_prime(44)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in spectral.magnitude_screen(11, 4, 1, fix_f1=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 4 ** 10
+    assert peak < 2 * 2 ** 20, peak
+
+
 def test_autocorrelation_examples():
     leg5 = legendre_unit_function(5)
     assert autocorrelation(leg5, 0).as_integer() == 4
