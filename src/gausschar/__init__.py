@@ -20,10 +20,8 @@ from .cyclo import (
 from .modp import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    Character,
     UnitFunction,
     count_unit_functions,
-    enumerate_characters,
     enumerate_unit_functions,
     find_primitive_root,
     is_character_oracle,

@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
+from collections.abc import Iterable
 from math import gcd
-from typing import Iterable
 
 #: Ceiling on root-of-unity orders; bounds the size of Phi_N and of every
 #: reduction.
@@ -317,18 +316,42 @@ def _power_map(order: int, coeffs, s: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Elements.
 
-@dataclass(frozen=True)
+def _frozen(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the immutable value classes.
+    They are written by hand, not as frozen dataclasses, because importing
+    ``dataclasses`` costs more than the whole package (see the README)."""
+    action = "assign to" if value else "delete"
+    raise AttributeError(f"cannot {action} field {name!r} of {type(self).__name__}")
+
+
 class CyclotomicElement:
-    """A cyclotomic integer: power-basis coordinates in Z[zeta_order]."""
+    """A cyclotomic integer: power-basis coordinates in Z[zeta_order]; an
+    immutable value, equal to another of the same order and coordinates."""
 
-    order: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("order", "coeffs")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if len(self.coeffs) != _context(self.order).degree:
+    def __init__(self, order: int, coeffs: tuple[int, ...]):
+        if len(coeffs) != _context(order).degree:
             raise ValueError(
-                f"coefficient vector must have length phi({self.order}) = "
-                f"{_context(self.order).degree}, got {len(self.coeffs)}")
+                f"coefficient vector must have length phi({order}) = "
+                f"{_context(order).degree}, got {len(coeffs)}")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.order == other.order and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.order, self.coeffs))
+
+    def __repr__(self):
+        return f"CyclotomicElement(order={self.order!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return CyclotomicElement, (self.order, self.coeffs)
 
     # -- constructors -------------------------------------------------------
 

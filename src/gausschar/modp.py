@@ -1,10 +1,10 @@
 """Multiplicative structure of F_p at desk scale.
 
 Primitive roots, the quadratic-residue symbol, mu_n-valued function tables,
-multiplicative characters, the exhaustive function enumerators, and the
-brute-force homomorphism oracle that every analytic test is checked against.
-Primality is decided by a deterministic Miller-Rabin test, exact below
-3.317e24 and refused above.
+the exhaustive function enumerators, and the brute-force homomorphism
+oracle that every analytic test is checked against.  Primality is decided
+by a deterministic Miller-Rabin test, exact below 3.317e24 and refused
+above.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
-from math import gcd
-from typing import Iterator
+from collections.abc import Iterator
 
-from .cyclo import MAX_ORDER, factorize
+from .cyclo import MAX_ORDER, _frozen, factorize
 
 #: Functions an enumeration may visit before refusing to run (CLI-overridable).
 DEFAULT_BUDGET = 10 ** 7
@@ -131,38 +129,50 @@ _FUNCTION_RE = re.compile(
     r"\s*p\s*=\s*(\d+)\s+n\s*=\s*(\d+)\s+exps\s*=\s*([0-9,\s]+?)\s*$")
 
 
-@dataclass(frozen=True)
 class UnitFunction:
     """A function f from the units mod p into the n-th roots of unity.
 
     ``exps[x - 1]`` is the exponent k_x with f(x) = e(k_x / n) for
     x = 1, ..., p - 1, where e(t) = exp(2*pi*i*t).  The extension f(0) = 0
     is a convention of every sum in this package, not a stored value.
+
+    An immutable value, equal to another exactly when p, n and exps are.
+    The fields live in the instance ``__dict__``, not in slots, because
+    ``_trusted_unit_function`` builds each enumerated table by writing them
+    there directly, which is cheaper than setting slots (see the README).
     """
 
-    p: int
-    n: int
-    exps: tuple
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
+    def __init__(self, p: int, n: int, exps: tuple):
         # Exactly int: a float or bool p or n would pass the checks below.
-        if type(self.p) is not int or type(self.n) is not int:
-            raise ValueError(f"p and n must be integers, got p={self.p!r}, n={self.n!r}")
-        if type(self.exps) is not tuple:
-            object.__setattr__(self, "exps", tuple(self.exps))
+        if type(p) is not int or type(n) is not int:
+            raise ValueError(f"p and n must be integers, got p={p!r}, n={n!r}")
+        if type(exps) is not tuple:
+            exps = tuple(exps)
         # The length check comes first: it is free, and it keeps a huge p
         # from ever reaching the primality test.
-        if len(self.exps) != self.p - 1:
-            raise ValueError(
-                f"need {self.p - 1} exponents for p = {self.p}, got {len(self.exps)}")
-        check_odd_prime(self.p)
-        n = self.n
+        if len(exps) != p - 1:
+            raise ValueError(f"need {p - 1} exponents for p = {p}, got {len(exps)}")
+        check_odd_prime(p)
         if n < 1:
             raise ValueError(f"value order n must be at least 1, got {n}")
-        for e in self.exps:
+        for e in exps:
             # Exactly int: bool is an int subclass and would pass the range test.
             if type(e) is not int or not 0 <= e < n:
                 raise ValueError(f"exponents must be integers in [0, {n}), got {e!r}")
+        self.__dict__.update(p=p, n=n, exps=exps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.n == other.n and self.exps == other.exps
+
+    def __hash__(self):
+        return hash((self.p, self.n, self.exps))
+
+    def __repr__(self):
+        return f"UnitFunction(p={self.p!r}, n={self.n!r}, exps={self.exps!r})"
 
     def exponent(self, x: int) -> int:
         """The k with f(x) = e(k/n); x must be a unit mod p."""
@@ -215,77 +225,6 @@ def legendre_unit_function(p: int) -> UnitFunction:
     squares = _nonzero_squares(p)
     exps = tuple(0 if x in squares else 1 for x in range(1, p))
     return UnitFunction(p, 2, exps)
-
-
-# ---------------------------------------------------------------------------
-# Multiplicative characters.
-
-def _multiplicative_order(g: int, p: int) -> int:
-    if g % p == 0:
-        return 0
-    k, acc = 1, g % p
-    while acc != 1:
-        acc = acc * g % p
-        k += 1
-    return k
-
-
-@dataclass(frozen=True)
-class Character:
-    """The multiplicative character chi_j with chi_j(g^t) = e(j*t / (p-1))."""
-
-    p: int
-    g: int
-    j: int
-
-    def __post_init__(self):
-        check_odd_prime(self.p)
-        if not 0 <= self.j < self.p - 1:
-            raise ValueError(f"character index must lie in [0, {self.p - 1})")
-        if _multiplicative_order(self.g, self.p) != self.p - 1:
-            raise ValueError(f"{self.g} does not generate the units modulo {self.p}")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.j == 0
-
-    @property
-    def order(self) -> int:
-        """Order of the character as an element of the dual group."""
-        return (self.p - 1) // gcd(self.j, self.p - 1)
-
-    def unit_function(self, n: "int | None" = None) -> UnitFunction:
-        """The character as a mu_n-valued table (default n = p - 1).
-
-        Requires the character order to divide n, so that every value is an
-        n-th root of unity.
-        """
-        p = self.p
-        if n is None:
-            n = p - 1
-        if self.j * n % (p - 1) != 0:
-            raise ValueError(
-                f"character of order {self.order} does not take values in mu_{n}")
-        scale = self.j * n // (p - 1)
-        exps = [0] * (p - 1)
-        x = 1
-        for t in range(p - 1):
-            exps[x - 1] = scale * t % n
-            x = x * self.g % p
-        return UnitFunction(p, n, tuple(exps))
-
-
-def enumerate_characters(p: int, n: int) -> list:
-    """All characters mod p whose values are n-th roots of unity, by index.
-
-    These are the chi_j whose order (p-1)/gcd(j, p-1) divides n; there are
-    exactly gcd(n, p-1) of them, the trivial character first.
-    """
-    check_odd_prime(p)
-    if n < 1:
-        raise ValueError(f"value order n must be at least 1, got {n}")
-    g = find_primitive_root(p)
-    return [Character(p, g, j) for j in range(p - 1) if j * n % (p - 1) == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +286,7 @@ def enumerate_unit_functions(p: int, n: int, fix_f1: bool = True,
 
 
 def _trusted_unit_function(p: int, n: int, exps: tuple) -> UnitFunction:
-    """A table set up field by field, without ``UnitFunction.__post_init__``.
+    """A table set up field by field, without the checks of ``UnitFunction``.
 
     Only for values already known valid: p an odd prime and n >= 1, checked
     once for a cell or carried over from a validated table, and exps a

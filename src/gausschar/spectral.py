@@ -49,11 +49,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterator
 from math import gcd, lcm
-from typing import Iterator
 
-from .cyclo import CyclotomicElement, _check_order, factorize, sum_of_zeta_powers
+from .cyclo import CyclotomicElement, _check_order, _frozen, factorize, sum_of_zeta_powers
 from .modp import UnitFunction, is_prime
 
 
@@ -61,17 +60,33 @@ class InconsistencyError(RuntimeError):
     """An exact internal identity failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
 class SpectralValue:
-    """An exact Gauss-type sum tagged with the (p, n) it came from."""
+    """An exact Gauss-type sum tagged with the (p, n) it came from; an
+    immutable value, equal to another exactly when all three fields are."""
 
-    value: CyclotomicElement
-    p: int
-    n: int
+    __slots__ = ("value", "p", "n")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if self.value.order != lcm(self.n, self.p):
+    def __init__(self, value: CyclotomicElement, p: int, n: int):
+        if value.order != lcm(n, p):
             raise ValueError("spectral values must live in order lcm(n, p)")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value and self.p == other.p and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.value, self.p, self.n))
+
+    def __repr__(self):
+        return f"SpectralValue(value={self.value!r}, p={self.p!r}, n={self.n!r})"
+
+    def __reduce__(self):
+        return SpectralValue, (self.value, self.p, self.n)
 
 
 def gauss_sum(f: UnitFunction) -> SpectralValue:

