@@ -13,7 +13,6 @@ from .cyclo import (
     OrderMismatchError,
     cyclotomic_polynomial,
     euler_phi,
-    evaluate_poly,
     sum_of_zeta_powers,
     zeta_pow,
 )
@@ -21,17 +20,13 @@ from .modp import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     UnitFunction,
-    count_unit_functions,
     enumerate_unit_functions,
     find_primitive_root,
     is_character_oracle,
-    legendre_symbol,
     legendre_unit_function,
-    mod_inverse,
     parse_unit_function,
 )
 from .spectral import (
-    InconsistencyError,
     SpectralValue,
     autocorrelation,
     fourier_norm,
@@ -39,7 +34,6 @@ from .spectral import (
     gauss_sum,
     has_unit_fourier_magnitude,
     kurlberg_test,
-    parseval_sum,
     spectral_witness,
     twisted_gauss_sum,
 )

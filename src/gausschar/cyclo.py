@@ -26,6 +26,24 @@ same remainder, and zeta^k is the residue of 2^(s*k).  The O(phi^2) work is
 CPython's big-integer multiply and remainder; no table of size N * phi is
 ever built.
 
+Phi_N comes from k, the odd part of rad(N) (the product of the odd primes
+dividing N), by three standard identities (Washington, *Introduction to
+Cyclotomic Fields*, ch. 2), with r = rad(N) and t = N / r:
+
+- Phi_N(x) = Phi_r(x^t), and so Psi_N(x) = Psi_r(x^t), where
+  Psi_N = (x^N - 1) / Phi_N;
+- Phi_2k(x) = (-1)^phi(k) * Phi_k(-x) for odd k; the sign, -1 only for
+  k = 1, keeps it monic;
+- Psi_2k(x) = (-1)^phi(k) * (1 - x^k) * Psi_k(-x) for odd k.
+
+Substituting x^t or -x for x only spreads or negates coefficients, and
+Psi_k has degree k - phi(k) < k, so the two halves of (1 - x^k) Psi_k(-x)
+do not overlap.  The heights H (largest absolute coefficients) behind the
+slot widths therefore carry over: H(Phi_N) = H(Phi_k) and
+H(Psi_N) = H(Psi_k).  Only Phi_k and Psi_k are Moebius products of
+binomials, one of each per kernel, which orders such as 1001 and 2002
+share.
+
 Mixed orders are rejected rather than auto-promoted; callers embed into a
 common order first (see ``CyclotomicElement.embed``), which keeps equality
 semantics explicit and avoids silent order blowup.
@@ -34,9 +52,11 @@ semantics explicit and avoids silent order blowup.
 from __future__ import annotations
 
 import functools
+import itertools
 import struct
 from collections.abc import Iterable
-from math import gcd
+from math import gcd, prod
+from operator import add, neg, sub
 
 #: Ceiling on root-of-unity orders; bounds the size of Phi_N and of every
 #: reduction.
@@ -83,28 +103,14 @@ def euler_phi(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomials: coefficient tuples, constant term first, no trailing
-# zeros.  The zero polynomial is the empty tuple.
+# Cyclotomic polynomials: coefficient tuples, constant term first.
 
 IntPolynomial = tuple[int, ...]
 
 
-def poly_trim(coeffs: Iterable[int]) -> IntPolynomial:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return poly_trim(out)
+def _odd_kernel(n: int) -> int:
+    """The odd part of rad(n): the product of the odd primes dividing n."""
+    return prod(q for q, _ in factorize(n) if q > 2)
 
 
 def _moebius_product(n: int, cofactor: bool = False) -> IntPolynomial:
@@ -112,25 +118,42 @@ def _moebius_product(n: int, cofactor: bool = False) -> IntPolynomial:
     binomials x^d - 1.
 
     Phi_n is the Moebius product of (x^(n/s) - 1)^mu(s) over squarefree
-    s | n: the mu(s) = 1 binomials are multiplied in, then the mu(s) = -1
-    ones divided out.  Psi_n is the product of the Phi_d over the proper
-    divisors d of n, that is the same binomials with the signs of mu
-    reversed and s = 1 left out.  The divisions are exact, because the
-    product of the binomials multiplied in is the result times the product
-    of those divided out, so no remainder is formed.
+    s | n: the mu(s) = 1 binomials are multiplied in, the mu(s) = -1 ones
+    divided out.  Psi_n is the product of the Phi_d over the proper divisors
+    d of n, that is the same binomials with the signs of mu reversed and
+    s = 1 left out.
+
+    Each binomial is written -(1 - x^d), and 1 - x^d is a unit of the power
+    series ring Z[[x]]: dividing by it multiplies by 1 + x^d + x^(2d) + ...,
+    which is a prefix sum along every residue class mod d.  That is one
+    C-speed ``itertools.accumulate`` per class while the classes are few
+    (d^2 < D + 1), else one C-speed ``map(add)`` per block of d
+    coefficients, each block added onto the next.  The result is a
+    polynomial of a known degree D (phi(n), or n - phi(n) for Psi_n), so
+    the whole product is taken mod x^(D+1): the factors may come in any
+    order, every intermediate has D + 1 coefficients, and a binomial with
+    d > D is 1 there and is skipped.  The sign is (-1) to the number of
+    binomials.
     """
     ups, downs = [n], []  # n/s over squarefree s | n with mu(s) = 1 and -1
     for q, _ in factorize(n):
         ups, downs = ups + [m // q for m in downs], downs + [m // q for m in ups]
     if cofactor:
         ups, downs = downs, ups[1:]
-    poly = [1]
-    for d in ups:  # a = q * (x^d - 1): a[k] = q[k - d] - q[k]
-        poly = [hi - lo for lo, hi in zip(poly + [0] * d, [0] * d + poly)]
-    for d in downs:  # q = a / (x^d - 1): q[k] = q[k - d] - a[k]
-        poly = [-c for c in poly[:len(poly) - d]]
-        for k in range(d, len(poly)):
-            poly[k] += poly[k - d]
+    size = (n - euler_phi(n) if cofactor else euler_phi(n)) + 1
+    poly = [1] + [0] * (size - 1)
+    for d in ups:  # times 1 - x^d: a[k] = q[k] - q[k - d]
+        if d < size:
+            poly = list(map(sub, poly, [0] * d + poly))
+    for d in downs:  # divided by 1 - x^d: q[k] = a[k] + q[k - d]
+        if d * d < size:  # a few long residue classes
+            for r in range(d):
+                poly[r::d] = itertools.accumulate(poly[r::d])
+        else:  # a few blocks of d, each added onto the next
+            for j in range(d, size, d):
+                poly[j:j + d] = map(add, poly[j:j + d], poly[j - d:j])
+    if (len(ups) + len(downs)) % 2:
+        poly = list(map(neg, poly))
     return tuple(poly)
 
 
@@ -138,12 +161,37 @@ def _moebius_product(n: int, cofactor: bool = False) -> IntPolynomial:
 def cyclotomic_polynomial(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial Phi_n, constant term first.
 
-    The Moebius product of the binomials x^(n/s) - 1 over squarefree s | n
-    (see ``_moebius_product``).  Monic with integer coefficients, degree
-    phi(n).
+    Built from k, the odd part of r = rad(n), by the identities of the
+    module docstring: Phi_n(x) = Phi_r(x^(n/r)), and
+    Phi_2k(x) = (-1)^phi(k) * Phi_k(-x) for odd k, the sign keeping it monic
+    (it is -1 only for k = 1, where Phi_2 = x + 1).  Psi_n follows by the
+    same substitutions, times 1 - x^k for even n, so the heights of both
+    carry over from k (see ``_OrderContext``).  Only Phi_k itself is a
+    Moebius product (``_moebius_product``), cached here, so every order with
+    the same kernel (1001, 2002, 4004, ...) shares it.  Monic with integer
+    coefficients, degree phi(n).
     """
     _check_order(n)
-    return _moebius_product(n)
+    k = _odd_kernel(n)
+    if n == k:
+        return _moebius_product(n)
+    base = cyclotomic_polynomial(k)
+    deg = len(base) - 1
+    if n % 2 == 0:
+        base = list(base)
+        base[1 - deg % 2::2] = map(neg, base[1 - deg % 2::2])
+    stride = n // (2 * k if n % 2 == 0 else k)
+    poly = [0] * (deg * stride + 1)
+    poly[::stride] = base
+    return tuple(poly)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_heights(k: int) -> tuple[int, int]:
+    """H(Phi_k) and H(Psi_k), H the largest absolute coefficient: the heights
+    of every order whose odd kernel is k (see ``_OrderContext``)."""
+    return (max(map(abs, cyclotomic_polynomial(k))),
+            max(map(abs, _moebius_product(k, cofactor=True))))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +232,14 @@ class _OrderContext:
     coefficients sum to W therefore reduces to coefficients of at most
     W * B_N.
 
+    Both heights are read per odd kernel k of N (``_kernel_heights``), never
+    from a product at N itself: Phi_N and Psi_N are Phi_k and Psi_k with x
+    replaced by x^t, by -x, or both, which moves and negates coefficients,
+    and for even N Psi_N also takes the factor 1 - x^k, whose two halves of
+    Psi_k(-x) do not overlap because Psi_k has degree below k.  So
+    H(Phi_N) = H(Phi_k) and H(Psi_N) = H(Psi_k) (module docstring), and
+    B_N is exactly the value the products at N give.
+
     ``slots(W)`` returns the narrowest slot width that reduces such a vector
     exactly (see the module docstring), with its constants cached per width.
     """
@@ -196,8 +252,7 @@ class _OrderContext:
         self.order = order
         self.degree = deg
         self.phi_poly = phi_poly
-        self.phi_height = max(map(abs, phi_poly))
-        psi_height = max(map(abs, _moebius_product(order, cofactor=True)))
+        self.phi_height, psi_height = _kernel_heights(_odd_kernel(order))
         self.row_bound = 1 + min(deg, order - deg) * self.phi_height * psi_height
         self._slots = {}
 
@@ -514,11 +569,3 @@ def sum_of_zeta_powers(order: int, exponents: Iterable[int]) -> CyclotomicElemen
     for e in exponents:
         counts[e % order] += 1
     return CyclotomicElement(order, _canonicalize(order, counts, sum(counts)))
-
-
-def evaluate_poly(poly: IntPolynomial, z: CyclotomicElement) -> CyclotomicElement:
-    """Evaluate an integer polynomial at a cyclotomic element (Horner)."""
-    acc = CyclotomicElement.zero(z.order)
-    for c in reversed(poly):
-        acc = acc * z + c
-    return acc

@@ -1,6 +1,6 @@
 """Multiplicative structure of F_p at desk scale.
 
-Primitive roots, the quadratic-residue symbol, mu_n-valued function tables,
+Primitive roots, the quadratic-residue indicator, mu_n-valued function tables,
 the exhaustive function enumerators, and the brute-force homomorphism
 oracle that every analytic test is checked against.  Primality is decided
 by a deterministic Miller-Rabin test, exact below 3.317e24 and refused
@@ -96,30 +96,9 @@ def find_primitive_root(p: int) -> int:
     raise AssertionError(f"no primitive root modulo {p}")
 
 
-def mod_inverse(a: int, p: int) -> int:
-    """The unique b in [1, p) with a*b = 1 (mod p); a must be a unit."""
-    check_odd_prime(p)
-    if a % p == 0:
-        raise ZeroDivisionError(f"{a} is 0 mod {p} and has no inverse")
-    return pow(a, -1, p)
-
-
 @functools.lru_cache(maxsize=None)
 def _nonzero_squares(p: int) -> frozenset:
     return frozenset(x * x % p for x in range(1, p))
-
-
-def legendre_symbol(a: int, p: int) -> int:
-    """1 for nonzero squares mod p, -1 for nonsquares, 0 when p divides a.
-
-    Decided by membership in the explicit square set, not by a power
-    computation.
-    """
-    check_odd_prime(p)
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if a in _nonzero_squares(p) else -1
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +224,6 @@ def is_character_oracle(f: UnitFunction) -> bool:
             if (ea + exps[b - 1]) % n != exps[a * b % p - 1]:
                 return False
     return True
-
-
-def count_unit_functions(p: int, n: int, fix_f1: bool) -> int:
-    """Size of the enumeration: n^(p-2) with f(1) pinned, n^(p-1) without.
-    A formula only: the enumerator is what validates a cell."""
-    return n ** (p - 2 if fix_f1 else p - 1)
 
 
 def enumerate_unit_functions(p: int, n: int, fix_f1: bool = True,

@@ -56,10 +56,6 @@ from .cyclo import CyclotomicElement, _check_order, _frozen, factorize, sum_of_z
 from .modp import UnitFunction, is_prime
 
 
-class InconsistencyError(RuntimeError):
-    """An exact internal identity failed; indicates a bug, not bad input."""
-
-
 class SpectralValue:
     """An exact Gauss-type sum tagged with the (p, n) it came from; an
     immutable value, equal to another exactly when all three fields are."""
@@ -382,18 +378,3 @@ def flat_screen(p: int, n: int, fix_f1: bool = True) -> Iterator[bool]:
     return itertools.chain.from_iterable(
         [s == t for t, sums in zip(targets(head), after) for s in sums]
         for head in itertools.product(*digits[:j]))
-
-
-def parseval_sum(f: UnitFunction) -> int:
-    """Sum of norm_squared(S_xi) over all xi in F_p, as an exact integer.
-
-    Always equals p*(p-1); a non-rational total means the arithmetic core is
-    broken and raises InconsistencyError.
-    """
-    total = CyclotomicElement.zero(lcm(f.n, f.p))
-    for xi in range(f.p):
-        total = total + fourier_norm(f, xi)
-    value = total.as_integer()
-    if value is None:
-        raise InconsistencyError("Parseval sum is not a rational integer")
-    return value

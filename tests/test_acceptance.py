@@ -13,9 +13,6 @@ from gausschar.cyclo import (
     CyclotomicElement,
     cyclotomic_polynomial,
     euler_phi,
-    evaluate_poly,
-    poly_mul,
-    poly_trim,
     zeta_pow,
 )
 from gausschar.modp import (
@@ -24,7 +21,7 @@ from gausschar.modp import (
     is_character_oracle,
     legendre_unit_function,
 )
-from gausschar.spectral import autocorrelation, gauss_sum, parseval_sum
+from gausschar.spectral import autocorrelation, gauss_sum
 from gausschar.verify import (
     GRID_CELLS,
     GRID_CELLS_FREE,
@@ -37,6 +34,7 @@ from gausschar.verify import (
     verify_thm_1_2,
     verify_thm_1_7,
 )
+from reference import evaluate_poly, parseval_sum, poly_mul, poly_trim
 
 
 def announce(capsys, number: int, label: str, ok: bool, detail: str = "") -> None:

@@ -9,14 +9,12 @@ from gausschar.cyclo import (
     OrderMismatchError,
     cyclotomic_polynomial,
     euler_phi,
-    evaluate_poly,
-    poly_mul,
-    poly_trim,
     sum_of_zeta_powers,
     zeta_pow,
     _context,
     _moebius_product,
 )
+from reference import evaluate_poly, poly_mul, poly_trim, sympy_remainder
 
 
 def test_cyclotomic_small_cases():
@@ -52,12 +50,44 @@ def test_cyclotomic_vanishes_at_zeta():
         assert evaluate_poly(cyclotomic_polynomial(n), zeta_pow(n, 1)).is_zero
 
 
+#: Orders for the kernel path against the direct product: every N up to 2000
+#: and larger ones: four or five prime factors (6006, 9240, 9870), an odd
+#: squarefree one that is its own kernel (9699 = 3 * 53 * 61), and the
+#: largest even and odd ones.
+KERNEL_ORDERS = list(range(1, 2001)) + [6006, 9240, 9699, 9700, 9870, 9999, 10000]
+
+
+def test_kernel_substitution_matches_direct_product():
+    # cyclotomic_polynomial(N) substitutes into Phi_k, k the odd part of
+    # rad(N); _moebius_product(N) multiplies the binomials of N itself.
+    for n in KERNEL_ORDERS:
+        assert cyclotomic_polynomial(n) == _moebius_product(n), n
+
+
+def test_context_matches_direct_products():
+    # The context reads its heights from the kernel; each constant must be
+    # the one the direct Phi_N and Psi_N products give, and so must the
+    # modulus Phi_N(2^s) of the narrowest slots.
+    for n in KERNEL_ORDERS:
+        phi_poly = _moebius_product(n)
+        phi_height = max(map(abs, phi_poly))
+        psi_height = max(map(abs, _moebius_product(n, cofactor=True)))
+        deg = len(phi_poly) - 1
+        ctx = _context(n)
+        assert ctx.phi_height == phi_height, n
+        assert ctx.row_bound == 1 + min(deg, n - deg) * phi_height * psi_height, n
+        slots = ctx.slots(1)
+        bits = 8 * slots.width
+        assert slots.modulus == sum(c << bits * i for i, c in enumerate(phi_poly)), n
+
+
 def test_cyclotomic_matches_sympy():
     # An outside reference for Phi_n: every n up to 200, the orders of the
-    # large-order classifications, and two orders near MAX_ORDER.
+    # large-order classifications, and four larger orders, three with four
+    # or five prime factors (6006, 9240, 9870).
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    for n in list(range(1, 201)) + [330, 390, 930, 2002, 9240, 9700]:
+    for n in list(range(1, 201)) + [330, 390, 930, 2002, 6006, 9240, 9700, 9870]:
         expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
         assert cyclotomic_polynomial(n) == tuple(int(c) for c in reversed(expected)), n
 
@@ -65,23 +95,9 @@ def test_cyclotomic_matches_sympy():
 def test_reduction_matches_sympy():
     # An outside reference for the reduction mod Phi_N behind from_coeffs,
     # galois and embed: sympy's dense remainder over ZZ of the same integer
-    # polynomial (the polynomial-level routine, about 20x faster than
-    # Poly.rem at order 2002).
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.densearith import dup_rem
-    from sympy.polys.densebasic import dup_strip
-    from sympy.polys.domains import ZZ
-    x = sympy.Symbol("x")
+    # polynomial.
+    pytest.importorskip("sympy")
     rng = random.Random(23)
-
-    def reference(order, terms):
-        phi = [ZZ(int(c)) for c in sympy.Poly(sympy.cyclotomic_poly(order, x), x).all_coeffs()]
-        dense = [0] * (max(terms, default=0) + 1)
-        for e, c in terms.items():
-            dense[e] += c
-        dividend = dup_strip([ZZ(c) for c in reversed(dense)])
-        rem = [int(c) for c in reversed(dup_rem(dividend, phi, ZZ))]
-        return tuple(rem + [0] * (euler_phi(order) - len(rem)))
 
     def element(order):
         return CyclotomicElement(order, tuple(rng.randint(-3, 3) for _ in range(euler_phi(order))))
@@ -90,19 +106,19 @@ def test_reduction_matches_sympy():
         # Exponents past N: no folding by zeta^N = 1 on the reference side.
         terms = {rng.randrange(order + 5): rng.randint(-3, 3) for _ in range(12)}
         raw = [terms.get(e, 0) for e in range(order + 5)]
-        assert CyclotomicElement.from_coeffs(order, raw).coeffs == reference(order, terms), order
+        assert CyclotomicElement.from_coeffs(order, raw).coeffs == sympy_remainder(order, terms), order
         z = element(order)
         units = [k for k in range(1, order) if gcd(k, order) == 1]
         for k in {-1, rng.choice(units or [1])}:
             image = {}
             for i, c in enumerate(z.coeffs):
                 image[i * k % order] = image.get(i * k % order, 0) + c
-            assert z.galois(k).coeffs == reference(order, image), (order, k)
+            assert z.galois(k).coeffs == sympy_remainder(order, image), (order, k)
         divisors = [d for d in range(1, order) if order % d == 0]
         for d in {divisors[0], divisors[len(divisors) // 2], divisors[-1]} if divisors else ():
             w = element(d)
             image = {i * (order // d): c for i, c in enumerate(w.coeffs)}
-            assert w.embed(order).coeffs == reference(order, image), (d, order)
+            assert w.embed(order).coeffs == sympy_remainder(order, image), (d, order)
 
 
 def test_huge_coefficients_match_sympy():

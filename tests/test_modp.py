@@ -6,17 +6,20 @@ import pytest
 from gausschar.modp import (
     BudgetExceededError,
     UnitFunction,
-    count_unit_functions,
     enumerate_unit_functions,
     find_primitive_root,
     is_character_oracle,
     is_prime,
-    legendre_symbol,
     legendre_unit_function,
-    mod_inverse,
     parse_unit_function,
 )
-from reference import Character, enumerate_characters
+from reference import (
+    Character,
+    count_unit_functions,
+    enumerate_characters,
+    legendre_symbol,
+    mod_inverse,
+)
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 

@@ -15,9 +15,9 @@ from gausschar.cyclo import (
 from gausschar.modp import (
     UnitFunction,
     enumerate_unit_functions,
+    is_character_oracle,
     is_prime,
     legendre_unit_function,
-    mod_inverse,
 )
 from gausschar.spectral import (
     SpectralValue,
@@ -29,12 +29,11 @@ from gausschar.spectral import (
     gauss_sum_in_subfield,
     has_unit_fourier_magnitude,
     kurlberg_test,
-    parseval_sum,
     spectral_witness,
     twisted_gauss_sum,
 )
 from gausschar.verify import GRID_CELLS, GRID_CELLS_FREE, default_grid
-from reference import enumerate_characters
+from reference import enumerate_characters, mod_inverse, parseval_sum, sympy_remainder
 
 TOL = 1e-9
 
@@ -424,3 +423,43 @@ def test_spectral_value_invariant():
         SpectralValue(CyclotomicElement.one(5), 5, 2)
     with pytest.raises(ValueError, match=r"order lcm\(n, p\)"):
         SpectralValue(value=zeta_pow(3, 1), p=3, n=2)
+
+
+def test_rational_norms_match_sympy():
+    # An outside reference for the norms behind every magnitude test:
+    # |S_xi|^2 as the sum of x^((s - t) mod L) over pairs of exponents s, t
+    # of S_xi, reduced mod Phi_L by sympy.  The exponents are restated here
+    # from the definitions S_xi = sum over units x of f(x) e(-x*xi/p) and
+    # tau(f) = sum of f(x) e(x/p) = S_(-1).  Every character and three
+    # non-characters at orders 330 and 390 (every xi) and 2002 (three xi:
+    # one sympy remainder there takes 0.15 s).
+    pytest.importorskip("sympy")
+    rng = random.Random(71)
+
+    def norm_terms(exponents, big):
+        counts = {}
+        for s in exponents:
+            for t in exponents:
+                counts[(s - t) % big] = counts.get((s - t) % big, 0) + 1
+        return counts
+
+    for p, n, xis in ((11, 30, range(11)), (13, 30, range(13)), (7, 286, (0, 1, 6))):
+        big = lcm(n, p)
+        u, v = big // n, big // p
+        characters = [c.unit_function(n) for c in enumerate_characters(p, n)]
+        others = []
+        while len(others) < 3:
+            f = UnitFunction(p, n, (0,) + tuple(rng.randrange(n) for _ in range(p - 2)))
+            if not is_character_oracle(f):
+                others.append(f)
+        for f in characters + others:
+            for xi in xis:
+                terms = norm_terms([u * f.exps[x - 1] - v * xi * x for x in range(1, p)], big)
+                expected = sympy_remainder(big, terms)
+                assert fourier_norm(f, xi).coeffs == expected, (f, xi)
+            # xi = p - 1 came last: tau(f) has the same pairwise differences.
+            assert norm_terms([u * f.exps[x - 1] + v * x for x in range(1, p)], big) == terms
+            tau_norm = gauss_sum(f).value.norm_squared()
+            assert tau_norm.coeffs == expected, f
+            if f in characters and not f.is_trivial:
+                assert tau_norm.as_integer() == p, f
