@@ -387,6 +387,8 @@ class CyclotomicElement:
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, order: int, coeffs: tuple[int, ...]):
+        if type(coeffs) is not tuple:
+            coeffs = tuple(coeffs)
         if len(coeffs) != _context(order).degree:
             raise ValueError(
                 f"coefficient vector must have length phi({order}) = "

@@ -27,22 +27,27 @@ splits completely in Q(zeta_L) (Washington, *Introduction to Cyclotomic
 Fields*, ch. 2), so omega is a root of Phi_L mod ell.  Equal ring elements
 have equal images, so S(omega) * S(omega^-1) != p (mod ell) proves
 norm_squared(S) != p, an image of the autocorrelation other than -1 proves
-it is not -1, and an image moved by sigma_k proves the element is not
-fixed by sigma_k.  Each such "no" is exact and built from exponent lists
-alone.  Only the survivors go on to the canonical reduction, so every "yes"
-is still decided by canonical equality in Z[zeta_L].
+it is not -1, a nonzero image of the value sum proves the profile is not
+flat (see ``flat_screen``), and an image moved by sigma_k proves the
+element is not fixed by sigma_k.  Each such "no" is exact and built from
+exponent lists alone.  Only the survivors go on to the canonical
+reduction, so every "yes" is still decided by canonical equality in
+Z[zeta_L].
 
 An exhaustive verification takes these images for a whole cell at once.
 Each image is a sum with one term per position x (S_a(omega) and
-S_a(omega^-1), tau(omega) - sigma_k(tau)(omega)) or per pair of adjacent
-positions (the shift-1 autocorrelation), so over the n^k tables of a cell
-it is a sumset.  A cell screen splits the positions into a head and a tail,
-builds the tail's sums once as a block of at most _TAIL_TABLES values, and
-emits each head's verdicts against the block with one list comprehension:
-the verdicts come in the enumerator's own lexicographic order, at amortized
-O(1) work per table and in memory bounded by the block.  A screen only
-repeats a rejection its per-function filter would make; every table it
-passes goes on to that filter and then to the canonical test.
+S_a(omega^-1), tau(omega) - sigma_k(tau)(omega), and the value sum
+S_0(omega)), so over the n^k tables of a cell it is a sumset.  A cell
+screen splits the positions into a head and a tail, builds the tail's sums
+once as a block of at most _TAIL_TABLES values (or n, when the last
+position alone has more digits), and emits each head's verdicts against
+the block with one list comprehension: the verdicts come in the
+enumerator's own lexicographic order, at amortized O(1) work per table and
+in memory bounded by the block.  A screen only makes a proven rejection:
+the magnitude and subfield screens repeat their per-function filter's, and
+the flat screen's follows from the value-sum identity in ``flat_screen``.
+Every table a screen passes goes on to the per-function filter and then to
+the canonical test.
 """
 
 from __future__ import annotations
@@ -233,36 +238,26 @@ def kurlberg_test(f: UnitFunction) -> bool:
     return all(autocorrelation(f, h).as_integer() == -1 for h in shifts)
 
 
-def _subfield_order(p: int, n: int, d: int) -> int:
-    """L = lcm(n, p), once d is checked to divide it and L against MAX_ORDER."""
-    big = lcm(n, p)
-    if d < 1 or big % d:
-        raise ValueError(f"subfield order {d} does not divide the order {big}")
-    _check_order(big)
-    return big
+def _subfield_automorphisms(big: int, n: int) -> Iterator[int]:
+    """The k != 1 in [1, L) with k = 1 (mod n) and gcd(k, L) = 1, in order:
+    the sigma_k other than the identity that fix Q(zeta_n) pointwise."""
+    return (k for k in range(1 + n, big, n) if gcd(k, big) == 1)
 
 
-def _subfield_automorphisms(big: int, d: int) -> Iterator[int]:
-    """The k != 1 in [1, L) with k = 1 (mod d) and gcd(k, L) = 1, in order:
-    the sigma_k other than the identity that fix Q(zeta_d) pointwise."""
-    return (k for k in range(1 + d, big, d) if gcd(k, big) == 1)
+def gauss_sum_in_subfield(f: UnitFunction) -> bool:
+    """Whether tau(f) lies in Q(zeta_n), inside Z[zeta_L] with L = lcm(n, p).
 
-
-def gauss_sum_in_subfield(f: UnitFunction, d: int) -> bool:
-    """Whether tau(f) lies in Q(zeta_d), for d dividing L = lcm(n, p).
-
-    Rejected when some sigma_k fixing Q(zeta_d) (k = 1 mod d, gcd(k, L) = 1)
+    Rejected when some sigma_k fixing Q(zeta_n) (k = 1 mod n, gcd(k, L) = 1)
     moves the image of tau(f) in the split prime field; only a survivor is
     built canonically and tested with ``CyclotomicElement.in_subfield``.
     """
-    big = _subfield_order(f.p, f.n, d)
-    _, terms = _twisted_terms(f.p, f.n, f.exps, 1)
+    big, terms = _twisted_terms(f.p, f.n, f.exps, 1)
     ell, pw = _split_prime(big)
     image = sum(_images(pw, terms)) % ell
-    for k in _subfield_automorphisms(big, d):
+    for k in _subfield_automorphisms(big, f.n):
         if sum(_images(pw, terms, k)) % ell != image:
             return False
-    return sum_of_zeta_powers(big, terms).in_subfield(d)
+    return sum_of_zeta_powers(big, terms).in_subfield(f.n)
 
 
 # ---------------------------------------------------------------------------
@@ -336,45 +331,38 @@ def magnitude_screen(p: int, n: int, a: int, fix_f1: bool = True) -> Iterator[bo
         [(hs + s) * (ht + t) % ell == p for s, t in block] for hs, ht in heads)
 
 
-def subfield_screen(p: int, n: int, d: int, fix_f1: bool = True) -> Iterator[bool]:
-    """Whether tau(f) and sigma_k(tau(f)) have equal images in the split
-    prime field, for every table f of the cell in enumeration order, at the
-    first k of ``_subfield_automorphisms`` (k = 1, all True, when there is
-    none); a table it passes is still checked at every k by
-    ``gauss_sum_in_subfield``."""
-    big = _subfield_order(p, n, d)
-    k = next(_subfield_automorphisms(big, d), 1)
-    ell, pw = _split_prime(big)
-    rows = _position_rows(p, n, 1, fix_f1, lambda e: [
-        s - t for s, t in zip(_images(pw, e), _images(pw, e, k))])
+def _zero_sum_screen(rows: list, ell: int) -> Iterator[bool]:
+    """Whether the sum of one entry per row is 0 mod ell, for every choice
+    in lexicographic order (as ``_lex_sums``), built head times tail block."""
     j = _tail_start([len(row) for row in rows])
     block = _lex_sums(rows[j:], ell)
     targets = (-h % ell for h in _head_sums(rows[:j], ell))
     return itertools.chain.from_iterable([s == t for s in block] for t in targets)
 
 
-def flat_screen(p: int, n: int, fix_f1: bool = True) -> Iterator[bool]:
-    """Whether f(1) = 1 and the image of autocorrelation(f, 1) in the split
-    prime field is -1, for every table f of the cell in enumeration order;
-    a table it passes is still checked at every shift by ``kurlberg_test``.
+def subfield_screen(p: int, n: int) -> Iterator[bool]:
+    """Whether tau(f) and sigma_k(tau(f)) have equal images in the split
+    prime field, for every table f of the cell with f(1) free, in
+    enumeration order, at the first k of ``_subfield_automorphisms`` (k = 1,
+    all True, when there is none); a table it passes is still checked at
+    every k by ``gauss_sum_in_subfield``."""
+    big = lcm(n, p)
+    ell, pw = _split_prime(big)
+    k = next(_subfield_automorphisms(big, n), 1)
+    rows = _position_rows(p, n, 1, False, lambda e: [
+        s - t for s, t in zip(_images(pw, e), _images(pw, e, k))])
+    return _zero_sum_screen(rows, ell)
 
-    The shift-1 sum is a chain: the terms f(x) conj(f(x + 1)) pair adjacent
-    positions, so the sums over the positions after the head are kept once
-    per digit of the position before them.
+
+def flat_screen(p: int, n: int) -> Iterator[bool]:
+    """Whether the value sum S_0 = sum of f(x) has image 0 in the split
+    prime field, for every table f of the cell with f(1) = 1, in
+    enumeration order; a table it passes is still checked at every shift by
+    ``kurlberg_test``.
+
+    Proof that a flat f passes: with f(0) = 0, S_0 * conj(S_0) is the sum of
+    autocorrelation(f, h) over all h, (p - 1) - (p - 1) = 0 for a flat
+    profile, so S_0 = 0 in the domain Z[zeta_n].
     """
     ell, pw = _split_prime(n)
-    step = [_images(pw, [prev - d for d in range(n)]) for prev in range(n)]
-    digits = [range(1 if fix_f1 else n)] + [range(n)] * (p - 2)
-    j = _tail_start([len(r) for r in digits])
-    after = [[0]] * n
-    for _ in range(p - 2 - j):
-        after = [[(c + s) % ell for c, sums in zip(row, after) for s in sums] for row in step]
-
-    def targets(head):
-        if head[0]:
-            return [-1] * n     # f(1) != 1: no sum mod ell is -1 as an integer
-        h = sum(step[x][y] for x, y in zip(head, head[1:])) + 1
-        return [(-h - c) % ell for c in step[head[-1]]]
-    return itertools.chain.from_iterable(
-        [s == t for t, sums in zip(targets(head), after) for s in sums]
-        for head in itertools.product(*digits[:j]))
+    return _zero_sum_screen([pw[:1]] + [pw] * (p - 2), ell)

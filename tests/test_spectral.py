@@ -289,7 +289,7 @@ def test_split_prime_filter_refuses_an_order_above_max_order():
     # so the order is refused before it is built.
     f = UnitFunction(3, 10 ** 11, (0, 5))
     for decide, args in ((has_unit_fourier_magnitude, (f, 1)), (kurlberg_test, (f,)),
-                         (gauss_sum_in_subfield, (f, f.n))):
+                         (gauss_sum_in_subfield, (f,))):
         with pytest.raises(ValueError, match="exceeds MAX_ORDER"):
             decide(*args)
 
@@ -323,7 +323,7 @@ def test_split_prime_filter_passes_exactly_the_canonical_hits(monkeypatch):
                 assert survives(kurlberg_test, f) == hit, f
             elif kind == "subfield":
                 hit = gauss_sum(f).value.in_subfield(n)
-                assert survives(gauss_sum_in_subfield, f, n) == hit, f
+                assert survives(gauss_sum_in_subfield, f) == hit, f
             else:
                 for a in range(1, p):
                     hit = real_norm(f, a).as_integer() == p
@@ -334,27 +334,59 @@ def test_cell_screens_align_with_per_function_images():
     # Verdict i of a cell screen is the split-prime verdict of table i of
     # the enumeration, computed from that table's exponents alone: the
     # magnitude image at every twist a, tau(omega) against its image under
-    # the first sigma_k fixing Q(zeta_n), and the shift-1 autocorrelation.
+    # the first sigma_k fixing Q(zeta_n) (f(1) free), and the value sum
+    # (f(1) = 1).
     cells = {(p, n) for _, p, n in default_grid()} | {(3, 6)}
     for p, n in sorted(cells):
         big = lcm(n, p)
         k = next((k for k in range(1 + n, big, n) if gcd(k, big) == 1), 1)
         ell, pw = _split_prime(big)
         ell_n, pw_n = _split_prime(n)
-        for fix_f1 in (True, False):
-            functions = list(enumerate_unit_functions(p, n, fix_f1=fix_f1))
+        fixed = list(enumerate_unit_functions(p, n, fix_f1=True))
+        free = list(enumerate_unit_functions(p, n, fix_f1=False))
+        for fix_f1, functions in ((True, fixed), (False, free)):
             for a in range(1, p):
                 expected = [spectral._magnitude_image_is_p(f, a) for f in functions]
                 assert list(spectral.magnitude_screen(p, n, a, fix_f1)) == expected, (p, n, a)
-            expected = []
-            for f in functions:
-                tau = [big // n * e + big // p * x for x, e in enumerate(f.exps, 1)]
-                expected.append(sum(pw[t % big] - pw[k * t % big] for t in tau) % ell == 0)
-            assert list(spectral.subfield_screen(p, n, n, fix_f1)) == expected, (p, n)
-            expected = [f.exps[0] == 0 and sum(pw_n[(s - t) % n] for s, t in
-                                               zip(f.exps, f.exps[1:])) % ell_n == ell_n - 1
-                        for f in functions]
-            assert list(spectral.flat_screen(p, n, fix_f1)) == expected, (p, n)
+        expected = []
+        for f in free:
+            tau = [big // n * e + big // p * x for x, e in enumerate(f.exps, 1)]
+            expected.append(sum(pw[t % big] - pw[k * t % big] for t in tau) % ell == 0)
+        assert list(spectral.subfield_screen(p, n)) == expected, (p, n)
+        expected = [sum(pw_n[e] for e in f.exps) % ell_n == 0 for f in fixed]
+        assert list(spectral.flat_screen(p, n)) == expected, (p, n)
+
+
+def test_flat_screen_passes_every_flat_table():
+    # A flat profile forces the value sum to 0 (see ``flat_screen``), so the
+    # screen passes every table ``kurlberg_test`` accepts: the gcd(n, p - 1)
+    # - 1 nontrivial characters, on every default-grid thm_1_7 cell and at
+    # (3, 6) and (5, 10), where p divides n.
+    cells = {(p, n) for statement, p, n in default_grid() if statement == "thm_1_7"}
+    for p, n in sorted(cells | {(3, 6), (5, 10)}):
+        flat = 0
+        for f, passed in zip(enumerate_unit_functions(p, n), spectral.flat_screen(p, n),
+                             strict=True):
+            if kurlberg_test(f):
+                assert passed, f
+                flat += 1
+        assert flat == gcd(n, p - 1) - 1, (p, n)
+
+
+def test_flat_screen_in_linear_memory():
+    # The screen holds one block of n value sums, no table per pair of
+    # digits (an n x n table of images would take over 8 MB here).  Its one
+    # pass at (3, 1000) is the Legendre table: 1 + zeta^500 = 0.
+    import tracemalloc
+    spectral._split_prime(1000)
+    tracemalloc.start()
+    try:
+        verdicts = list(spectral.flat_screen(3, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(verdicts) == 1000 and [d for d, ok in enumerate(verdicts) if ok] == [500]
+    assert peak < 2 ** 20, peak
 
 
 def test_cell_screen_in_bounded_memory():

@@ -65,6 +65,15 @@ def test_value_repr_text():
         "SpectralValue(value=CyclotomicElement(order=6, coeffs=(-1, 2)), p=3, n=2)")
 
 
+def test_cyclotomic_element_list_coeffs_become_a_tuple():
+    # As with UnitFunction's exponents, so equality and hashing stay
+    # canonical whatever sequence the caller passed.
+    z = CyclotomicElement(3, [1, 0])
+    assert z.coeffs == (1, 0) and type(z.coeffs) is tuple
+    assert z == CyclotomicElement(3, (1, 0))
+    assert hash(z) == hash(CyclotomicElement(3, (1, 0)))
+
+
 def test_verification_report_matches_its_dataclass():
     reference = dataclasses.make_dataclass("VerificationReport", [
         "statement", "p", "n", "budget",

@@ -1,9 +1,10 @@
 import json
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
+from gausschar.cyclo import MAX_ORDER
 from gausschar.modp import BudgetExceededError, legendre_unit_function
 from gausschar.verify import (
     GRID_CELLS,
@@ -106,6 +107,11 @@ def test_thm_1_7_cells():
     rep = verify_thm_1_7(3, 6)
     assert rep.success and rep.total_functions == 6
     assert (0, 5) not in [exps for exps, _ in rep.witnesses]
+    # The screen's value sum lives in Z[zeta_n], so a cell whose lcm(n, p)
+    # exceeds MAX_ORDER is still decided whole.
+    assert lcm(3334, 3) > MAX_ORDER
+    rep = verify_thm_1_7(3, 3334)
+    assert rep.success and rep.total_functions == 3334 and rep.passing_spectral == 1
 
 
 def test_remark_counterexample_report():
