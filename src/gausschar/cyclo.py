@@ -332,29 +332,11 @@ def _context(order: int) -> _OrderContext:
     return _OrderContext(order)
 
 
-def _canonicalize(order: int, raw: list[int],
-                  weight: "int | None" = None) -> tuple[int, ...]:
-    """Reduce a coefficient list of any length to power-basis coordinates.
-
-    ``weight`` bounds the sum of the absolute coefficients; it is computed
-    here when the caller does not know it.
-    """
-    ctx = _context(order)
-    if len(raw) > order:
-        # zeta^order = 1, so exponents fold mod the order before division.
-        folded = [0] * order
-        for e, c in enumerate(raw):
-            if c:
-                folded[e % order] += c
-        raw = folded
-    deg = ctx.degree
-    if len(raw) <= deg:
-        return tuple(raw) + (0,) * (deg - len(raw))
-    if len(raw) < order:
-        raw = raw + [0] * (order - len(raw))
-    if weight is None:
-        weight = sum(map(abs, raw))
-    slots = ctx.slots(weight)
+def _canonicalize(order: int, raw: list[int], weight: int) -> tuple[int, ...]:
+    """Power-basis coordinates of the sum of raw[e] * zeta_order^e, for a
+    list of exactly ``order`` coefficients whose absolute values sum to at
+    most ``weight``."""
+    slots = _context(order).slots(weight)
     return slots.reduce(slots.pack(raw))
 
 
@@ -414,8 +396,18 @@ class CyclotomicElement:
 
     @classmethod
     def from_coeffs(cls, order: int, coeffs: Iterable[int]) -> "CyclotomicElement":
-        """Canonical element from coefficients of any length (reduced here)."""
-        return cls(order, _canonicalize(order, list(coeffs)))
+        """Canonical element from coefficients of any length (reduced here).
+
+        At most phi coefficients are already canonical; longer input folds
+        and reduces as the image of zeta -> zeta, whose weight bounds the
+        folded one.  The order is checked before anything of its size is
+        built.
+        """
+        deg = _context(order).degree
+        coeffs = tuple(coeffs)
+        if len(coeffs) <= deg:
+            return cls(order, coeffs + (0,) * (deg - len(coeffs)))
+        return cls(order, _power_map(order, coeffs, 1))
 
     @classmethod
     def from_int(cls, order: int, value: int) -> "CyclotomicElement":

@@ -116,11 +116,13 @@ class UnitFunction:
     is a convention of every sum in this package, not a stored value.
 
     An immutable value, equal to another exactly when p, n and exps are.
-    The fields live in the instance ``__dict__``, not in slots, because
-    ``_trusted_unit_function`` builds each enumerated table by writing them
-    there directly, which is cheaper than setting slots (see the README).
+    The fields live in slots, set through their member descriptors
+    (``_set_p``, ``_set_n``, ``_set_exps``), which skip the frozen
+    ``__setattr__``; ``_trusted_unit_function`` builds each enumerated table
+    that way without the checks of ``__init__`` (see the README).
     """
 
+    __slots__ = ("p", "n", "exps")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, p: int, n: int, exps: tuple):
@@ -140,7 +142,9 @@ class UnitFunction:
             # Exactly int: bool is an int subclass and would pass the range test.
             if type(e) is not int or not 0 <= e < n:
                 raise ValueError(f"exponents must be integers in [0, {n}), got {e!r}")
-        self.__dict__.update(p=p, n=n, exps=exps)
+        _set_p(self, p)
+        _set_n(self, n)
+        _set_exps(self, exps)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -152,6 +156,9 @@ class UnitFunction:
 
     def __repr__(self):
         return f"UnitFunction(p={self.p!r}, n={self.n!r}, exps={self.exps!r})"
+
+    def __reduce__(self):
+        return UnitFunction, (self.p, self.n, self.exps)
 
     def exponent(self, x: int) -> int:
         """The k with f(x) = e(k/n); x must be a unit mod p."""
@@ -178,6 +185,10 @@ class UnitFunction:
 
     def to_text(self) -> str:
         return f"p={self.p} n={self.n} exps=" + ",".join(map(str, self.exps))
+
+
+_set_p, _set_n, _set_exps = (UnitFunction.p.__set__, UnitFunction.n.__set__,
+                             UnitFunction.exps.__set__)
 
 
 def parse_unit_function(text: str) -> UnitFunction:
@@ -266,10 +277,9 @@ def _trusted_unit_function(p: int, n: int, exps: tuple) -> UnitFunction:
     tuple of p - 1 int exponents in [0, n) by construction.
     """
     f = object.__new__(UnitFunction)
-    fields = f.__dict__
-    fields["p"] = p
-    fields["n"] = n
-    fields["exps"] = exps
+    _set_p(f, p)
+    _set_n(f, n)
+    _set_exps(f, exps)
     return f
 
 

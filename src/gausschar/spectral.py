@@ -44,10 +44,14 @@ position alone has more digits), and emits each head's verdicts against
 the block with one list comprehension: the verdicts come in the
 enumerator's own lexicographic order, at amortized O(1) work per table and
 in memory bounded by the block.  A screen only makes a proven rejection:
-the magnitude and subfield screens repeat their per-function filter's, and
-the flat screen's follows from the value-sum identity in ``flat_screen``.
-Every table a screen passes goes on to the per-function filter and then to
-the canonical test.
+the magnitude screen repeats its per-function filter's, the subfield
+screen's holds because its sigma_k fixes Q(zeta_n), and the flat screen's
+follows from the value-sum identity in ``flat_screen``.  A table the
+magnitude or flat screen passes goes on to the per-function filter and then
+to the canonical test.  The subfield screen takes k = 1 (mod n) to be a
+primitive root mod p, so that sigma_k generates the group fixing Q(zeta_n)
+(see ``subfield_screen``): its survivors are the members of Q(zeta_n),
+apart from false passes mod ell, and go straight to the canonical test.
 """
 
 from __future__ import annotations
@@ -55,10 +59,10 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterator
-from math import gcd, lcm
+from math import lcm
 
 from .cyclo import CyclotomicElement, _check_order, _frozen, factorize, sum_of_zeta_powers
-from .modp import UnitFunction, is_prime
+from .modp import UnitFunction, find_primitive_root, is_prime
 
 
 class SpectralValue:
@@ -238,28 +242,6 @@ def kurlberg_test(f: UnitFunction) -> bool:
     return all(autocorrelation(f, h).as_integer() == -1 for h in shifts)
 
 
-def _subfield_automorphisms(big: int, n: int) -> Iterator[int]:
-    """The k != 1 in [1, L) with k = 1 (mod n) and gcd(k, L) = 1, in order:
-    the sigma_k other than the identity that fix Q(zeta_n) pointwise."""
-    return (k for k in range(1 + n, big, n) if gcd(k, big) == 1)
-
-
-def gauss_sum_in_subfield(f: UnitFunction) -> bool:
-    """Whether tau(f) lies in Q(zeta_n), inside Z[zeta_L] with L = lcm(n, p).
-
-    Rejected when some sigma_k fixing Q(zeta_n) (k = 1 mod n, gcd(k, L) = 1)
-    moves the image of tau(f) in the split prime field; only a survivor is
-    built canonically and tested with ``CyclotomicElement.in_subfield``.
-    """
-    big, terms = _twisted_terms(f.p, f.n, f.exps, 1)
-    ell, pw = _split_prime(big)
-    image = sum(_images(pw, terms)) % ell
-    for k in _subfield_automorphisms(big, f.n):
-        if sum(_images(pw, terms, k)) % ell != image:
-            return False
-    return sum_of_zeta_powers(big, terms).in_subfield(f.n)
-
-
 # ---------------------------------------------------------------------------
 # Cell screens: the split-prime verdicts of every table of a cell at once.
 
@@ -343,12 +325,21 @@ def _zero_sum_screen(rows: list, ell: int) -> Iterator[bool]:
 def subfield_screen(p: int, n: int) -> Iterator[bool]:
     """Whether tau(f) and sigma_k(tau(f)) have equal images in the split
     prime field, for every table f of the cell with f(1) free, in
-    enumeration order, at the first k of ``_subfield_automorphisms`` (k = 1,
-    all True, when there is none); a table it passes is still checked at
-    every k by ``gauss_sum_in_subfield``."""
+    enumeration order; a table it passes is still decided canonically by
+    ``CyclotomicElement.in_subfield``.
+
+    k = 1 (mod n), so sigma_k fixes Q(zeta_n) and every table with tau(f)
+    in Q(zeta_n) passes.  When p does not divide n, k is also the primitive
+    root g mod p: the sigma_k with k = 1 (mod n) form a group isomorphic to
+    the units mod p, which is cyclic, so sigma_g generates it, and tau(f) is
+    fixed by sigma_g exactly when it lies in Q(zeta_n) (Washington,
+    *Introduction to Cyclotomic Fields*, ch. 2).  When p divides n, Q(zeta_L)
+    is Q(zeta_n) and k = 1 passes every table.
+    """
     big = lcm(n, p)
     ell, pw = _split_prime(big)
-    k = next(_subfield_automorphisms(big, n), 1)
+    g = find_primitive_root(p)
+    k = next((k for k in range(1, big, n) if k % p == g), 1)
     rows = _position_rows(p, n, 1, False, lambda e: [
         s - t for s, t in zip(_images(pw, e), _images(pw, e, k))])
     return _zero_sum_screen(rows, ell)

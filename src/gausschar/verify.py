@@ -9,23 +9,20 @@ are per-cell constants built.  Among them is the cell screen, a stream from
 (see the ``spectral`` module docstring): False proves the statement's
 analytic test fails for that table, True leaves it to the per-function
 test.  ``_run`` zips the opened stream (or the pinned tables it is given)
-with the screen, strictly, so a verdict can never drift onto another
-table, and hands each pair to the statement's judge as
-``judge(f, passed)``.  ``passed`` is one verdict, except in ``cor_1_3``,
-where it is a tuple with one verdict per unit a; the pinned
-counterexample's screen is ``(True,)``, and the subfield screen of
-``lemma_2_1`` is True throughout where no sigma_k but the identity fixes
-Q(zeta_n), as at p | n.  A judge returns ``(spectral_hit, oracle_hit,
-agrees, witness)``: whether the analytic test (Gauss-sum magnitude, Fourier
-witness, subfield membership or autocorrelation profile) holds for f,
-whether the brute-force homomorphism oracle's side holds, whether the two
-sides relate as the statement predicts, and the ``(exps, a)`` record to
-list as a witness, or None.  A judge runs the per-function test only where
-``passed`` allows it, so every "yes" is still decided by canonical
-equality.  Functions whose sides disagree are listed as mismatches, and a
-report succeeds exactly when there are none (the existence search
-``remark_p_divides_n`` instead succeeds when it lists at least one
-witness).
+with the screen, strictly, so a verdict can never drift onto another table,
+and hands each pair to the statement's judge as ``judge(f, passed)``.
+``passed`` is one verdict, except in ``cor_1_3``, where it is a tuple with
+one verdict per unit a; the pinned counterexample's screen is ``(True,)``.
+A judge returns ``(spectral_hit, oracle_hit, agrees, witness)``: whether
+the analytic test (Gauss-sum magnitude, Fourier witness, subfield
+membership or autocorrelation profile) holds for f, whether the brute-force
+homomorphism oracle's side holds, whether the two sides relate as the
+statement predicts, and the ``(exps, a)`` record to list as a witness, or
+None.  A judge runs the per-function test only where ``passed`` allows it,
+so every "yes" is still decided by canonical equality.  Functions whose
+sides disagree are listed as mismatches, and a report succeeds exactly when
+there are none (the existence search ``remark_p_divides_n`` instead
+succeeds when it lists at least one witness).
 """
 
 from __future__ import annotations
@@ -228,9 +225,11 @@ def verify_lemma_2_1(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verificati
 
     def judge(g, passed):
         const = g.is_constant
-        if passed and spectral.gauss_sum_in_subfield(g):
+        if passed:
             tau = spectral.gauss_sum(g).value
-            return True, const, const and zeta_pow(n, g.exps[0]).embed(big) == -tau, (g.exps, None)
+            if tau.in_subfield(n):
+                minus_tau = const and zeta_pow(n, g.exps[0]).embed(big) == -tau
+                return True, const, minus_tau, (g.exps, None)
         return False, const, not const, None
     screen = spectral.subfield_screen(p, n)
     return _run("lemma_2_1", p, n, budget, judge, functions, screen)

@@ -403,6 +403,11 @@ def test_order_guards():
         zeta_pow(-3, 1)
     with pytest.raises(ValueError):
         zeta_pow(5, 1).embed(5 * MAX_ORDER)
+    # from_coeffs checks the order before it builds anything of that size:
+    # a list of 10^12 coefficients would exhaust memory, not raise.
+    for order in (10 ** 12, 0):
+        with pytest.raises(ValueError, match="order"):
+            CyclotomicElement.from_coeffs(order, (1,))
 
 
 def test_coefficient_vector_length_enforced():

@@ -15,6 +15,7 @@ from gausschar.cyclo import (
 from gausschar.modp import (
     UnitFunction,
     enumerate_unit_functions,
+    find_primitive_root,
     is_character_oracle,
     is_prime,
     legendre_unit_function,
@@ -26,7 +27,6 @@ from gausschar.spectral import (
     fourier_norm,
     fourier_sum,
     gauss_sum,
-    gauss_sum_in_subfield,
     has_unit_fourier_magnitude,
     kurlberg_test,
     spectral_witness,
@@ -289,18 +289,20 @@ def test_split_prime_filter_refuses_an_order_above_max_order():
     # so the order is refused before it is built.
     f = UnitFunction(3, 10 ** 11, (0, 5))
     for decide, args in ((has_unit_fourier_magnitude, (f, 1)), (kurlberg_test, (f,)),
-                         (gauss_sum_in_subfield, (f,))):
+                         (lambda: list(spectral.subfield_screen(3, 10 ** 11 + 1)), ())):
         with pytest.raises(ValueError, match="exceeds MAX_ORDER"):
             decide(*args)
 
 
 def test_split_prime_filter_passes_exactly_the_canonical_hits(monkeypatch):
-    # On every default-grid cell, each of the three decision points hands
-    # to its canonical test exactly the inputs canonical equality accepts:
-    # no hit is lost to the prime-field image and no miss gets through it.
+    # On every default-grid cell, each per-function decision point hands to
+    # its canonical test exactly the inputs canonical equality accepts: no
+    # hit is lost to the prime-field image and no miss gets through it.
+    # (lemma_2_1 has no per-function filter; its cell screen is checked by
+    # test_subfield_screen_passes_exactly_the_subfield_members.)
     real_norm, real_autocorrelation = fourier_norm, autocorrelation
     canonical_calls = []
-    for name in ("fourier_norm", "autocorrelation", "sum_of_zeta_powers"):
+    for name in ("fourier_norm", "autocorrelation"):
         def counting(*args, _real=getattr(spectral, name)):
             canonical_calls.append(name)
             return _real(*args)
@@ -311,19 +313,15 @@ def test_split_prime_filter_passes_exactly_the_canonical_hits(monkeypatch):
         decide(*args)
         return len(canonical_calls) > before
 
-    free = ("cor_1_3", "lemma_2_1", "cor_2_3")
-    kinds = {"thm_1_7": "flat", "lemma_2_1": "subfield"}
-    cells = {(kinds.get(statement, "magnitude"), p, n, statement not in free)
-             for statement, p, n in default_grid()}
-    for kind, p, n, fix_f1 in sorted(cells):
+    free = ("cor_1_3", "cor_2_3")
+    cells = {(statement == "thm_1_7", p, n, statement not in free)
+             for statement, p, n in default_grid() if statement != "lemma_2_1"}
+    for flat, p, n, fix_f1 in sorted(cells):
         for f in enumerate_unit_functions(p, n, fix_f1=fix_f1):
-            if kind == "flat":
+            if flat:
                 hit = f.exps[0] == 0 and all(
                     real_autocorrelation(f, h).as_integer() == -1 for h in range(1, p))
                 assert survives(kurlberg_test, f) == hit, f
-            elif kind == "subfield":
-                hit = gauss_sum(f).value.in_subfield(n)
-                assert survives(gauss_sum_in_subfield, f) == hit, f
             else:
                 for a in range(1, p):
                     hit = real_norm(f, a).as_integer() == p
@@ -334,12 +332,13 @@ def test_cell_screens_align_with_per_function_images():
     # Verdict i of a cell screen is the split-prime verdict of table i of
     # the enumeration, computed from that table's exponents alone: the
     # magnitude image at every twist a, tau(omega) against its image under
-    # the first sigma_k fixing Q(zeta_n) (f(1) free), and the value sum
-    # (f(1) = 1).
+    # sigma_k, k = 1 (mod n) and a primitive root mod p (f(1) free; k = 1
+    # when p divides n), and the value sum (f(1) = 1).
     cells = {(p, n) for _, p, n in default_grid()} | {(3, 6)}
     for p, n in sorted(cells):
         big = lcm(n, p)
-        k = next((k for k in range(1 + n, big, n) if gcd(k, big) == 1), 1)
+        g = find_primitive_root(p)
+        k = 1 if n % p == 0 else next(k for k in range(big) if k % n == 1 and k % p == g)
         ell, pw = _split_prime(big)
         ell_n, pw_n = _split_prime(n)
         fixed = list(enumerate_unit_functions(p, n, fix_f1=True))
@@ -355,6 +354,27 @@ def test_cell_screens_align_with_per_function_images():
         assert list(spectral.subfield_screen(p, n)) == expected, (p, n)
         expected = [sum(pw_n[e] for e in f.exps) % ell_n == 0 for f in fixed]
         assert list(spectral.flat_screen(p, n)) == expected, (p, n)
+
+
+def test_subfield_screen_passes_exactly_the_subfield_members():
+    # Its sigma_k generates the automorphisms fixing Q(zeta_n), so the screen
+    # passes exactly the tables with tau(f) in Q(zeta_n): the n constants,
+    # on every default-grid lemma_2_1 cell and at (7, 5) and (5, 8).  A k
+    # that generates a proper subgroup passes more: k = 6, of order 2 mod 7,
+    # passes 125 tables at (7, 5).  Where p divides n, Q(zeta_L) is
+    # Q(zeta_n) and every table passes.
+    cells = {(p, n) for statement, p, n in default_grid() if statement == "lemma_2_1"}
+    for p, n in sorted(cells | {(7, 5), (5, 8), (3, 6)}):
+        passed = []
+        for f, ok in zip(enumerate_unit_functions(p, n, fix_f1=False),
+                         spectral.subfield_screen(p, n), strict=True):
+            assert ok == gauss_sum(f).value.in_subfield(n), f
+            if ok:
+                passed.append(f)
+        if n % p:
+            assert [f.exps for f in passed] == [(d,) * (p - 1) for d in range(n)], (p, n)
+        else:
+            assert len(passed) == n ** (p - 1), (p, n)
 
 
 def test_flat_screen_passes_every_flat_table():
