@@ -56,7 +56,7 @@ import itertools
 import struct
 from collections.abc import Iterable
 from math import gcd, prod
-from operator import add, neg, sub
+from operator import add, attrgetter, neg, sub
 
 #: Ceiling on root-of-unity orders; bounds the size of Phi_N and of every
 #: reduction.
@@ -353,20 +353,63 @@ def _power_map(order: int, coeffs, s: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Elements.
 
-def _frozen(self, name, *value):
-    """``__setattr__`` and ``__delattr__`` of the immutable value classes.
-    They are written by hand, not as frozen dataclasses, because importing
-    ``dataclasses`` costs more than the whole package (see the README)."""
-    action = "assign to" if value else "delete"
-    raise AttributeError(f"cannot {action} field {name!r} of {type(self).__name__}")
+class _Value:
+    """Value semantics from a class's ``_fields``, as a dataclass has them.
+
+    Two values are equal exactly when they are of one class and every field
+    is equal; against any other class ``__eq__`` returns NotImplemented.
+    The repr is ``Name(field=value, ...)``.  Defining ``__eq__`` without
+    ``__hash__`` leaves a subclass unhashable unless it is ``_Frozen``.
+    Each subclass reads its field tuple with one ``operator.attrgetter``,
+    built when the class is created.  Written by hand, not as dataclasses,
+    because importing ``dataclasses`` costs more than the whole package
+    (see the README).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" in vars(cls):
+            cls._field_values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values(self) == self._field_values(other)
+
+    def __repr__(self):
+        fields = zip(self._fields, self._field_values(self))
+        return f"{type(self).__name__}(" + ", ".join(f"{k}={v!r}" for k, v in fields) + ")"
 
 
-class CyclotomicElement:
+class _Frozen(_Value):
+    """An immutable ``_Value``: its fields cannot be assigned or deleted, it
+    hashes as its field tuple, and copy and pickle rebuild it through its
+    validating constructor.  Constructors set the fields through
+    ``object.__setattr__`` or the slots' member descriptors."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        action = "assign to" if value else "delete"
+        raise AttributeError(f"cannot {action} field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._field_values(self))
+
+    def __reduce__(self):
+        return type(self), self._field_values(self)
+
+
+class CyclotomicElement(_Frozen):
     """A cyclotomic integer: power-basis coordinates in Z[zeta_order]; an
-    immutable value, equal to another of the same order and coordinates."""
+    immutable value (``_Frozen``), equal to another of the same order and
+    coordinates."""
 
-    __slots__ = ("order", "coeffs")
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _fields = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: tuple[int, ...]):
         if type(coeffs) is not tuple:
@@ -377,20 +420,6 @@ class CyclotomicElement:
                 f"{_context(order).degree}, got {len(coeffs)}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self):
-        return f"CyclotomicElement(order={self.order!r}, coeffs={self.coeffs!r})"
-
-    def __reduce__(self):
-        return CyclotomicElement, (self.order, self.coeffs)
 
     # -- constructors -------------------------------------------------------
 

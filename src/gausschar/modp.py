@@ -14,7 +14,7 @@ import itertools
 import re
 from collections.abc import Iterator
 
-from .cyclo import MAX_ORDER, _frozen, factorize
+from .cyclo import MAX_ORDER, _Frozen, factorize
 
 #: Functions an enumeration may visit before refusing to run (CLI-overridable).
 DEFAULT_BUDGET = 10 ** 7
@@ -108,22 +108,22 @@ _FUNCTION_RE = re.compile(
     r"\s*p\s*=\s*(\d+)\s+n\s*=\s*(\d+)\s+exps\s*=\s*([0-9,\s]+?)\s*$")
 
 
-class UnitFunction:
+class UnitFunction(_Frozen):
     """A function f from the units mod p into the n-th roots of unity.
 
     ``exps[x - 1]`` is the exponent k_x with f(x) = e(k_x / n) for
     x = 1, ..., p - 1, where e(t) = exp(2*pi*i*t).  The extension f(0) = 0
     is a convention of every sum in this package, not a stored value.
 
-    An immutable value, equal to another exactly when p, n and exps are.
-    The fields live in slots, set through their member descriptors
-    (``_set_p``, ``_set_n``, ``_set_exps``), which skip the frozen
-    ``__setattr__``; ``_trusted_unit_function`` builds each enumerated table
-    that way without the checks of ``__init__`` (see the README).
+    An immutable value (``cyclo._Frozen``), equal to another exactly when
+    p, n and exps are.  The fields live in slots, set through their member
+    descriptors (``_set_p``, ``_set_n``, ``_set_exps``), which skip the
+    frozen ``__setattr__``; ``_trusted_unit_function`` builds each
+    enumerated table that way without the checks of ``__init__`` (see the
+    README).
     """
 
-    __slots__ = ("p", "n", "exps")
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _fields = ("p", "n", "exps")
 
     def __init__(self, p: int, n: int, exps: tuple):
         # Exactly int: a float or bool p or n would pass the checks below.
@@ -146,20 +146,6 @@ class UnitFunction:
         _set_n(self, n)
         _set_exps(self, exps)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p and self.n == other.n and self.exps == other.exps
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.exps))
-
-    def __repr__(self):
-        return f"UnitFunction(p={self.p!r}, n={self.n!r}, exps={self.exps!r})"
-
-    def __reduce__(self):
-        return UnitFunction, (self.p, self.n, self.exps)
-
     def exponent(self, x: int) -> int:
         """The k with f(x) = e(k/n); x must be a unit mod p."""
         r = x % self.p
@@ -173,8 +159,8 @@ class UnitFunction:
 
     @property
     def is_constant(self) -> bool:
-        first = self.exps[0]
-        return all(e == first for e in self.exps)
+        exps = self.exps
+        return exps.count(exps[0]) == len(exps)
 
     def normalized(self) -> "UnitFunction":
         """conj(f(1)) * f: the rescaling of f whose value at 1 is 1."""

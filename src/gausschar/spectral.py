@@ -61,16 +61,16 @@ import itertools
 from collections.abc import Iterator
 from math import lcm
 
-from .cyclo import CyclotomicElement, _check_order, _frozen, factorize, sum_of_zeta_powers
+from .cyclo import CyclotomicElement, _check_order, _Frozen, factorize, sum_of_zeta_powers
 from .modp import UnitFunction, find_primitive_root, is_prime
 
 
-class SpectralValue:
+class SpectralValue(_Frozen):
     """An exact Gauss-type sum tagged with the (p, n) it came from; an
-    immutable value, equal to another exactly when all three fields are."""
+    immutable value (``cyclo._Frozen``), equal to another exactly when all
+    three fields are."""
 
-    __slots__ = ("value", "p", "n")
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _fields = ("value", "p", "n")
 
     def __init__(self, value: CyclotomicElement, p: int, n: int):
         if value.order != lcm(n, p):
@@ -78,20 +78,6 @@ class SpectralValue:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value and self.p == other.p and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.value, self.p, self.n))
-
-    def __repr__(self):
-        return f"SpectralValue(value={self.value!r}, p={self.p!r}, n={self.n!r})"
-
-    def __reduce__(self):
-        return SpectralValue, (self.value, self.p, self.n)
 
 
 def gauss_sum(f: UnitFunction) -> SpectralValue:
@@ -265,17 +251,10 @@ def _tail_start(sizes: list) -> int:
     return j
 
 
-def _lex_sums(rows: list, ell: int) -> list:
-    """Every sum of one entry per row, mod ell, in lexicographic order of
-    the choices: the last row varies fastest, as in ``itertools.product``."""
-    sums = [0]
-    for row in rows:
-        sums = [(s + c) % ell for s in sums for c in row]
-    return sums
-
-
-def _head_sums(rows: list, ell: int) -> Iterator[int]:
-    """``_lex_sums`` of the head rows, produced lazily."""
+def _lex_sums(rows: list, ell: int) -> Iterator[int]:
+    """Every sum of one entry per row, mod ell, lazily, in lexicographic
+    order of the choices: the last row varies fastest, as in
+    ``itertools.product``."""
     return (sum(choice) % ell for choice in itertools.product(*rows))
 
 
@@ -308,7 +287,7 @@ def magnitude_screen(p: int, n: int, a: int, fix_f1: bool = True) -> Iterator[bo
     bwd = _position_rows(p, n, -a % p, fix_f1, lambda e: _images(pw, e, -1))
     j = _tail_start([len(row) for row in fwd])
     block = list(zip(_lex_sums(fwd[j:], ell), _lex_sums(bwd[j:], ell)))
-    heads = zip(_head_sums(fwd[:j], ell), _head_sums(bwd[:j], ell))
+    heads = zip(_lex_sums(fwd[:j], ell), _lex_sums(bwd[:j], ell))
     return itertools.chain.from_iterable(
         [(hs + s) * (ht + t) % ell == p for s, t in block] for hs, ht in heads)
 
@@ -317,8 +296,8 @@ def _zero_sum_screen(rows: list, ell: int) -> Iterator[bool]:
     """Whether the sum of one entry per row is 0 mod ell, for every choice
     in lexicographic order (as ``_lex_sums``), built head times tail block."""
     j = _tail_start([len(row) for row in rows])
-    block = _lex_sums(rows[j:], ell)
-    targets = (-h % ell for h in _head_sums(rows[:j], ell))
+    block = list(_lex_sums(rows[j:], ell))
+    targets = (-h % ell for h in _lex_sums(rows[:j], ell))
     return itertools.chain.from_iterable([s == t for s in block] for t in targets)
 
 

@@ -10,19 +10,20 @@ are per-cell constants built.  Among them is the cell screen, a stream from
 analytic test fails for that table, True leaves it to the per-function
 test.  ``_run`` zips the opened stream (or the pinned tables it is given)
 with the screen, strictly, so a verdict can never drift onto another table,
-and hands each pair to the statement's judge as ``judge(f, passed)``.
-``passed`` is one verdict, except in ``cor_1_3``, where it is a tuple with
-one verdict per unit a; the pinned counterexample's screen is ``(True,)``.
-A judge returns ``(spectral_hit, oracle_hit, agrees, witness)``: whether
-the analytic test (Gauss-sum magnitude, Fourier witness, subfield
-membership or autocorrelation profile) holds for f, whether the brute-force
-homomorphism oracle's side holds, whether the two sides relate as the
-statement predicts, and the ``(exps, a)`` record to list as a witness, or
-None.  A judge runs the per-function test only where ``passed`` allows it,
-so every "yes" is still decided by canonical equality.  Functions whose
-sides disagree are listed as mismatches, and a report succeeds exactly when
-there are none (the existence search ``remark_p_divides_n`` instead
-succeeds when it lists at least one witness).
+and hands each pair to the statement's judge as ``judge(f, passed)``,
+``passed`` being one verdict; the pinned counterexample's screen is
+``(True,)``.  A judge returns ``(spectral_hit, oracle_hit, agrees,
+witness)``: whether the analytic test (Gauss-sum magnitude, Fourier
+witness, subfield membership or autocorrelation profile) holds for f,
+whether the brute-force homomorphism oracle's side holds, whether the two
+sides relate as the statement predicts, and the ``(exps, a)`` record to
+list as a witness, or None.  A judge runs the per-function test only where
+``passed`` allows it, so every "yes" is still decided by canonical
+equality, and on a table whose verdict is False and whose oracle side
+fails it returns ``(False, False, True, None)``: such a table adds only to
+the count.  Functions whose sides disagree are listed as mismatches, and a
+report succeeds exactly when there are none (the existence search
+``remark_p_divides_n`` instead succeeds when it lists at least one witness).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import time
 from math import lcm
 
 from . import modp, spectral
-from .cyclo import zeta_pow
+from .cyclo import _Value, zeta_pow
 from .modp import DEFAULT_BUDGET, UnitFunction
 
 
@@ -68,17 +69,17 @@ GRID_CELLS_FREE = tuple((p, n) for (p, n) in GRID_CELLS
                         if n ** (p - 1) <= GRID_CELL_CAP)
 
 
-class VerificationReport:
+class VerificationReport(_Value):
     """Structured outcome of one exhaustive verification.
 
-    Mutable and unhashable; equal to another report exactly when every
-    field in ``_FIELDS`` is equal.  Each report gets its own ``mismatches``
-    and ``witnesses`` lists unless it is given some.
+    A mutable, unhashable ``cyclo._Value`` with an instance dict: equal to
+    another report exactly when every field in ``_fields`` is equal.  Each
+    report gets its own ``mismatches`` and ``witnesses`` lists unless it is
+    given some.
     """
 
-    _FIELDS = ("statement", "p", "n", "budget", "total_functions", "passing_spectral",
+    _fields = ("statement", "p", "n", "budget", "total_functions", "passing_spectral",
                "passing_oracle", "mismatches", "witnesses", "elapsed_ms", "success", "error")
-    __hash__ = None
 
     def __init__(self, statement: str, p: "int | None", n: "int | None", budget: int,
                  total_functions: int = 0, passing_spectral: int = 0,
@@ -98,34 +99,16 @@ class VerificationReport:
         self.success = success
         self.error = error
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        fields = zip(self._FIELDS, self._values())
-        return "VerificationReport(" + ", ".join(f"{k}={v!r}" for k, v in fields) + ")"
-
     def to_json_dict(self) -> dict:
-        """The stable machine-readable form emitted by the CLI."""
-        return {
-            "statement": self.statement,
-            "p": self.p,
-            "n": self.n,
-            "total_functions": self.total_functions,
-            "passing_spectral": self.passing_spectral,
-            "passing_oracle": self.passing_oracle,
-            "mismatch_count": len(self.mismatches),
-            "mismatches": [list(exps) for exps in self.mismatches],
-            "witnesses": [{"exps": list(exps), "a": a} for exps, a in self.witnesses],
-            "elapsed_ms": self.elapsed_ms,
-            "success": self.success,
-            "error": self.error,
-        }
+        """The stable machine-readable form emitted by the CLI: every field
+        but ``budget``, and ``mismatch_count``, with exponent tuples as
+        lists."""
+        record = dict(zip(self._fields, self._field_values(self)))
+        del record["budget"]
+        record["mismatch_count"] = len(self.mismatches)
+        record["mismatches"] = [list(exps) for exps in self.mismatches]
+        record["witnesses"] = [{"exps": list(exps), "a": a} for exps, a in self.witnesses]
+        return record
 
 
 def _cell(p: int, n: int, budget: int, fix_f1: bool = True,
@@ -207,12 +190,13 @@ def verify_cor_1_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
     functions = _cell(p, n, budget, fix_f1=False)
 
     def judge(f, passed):
-        hits = sum(spectral.has_unit_fourier_magnitude(f, a)
-                   for a, ok in enumerate(passed, 1) if ok)
+        hits = passed and sum(spectral.has_unit_fourier_magnitude(f, a) for a in range(1, p))
         full = hits == p - 1
         return (full, _is_nontrivial_character(f.normalized()), full or not hits,
                 (f.exps, 1) if full else None)
-    screen = zip(*(spectral.magnitude_screen(p, n, a, fix_f1=False) for a in range(1, p)))
+    # A table that every unit's screen rejects has no witness at all.
+    screens = (spectral.magnitude_screen(p, n, a, fix_f1=False) for a in range(1, p))
+    screen = map(any, zip(*screens))
     return _run("cor_1_3", p, n, budget, judge, functions, screen)
 
 
@@ -318,6 +302,7 @@ _PARAMETRIC_VERIFIERS = {
     "prop_2_2": verify_prop_2_2,
     "cor_2_3": verify_cor_2_3,
     "thm_1_7": verify_thm_1_7,
+    "remark_p_divides_n": search_p_divides_n,
 }
 
 
@@ -334,11 +319,8 @@ def run_statement(statement: str, p: "int | None" = None, n: "int | None" = None
         if (p, n) not in ((None, None), (3, 6)):
             raise HypothesisViolation("the counterexample is pinned to p=3, n=6")
         return remark_counterexample()
-    if statement == "remark_p_divides_n":
-        verifier = search_p_divides_n
-    elif statement in _PARAMETRIC_VERIFIERS:
-        verifier = _PARAMETRIC_VERIFIERS[statement]
-    else:
+    verifier = _PARAMETRIC_VERIFIERS.get(statement)
+    if verifier is None:
         raise ValueError(f"unknown statement {statement!r}")
     if p is None or n is None:
         raise ValueError(f"{statement} requires p and n")

@@ -13,7 +13,7 @@ tests that use it skip without sympy.
 import functools
 from math import gcd, lcm
 
-from gausschar.cyclo import CyclotomicElement, _frozen, euler_phi
+from gausschar.cyclo import CyclotomicElement, _Frozen, euler_phi
 from gausschar.modp import UnitFunction, check_odd_prime, find_primitive_root
 from gausschar.spectral import fourier_norm
 
@@ -28,12 +28,12 @@ def _multiplicative_order(g: int, p: int) -> int:
     return k
 
 
-class Character:
+class Character(_Frozen):
     """The multiplicative character chi_j with chi_j(g^t) = e(j*t / (p-1));
-    an immutable value, equal to another exactly when p, g and j are."""
+    an immutable value (``cyclo._Frozen``), equal to another exactly when p,
+    g and j are."""
 
-    __slots__ = ("p", "g", "j")
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _fields = ("p", "g", "j")
 
     def __init__(self, p: int, g: int, j: int):
         check_odd_prime(p)
@@ -44,20 +44,6 @@ class Character:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "j", j)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p and self.g == other.g and self.j == other.j
-
-    def __hash__(self):
-        return hash((self.p, self.g, self.j))
-
-    def __repr__(self):
-        return f"Character(p={self.p!r}, g={self.g!r}, j={self.j!r})"
-
-    def __reduce__(self):
-        return Character, (self.p, self.g, self.j)
 
     @property
     def is_trivial(self) -> bool:

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from gausschar import verify
 from gausschar.cyclo import MAX_ORDER
 from gausschar.modp import BudgetExceededError, legendre_unit_function
 from gausschar.verify import (
     GRID_CELLS,
     GRID_CELLS_FREE,
+    STATEMENTS,
     HypothesisViolation,
     default_grid,
     remark_counterexample,
@@ -196,6 +198,27 @@ def test_run_statement_dispatch():
         run_statement("thm_1_2", 5)
     with pytest.raises(HypothesisViolation):
         run_statement("prop_1_1", 5, 3)
+
+
+def test_every_judge_is_neutral_where_both_sides_reject(monkeypatch):
+    """On a table whose screen verdict is False and whose oracle side fails,
+    every judge returns (False, False, True, None), so the table adds only
+    to the count."""
+    exercised = set()
+    run = verify._run
+
+    def spy(statement, p, n, budget, judge, *args, **kwargs):
+        def checked(f, passed):
+            result = judge(f, passed)
+            if not passed and not result[1]:
+                assert result == (False, False, True, None), (statement, p, n, f.exps)
+                exercised.add(statement)
+            return result
+        return run(statement, p, n, budget, checked, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_run", spy)
+    verify_grid(default_grid())
+    assert exercised == set(STATEMENTS) - {"remark_counterexample"}
 
 
 def test_verify_grid_empty_and_single():
