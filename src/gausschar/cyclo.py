@@ -424,32 +424,9 @@ class CyclotomicElement(_Frozen):
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, order: int, coeffs: Iterable[int]) -> "CyclotomicElement":
-        """Canonical element from coefficients of any length (reduced here).
-
-        At most phi coefficients are already canonical; longer input folds
-        and reduces as the image of zeta -> zeta, whose weight bounds the
-        folded one.  The order is checked before anything of its size is
-        built.
-        """
-        deg = _context(order).degree
-        coeffs = tuple(coeffs)
-        if len(coeffs) <= deg:
-            return cls(order, coeffs + (0,) * (deg - len(coeffs)))
-        return cls(order, _power_map(order, coeffs, 1))
-
-    @classmethod
     def from_int(cls, order: int, value: int) -> "CyclotomicElement":
         deg = _context(order).degree
         return cls(order, (value,) + (0,) * (deg - 1))
-
-    @classmethod
-    def zero(cls, order: int) -> "CyclotomicElement":
-        return cls.from_int(order, 0)
-
-    @classmethod
-    def one(cls, order: int) -> "CyclotomicElement":
-        return cls.from_int(order, 1)
 
     # -- ring structure ------------------------------------------------------
 
@@ -535,14 +512,28 @@ class CyclotomicElement(_Frozen):
 
         The automorphisms sigma_k with k = 1 (mod d) and gcd(k, N) = 1 are
         exactly the ones fixing Q(zeta_d) pointwise, so membership is
-        equivalent to being fixed by all of them.
+        equivalent to being fixed by all of them.  They form a group H, and
+        an element fixed by some k's is fixed by the group they generate, so
+        only a generating set of H is tested: a k already in the group
+        generated by the k's tested so far is skipped, and each k that fixes
+        the element closes that group under multiplication by k.
         """
         n = self.order
         if d < 1 or n % d != 0:
             raise ValueError(f"subfield order {d} does not divide the element order {n}")
+        fixed = {1}  # the group generated by the k's tested so far
         for k in range(1 + d, n, d):
-            if gcd(k, n) == 1 and self.galois(k) != self:
+            if k in fixed or gcd(k, n) != 1:
+                continue
+            if self.galois(k) != self:
                 return False
+            # H is finite and abelian: the new group is the union of the
+            # cosets fixed * k^j up to the first power of k back in fixed.
+            cosets, power = [fixed], k
+            while power not in fixed:
+                cosets.append({a * power % n for a in fixed})
+                power = power * k % n
+            fixed = set().union(*cosets)
         return True
 
     # -- magnitude and rationality --------------------------------------------
@@ -560,10 +551,6 @@ class CyclotomicElement(_Frozen):
         if any(self.coeffs[1:]):
             return None
         return self.coeffs[0]
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
 
 # ---------------------------------------------------------------------------

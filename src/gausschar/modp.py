@@ -9,7 +9,6 @@ above.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from collections.abc import Iterator
@@ -32,13 +31,6 @@ class BudgetExceededError(ValueError):
         size = n ** k if k * n.bit_length() <= 256 else f"{n}^{k}"
         super().__init__(
             f"enumeration would visit {size} functions, exceeding the budget of {budget}")
-        self._n, self._k = n, k
-        self.budget = budget
-
-    @property
-    def count(self) -> int:
-        """The exact enumeration size n^k, built only when asked for."""
-        return self._n ** self._k
 
 
 #: The first thirteen primes, the Miller-Rabin bases.
@@ -96,11 +88,6 @@ def find_primitive_root(p: int) -> int:
     raise AssertionError(f"no primitive root modulo {p}")
 
 
-@functools.lru_cache(maxsize=None)
-def _nonzero_squares(p: int) -> frozenset:
-    return frozenset(x * x % p for x in range(1, p))
-
-
 # ---------------------------------------------------------------------------
 # Function tables valued in roots of unity.
 
@@ -145,13 +132,6 @@ class UnitFunction(_Frozen):
         _set_p(self, p)
         _set_n(self, n)
         _set_exps(self, exps)
-
-    def exponent(self, x: int) -> int:
-        """The k with f(x) = e(k/n); x must be a unit mod p."""
-        r = x % self.p
-        if r == 0:
-            raise ValueError("f(0) = 0 by convention and has no exponent")
-        return self.exps[r - 1]
 
     @property
     def is_trivial(self) -> bool:
@@ -198,7 +178,7 @@ def parse_unit_function(text: str) -> UnitFunction:
 def legendre_unit_function(p: int) -> UnitFunction:
     """The quadratic-residue indicator as a mu_2-valued table."""
     check_odd_prime(p)
-    squares = _nonzero_squares(p)
+    squares = {x * x % p for x in range(1, p)}
     exps = tuple(0 if x in squares else 1 for x in range(1, p))
     return UnitFunction(p, 2, exps)
 

@@ -112,7 +112,7 @@ def poly_mul(a: tuple, b: tuple) -> tuple:
 
 def evaluate_poly(poly: tuple, z: CyclotomicElement) -> CyclotomicElement:
     """Evaluate an integer polynomial at a cyclotomic element (Horner)."""
-    acc = CyclotomicElement.zero(z.order)
+    acc = CyclotomicElement.from_int(z.order, 0)
     for c in reversed(poly):
         acc = acc * z + c
     return acc
@@ -160,7 +160,7 @@ def parseval_sum(f: UnitFunction) -> int:
     Always equals p*(p-1); a non-rational total means the arithmetic core is
     broken and raises InconsistencyError.
     """
-    total = CyclotomicElement.zero(lcm(f.n, f.p))
+    total = CyclotomicElement.from_int(lcm(f.n, f.p), 0)
     for xi in range(f.p):
         total = total + fourier_norm(f, xi)
     value = total.as_integer()

@@ -166,8 +166,8 @@ def _criterion_8_ring_axioms() -> bool:
     ok = True
     for order in range(1, 61):
         deg = euler_phi(order)
-        one = CyclotomicElement.one(order)
-        zero = CyclotomicElement.zero(order)
+        one = CyclotomicElement.from_int(order, 1)
+        zero = CyclotomicElement.from_int(order, 0)
         for _ in range(1000):
             a, b, c = (CyclotomicElement(order, tuple(rng.randint(-9, 9) for _ in range(deg)))
                        for _ in range(3))
@@ -187,7 +187,7 @@ def _criterion_8_ring_axioms() -> bool:
 def _criterion_8_cyclotomic_identities() -> bool:
     ok = True
     for n in range(1, 61):
-        ok &= evaluate_poly(cyclotomic_polynomial(n), zeta_pow(n, 1)).is_zero
+        ok &= not any(evaluate_poly(cyclotomic_polynomial(n), zeta_pow(n, 1)).coeffs)
         prod = (1,)
         for d in range(1, n + 1):
             if n % d == 0:
@@ -226,7 +226,7 @@ def _criterion_8_parseval_and_convolution_identity() -> bool:
         v = big // p
         for f in enumerate_unit_functions(p, n, fix_f1=fixed):
             ok &= parseval_sum(f) == p * (p - 1)
-            total = CyclotomicElement.zero(big)
+            total = CyclotomicElement.from_int(big, 0)
             for k in range(p):
                 total = total + autocorrelation(f, -k).embed(big) * zeta_pow(big, v * k)
             ok &= total == gauss_sum(f).value.norm_squared()

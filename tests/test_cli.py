@@ -63,6 +63,17 @@ def test_verify_grid_with_small_budget(capsys):
     assert small and all(r["success"] for r in small)
 
 
+def test_verify_grid_table_shows_cell_errors(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--statement", "all", "--budget", "300")
+    assert code == 1
+    rows = out.splitlines()
+    assert rows[-1] == "cells=64 ok=47 failed=17"
+    row = next(r for r in rows if r.startswith("prop_1_1") and r.split()[1] == "11")
+    assert row.endswith("  error: enumeration would visit 512 functions, "
+                        "exceeding the budget of 300")
+    assert sum("  error: " in r for r in rows) == 17
+
+
 def test_verify_all_rejects_explicit_params(capsys):
     code, _, err = run_cli(capsys, "verify", "--statement", "all", "--p", "5")
     assert code == 2

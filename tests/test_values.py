@@ -76,19 +76,19 @@ def test_cyclotomic_element_list_coeffs_become_a_tuple():
 
 def test_verification_report_matches_its_dataclass():
     reference = dataclasses.make_dataclass("VerificationReport", [
-        "statement", "p", "n", "budget",
+        "statement", "p", "n",
         ("total_functions", int, 0), ("passing_spectral", int, 0),
         ("passing_oracle", int, 0),
         ("mismatches", list, dataclasses.field(default_factory=list)),
         ("witnesses", list, dataclasses.field(default_factory=list)),
         ("elapsed_ms", int, 0), ("success", bool, False), ("error", str, None)])
-    rep = VerificationReport("thm_1_2", 7, 6, 10, total_functions=3)
-    assert repr(rep) == repr(reference("thm_1_2", 7, 6, 10, total_functions=3)) == (
-        "VerificationReport(statement='thm_1_2', p=7, n=6, budget=10, total_functions=3, "
+    rep = VerificationReport("thm_1_2", 7, 6, total_functions=3)
+    assert repr(rep) == repr(reference("thm_1_2", 7, 6, total_functions=3)) == (
+        "VerificationReport(statement='thm_1_2', p=7, n=6, total_functions=3, "
         "passing_spectral=0, passing_oracle=0, mismatches=[], witnesses=[], elapsed_ms=0, "
         "success=False, error=None)")
-    twin = VerificationReport("thm_1_2", 7, 6, 10, 3)
-    assert rep == twin and rep.__eq__(reference("thm_1_2", 7, 6, 10, 3)) is NotImplemented
+    twin = VerificationReport("thm_1_2", 7, 6, 3)
+    assert rep == twin and rep.__eq__(reference("thm_1_2", 7, 6, 3)) is NotImplemented
     twin.elapsed_ms = 1
     assert rep != twin
     with pytest.raises(TypeError, match="unhashable"):
@@ -97,7 +97,7 @@ def test_verification_report_matches_its_dataclass():
     rep.mismatches.append((0, 1))
     rep.witnesses.append(((0, 1), 1))
     assert twin.mismatches == [] and twin.witnesses == []
-    assert VerificationReport("thm_1_2", 7, 6, 10).mismatches == []
+    assert VerificationReport("thm_1_2", 7, 6).mismatches == []
     given = [(0, 1)]
-    assert VerificationReport("x", None, None, 1, mismatches=given).mismatches is given
+    assert VerificationReport("x", None, None, mismatches=given).mismatches is given
 

@@ -198,6 +198,31 @@ def test_run_statement_dispatch():
         run_statement("thm_1_2", 5)
     with pytest.raises(HypothesisViolation):
         run_statement("prop_1_1", 5, 3)
+    with pytest.raises(HypothesisViolation, match="pinned to p=3, n=6"):
+        run_statement("remark_counterexample", 5, 6)
+
+
+def test_pinned_statements_take_p_n_and_budget():
+    # Every verifier is called as verifier(p, n, budget); a pinned parameter
+    # accepts its one value or None and refuses any other.
+    assert verify_prop_1_1(5, None).total_functions == verify_prop_1_1(5, 2).total_functions == 8
+    with pytest.raises(HypothesisViolation, match="n is fixed to 2"):
+        verify_prop_1_1(5, 3)
+    with pytest.raises(BudgetExceededError):
+        verify_prop_1_1(5, 2, 7)
+    assert remark_counterexample(3, 6, 1).witnesses == remark_counterexample().witnesses
+    for p, n in ((3, None), (None, 6), (5, 6)):
+        with pytest.raises(HypothesisViolation, match="pinned to p=3, n=6"):
+            remark_counterexample(p, n)
+
+
+def test_missing_parameters_name_the_statement():
+    with pytest.raises(ValueError, match="^prop_1_1 requires p$"):
+        run_statement("prop_1_1")
+    for statement in set(STATEMENTS) - {"prop_1_1", "remark_counterexample"}:
+        for p, n in ((None, None), (5, None), (None, 2)):
+            with pytest.raises(ValueError, match=f"^{statement} requires p and n$"):
+                run_statement(statement, p, n)
 
 
 def test_every_judge_is_neutral_where_both_sides_reject(monkeypatch):
@@ -207,14 +232,14 @@ def test_every_judge_is_neutral_where_both_sides_reject(monkeypatch):
     exercised = set()
     run = verify._run
 
-    def spy(statement, p, n, budget, judge, *args, **kwargs):
+    def spy(statement, p, n, judge, *args, **kwargs):
         def checked(f, passed):
             result = judge(f, passed)
             if not passed and not result[1]:
                 assert result == (False, False, True, None), (statement, p, n, f.exps)
                 exercised.add(statement)
             return result
-        return run(statement, p, n, budget, checked, *args, **kwargs)
+        return run(statement, p, n, checked, *args, **kwargs)
 
     monkeypatch.setattr(verify, "_run", spy)
     verify_grid(default_grid())
