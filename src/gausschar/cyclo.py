@@ -512,28 +512,14 @@ class CyclotomicElement(_Frozen):
 
         The automorphisms sigma_k with k = 1 (mod d) and gcd(k, N) = 1 are
         exactly the ones fixing Q(zeta_d) pointwise, so membership is
-        equivalent to being fixed by all of them.  They form a group H, and
-        an element fixed by some k's is fixed by the group they generate, so
-        only a generating set of H is tested: a k already in the group
-        generated by the k's tested so far is skipped, and each k that fixes
-        the element closes that group under multiplication by k.
+        equivalent to being fixed by all of them.
         """
         n = self.order
         if d < 1 or n % d != 0:
             raise ValueError(f"subfield order {d} does not divide the element order {n}")
-        fixed = {1}  # the group generated by the k's tested so far
         for k in range(1 + d, n, d):
-            if k in fixed or gcd(k, n) != 1:
-                continue
-            if self.galois(k) != self:
+            if gcd(k, n) == 1 and self.galois(k) != self:
                 return False
-            # H is finite and abelian: the new group is the union of the
-            # cosets fixed * k^j up to the first power of k back in fixed.
-            cosets, power = [fixed], k
-            while power not in fixed:
-                cosets.append({a * power % n for a in fixed})
-                power = power * k % n
-            fixed = set().union(*cosets)
         return True
 
     # -- magnitude and rationality --------------------------------------------

@@ -1,8 +1,8 @@
 """Exhaustive verification of the exact character criteria at small moduli.
 
 Each statement has one verifier, called as ``verifier(p, n, budget)``;
-the statement table ``_VERIFIERS`` maps every statement name to it, in
-default-grid order, and ``STATEMENTS`` is that table's keys.
+the statement table ``_PARAMETRIC_VERIFIERS`` maps every statement name
+to it, in default-grid order, and ``STATEMENTS`` is that table's keys.
 ``run_statement`` only looks a name up there and calls the verifier, and
 ``default_grid`` reads each statement's cells from ``_DEFAULT_CELLS``.
 
@@ -305,7 +305,7 @@ def search_p_divides_n(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verifica
 # The statement table, dispatch and the default grid.
 
 #: Every statement's verifier, ``verifier(p, n, budget)``, in grid order.
-_VERIFIERS = {
+_PARAMETRIC_VERIFIERS = {
     "prop_1_1": verify_prop_1_1,
     "thm_1_2": verify_thm_1_2,
     "cor_1_3": verify_cor_1_3,
@@ -318,7 +318,7 @@ _VERIFIERS = {
 }
 
 #: Statement identifiers accepted by ``run_statement`` and the CLI.
-STATEMENTS = tuple(_VERIFIERS)
+STATEMENTS = tuple(_PARAMETRIC_VERIFIERS)
 
 #: Each statement's (p, n) cells in the default grid.  Cell sizes stay at
 #: or below GRID_CELL_CAP functions so the whole grid runs in seconds.
@@ -340,7 +340,7 @@ def run_statement(statement: str, p: "int | None" = None, n: "int | None" = None
     """Run one named verification: look its verifier up in the statement
     table and call it with (p, n, budget).  Raises ValueError on an unknown
     name; the verifier raises on missing or bad parameters."""
-    verifier = _VERIFIERS.get(statement)
+    verifier = _PARAMETRIC_VERIFIERS.get(statement)
     if verifier is None:
         raise ValueError(f"unknown statement {statement!r}")
     return verifier(p, n, budget)
