@@ -4,7 +4,8 @@ Everything is computed in rings of cyclotomic integers with canonical
 representations; no floating point anywhere.  The ``verify`` module checks
 exhaustively, at small p and n, that the analytic criteria (Gauss-sum
 magnitude, Fourier-coefficient witnesses, autocorrelation profiles, subfield
-membership of Gauss sums) pick out exactly the multiplicative characters.
+membership of Gauss sums) pick out exactly the multiplicative characters;
+``run_statement(name, p, n)`` runs one of its ``STATEMENTS`` by name.
 """
 
 from .cyclo import (
@@ -42,17 +43,8 @@ from .verify import (
     HypothesisViolation,
     VerificationReport,
     default_grid,
-    remark_counterexample,
     run_statement,
-    search_p_divides_n,
-    verify_cor_1_3,
-    verify_cor_2_3,
     verify_grid,
-    verify_lemma_2_1,
-    verify_prop_1_1,
-    verify_prop_2_2,
-    verify_thm_1_2,
-    verify_thm_1_7,
 )
 
 __version__ = "0.1.0"

@@ -2,22 +2,19 @@
 
 Output is a plain table or JSON lines; every printed quantity is an integer
 or an integer coefficient vector, never a float.  Exit status: 0 success,
-1 verification failure or mismatch, 2 usage or hypothesis errors.
+1 verification failure or mismatch (for ``remark_p_divides_n``: no witness
+found), 2 usage or hypothesis errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import modp, spectral, verify
 from .cyclo import CyclotomicElement
 from .modp import DEFAULT_BUDGET, parse_unit_function
-
-#: Overrides the default enumeration budget (decimal integer).
-BUDGET_ENV_VAR = "GAUSSCHAR_BUDGET"
 
 _REPORT_HEADER = (f"{'statement':<22} {'p':>4} {'n':>4} {'functions':>10} "
                   f"{'spectral':>9} {'oracle':>7} {'mismatches':>11} "
@@ -25,7 +22,7 @@ _REPORT_HEADER = (f"{'statement':<22} {'p':>4} {'n':>4} {'functions':>10} "
 
 
 def _positive_int(text: str) -> int:
-    """A positive decimal integer: the check on --budget and on GAUSSCHAR_BUDGET."""
+    """A positive decimal integer: the check on --budget."""
     try:
         value = int(text)
     except ValueError:
@@ -33,16 +30,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
-
-
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return _positive_int(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"{BUDGET_ENV_VAR} {exc}") from None
 
 
 def _emit_json(record: dict) -> None:
@@ -76,13 +63,12 @@ def _print_report_details(rep: verify.VerificationReport, show_witnesses: bool) 
 
 
 def _cmd_verify(args) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
     if args.statement == "all":
         if args.p is not None or args.n is not None:
             raise ValueError("--statement all runs the default grid; omit --p and --n")
-        reports = verify.verify_grid(verify.default_grid(), budget)
+        reports = verify.verify_grid(verify.default_grid(), args.budget)
     else:
-        reports = [verify.run_statement(args.statement, args.p, args.n, budget)]
+        reports = [verify.run_statement(args.statement, args.p, args.n, args.budget)]
     if args.output == "json":
         for rep in reports:
             _emit_json(rep.to_json_dict())
@@ -196,19 +182,6 @@ def _cmd_autocorr(args) -> int:
     return _emit_value(args, f, spectral.autocorrelation(f, args.h), [("h", args.h % f.p)])
 
 
-def _cmd_search(args) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
-    rep = verify.search_p_divides_n(args.p, args.n, budget)
-    if args.output == "json":
-        _emit_json(rep.to_json_dict())
-    else:
-        print(_REPORT_HEADER)
-        _print_report_row(rep)
-        for exps, a in rep.witnesses:
-            print(f"    hit exps={_coeff_text(exps)} a={_int_or_none_text(a)}")
-    return 0 if rep.success else 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gausschar",
@@ -220,11 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", choices=("table", "json"), default="table",
                         help="output format (default: table)")
 
-    def add_budget(sp):
-        sp.add_argument("--budget", type=_positive_int, default=None,
-                        help=f"enumeration budget (default: {BUDGET_ENV_VAR} "
-                             f"or {DEFAULT_BUDGET})")
-
     sp = sub.add_parser("verify", help="run an exhaustive verification")
     sp.add_argument("--statement", required=True,
                     choices=verify.STATEMENTS + ("all",),
@@ -233,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None, help="value order")
     sp.add_argument("--witnesses", action="store_true",
                     help="list per-function witnesses in table output")
-    add_budget(sp)
+    sp.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                    help=f"enumeration budget, a positive integer (default: {DEFAULT_BUDGET})")
     add_output(sp)
     sp.set_defaults(handler=_cmd_verify)
 
@@ -259,13 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", required=True, type=int, help="shift (reduced mod p)")
     add_output(sp)
     sp.set_defaults(handler=_cmd_autocorr)
-
-    sp = sub.add_parser("search", help="hunt for high-magnitude non-characters (p | n)")
-    sp.add_argument("--p", required=True, type=int, help="odd prime modulus")
-    sp.add_argument("--n", required=True, type=int, help="value order, divisible by p")
-    add_budget(sp)
-    add_output(sp)
-    sp.set_defaults(handler=_cmd_search)
 
     return parser
 

@@ -22,9 +22,8 @@ M > 2^(s*phi) - 2 * H(Phi_N) * 2^(s(phi-1)) give |R(2^s)| < M/2, so the
 balanced residue of P(2^s) mod M, the one in (-M/2, M/2], is exactly
 R(2^s), and its balanced base-2^s digits are the coefficients of R.  A ring
 product packs both factors and multiplies the two integers once before the
-same remainder, and zeta^k is the residue of 2^(s*k).  The O(phi^2) work is
-CPython's big-integer multiply and remainder; no table of size N * phi is
-ever built.
+same remainder.  The O(phi^2) work is CPython's big-integer multiply and
+remainder; no table of size N * phi is ever built.
 
 Phi_N comes from k, the odd part of rad(N) (the product of the odd primes
 dividing N), by three standard identities (Washington, *Introduction to
@@ -543,14 +542,9 @@ class CyclotomicElement(_Frozen):
 # Root-of-unity constructors.
 
 def zeta_pow(order: int, k: int) -> CyclotomicElement:
-    """Canonical form of zeta_order^k (k is reduced mod the order): a basis
-    vector for k < phi, else read from the residue of 2^(s*k)."""
-    ctx = _context(order)
-    k %= order
-    if k < ctx.degree:
-        return CyclotomicElement(order, (0,) * k + (1,) + (0,) * (ctx.degree - k - 1))
-    slots = ctx.slots(1)
-    return CyclotomicElement(order, slots.reduce(1 << 8 * slots.width * k))
+    """Canonical form of zeta_order^k (k is reduced mod the order): the sum
+    of roots of unity with the one exponent k, by ``sum_of_zeta_powers``."""
+    return sum_of_zeta_powers(order, (k,))
 
 
 def sum_of_zeta_powers(order: int, exponents: Iterable[int]) -> CyclotomicElement:

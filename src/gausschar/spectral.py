@@ -26,9 +26,8 @@ the rule zeta_L -> omega is a ring homomorphism Z[zeta_L] -> F_ell: ell
 splits completely in Q(zeta_L) (Washington, *Introduction to Cyclotomic
 Fields*, ch. 2), so omega is a root of Phi_L mod ell.  Equal ring elements
 have equal images, so S(omega) * S(omega^-1) != p (mod ell) proves
-norm_squared(S) != p, an image of the autocorrelation other than -1 proves
-it is not -1, a nonzero image of the value sum proves the profile is not
-flat (see ``flat_screen``), and an image moved by sigma_k proves the
+norm_squared(S) != p, a nonzero image of the value sum proves the profile
+is not flat (see ``flat_screen``), and an image moved by sigma_k proves the
 element is not fixed by sigma_k.  Each such "no" is exact and built from
 exponent lists alone.  Only the survivors go on to the canonical
 reduction, so every "yes" is still decided by canonical equality in
@@ -47,11 +46,13 @@ in memory bounded by the block.  A screen only makes a proven rejection:
 the magnitude screen repeats its per-function filter's, the subfield
 screen's holds because its sigma_k fixes Q(zeta_n), and the flat screen's
 follows from the value-sum identity in ``flat_screen``.  A table the
-magnitude or flat screen passes goes on to the per-function filter and then
-to the canonical test.  The subfield screen takes k = 1 (mod n) to be a
-primitive root mod p, so that sigma_k generates the group fixing Q(zeta_n)
-(see ``subfield_screen``): its survivors are the members of Q(zeta_n),
-apart from false passes mod ell, and go straight to the canonical test.
+magnitude screen passes goes on to the per-function filter and then to the
+canonical test; one the flat screen passes goes straight to the canonical
+test of every shift (``kurlberg_test``).  The subfield screen takes
+k = 1 (mod n) to be a primitive root mod p, so that sigma_k generates the
+group fixing Q(zeta_n) (see ``subfield_screen``): its survivors are the
+members of Q(zeta_n), apart from false passes mod ell, and go straight to
+the canonical test.
 """
 
 from __future__ import annotations
@@ -87,11 +88,9 @@ def gauss_sum(f: UnitFunction) -> SpectralValue:
 
 def twisted_gauss_sum(f: UnitFunction, a: int) -> SpectralValue:
     """The sum of f(x) e(a*x/p) over units; the twist a must be a unit."""
-    a %= f.p
-    if a == 0:
+    if a % f.p == 0:
         raise ValueError("the twist must be a unit modulo p")
-    big, terms = _twisted_terms(f.p, f.n, f.exps, a)
-    return SpectralValue(sum_of_zeta_powers(big, terms), f.p, f.n)
+    return fourier_sum(f, -a)
 
 
 @functools.lru_cache(maxsize=None)
@@ -195,37 +194,21 @@ def autocorrelation(f: UnitFunction, h: int) -> CyclotomicElement:
     Terms where x = 0 or x + h = 0 vanish because f(0) = 0; at h = 0 the sum
     is the integer p - 1.
     """
-    return sum_of_zeta_powers(f.n, _autocorrelation_terms(f, h))
-
-
-def _autocorrelation_terms(f: UnitFunction, h: int) -> list:
-    """The exponents e with autocorrelation(f, h) = sum of zeta_n^e."""
     p, exps = f.p, f.exps
-    h %= p
-    terms = []
-    for x in range(1, p):
-        y = (x + h) % p
-        if y:
-            terms.append(exps[x - 1] - exps[y - 1])
-    return terms
+    return sum_of_zeta_powers(f.n, (exps[x - 1] - exps[(x + h) % p - 1]
+                                    for x in range(1, p) if (x + h) % p))
 
 
 def kurlberg_test(f: UnitFunction) -> bool:
     """Autocorrelation characterization of characters.
 
     True iff f(1) = 1 and the autocorrelation equals exactly -1 at every
-    nonzero shift (it is automatically p - 1 at shift 0).  Rejected at the
-    first shift whose image in the split prime field is not -1; only a
-    survivor of every shift is decided canonically.
+    nonzero shift (it is automatically p - 1 at shift 0), decided by
+    canonical equality shift by shift.  It has no prime-field filter of its
+    own: in a verification, ``flat_screen`` rejects first.
     """
-    if f.exps[0] != 0:
-        return False
-    shifts = range(1, f.p)
-    ell, pw = _split_prime(f.n)
-    for h in shifts:
-        if sum(_images(pw, _autocorrelation_terms(f, h))) % ell != ell - 1:
-            return False
-    return all(autocorrelation(f, h).as_integer() == -1 for h in shifts)
+    return f.exps[0] == 0 and all(
+        autocorrelation(f, h).as_integer() == -1 for h in range(1, f.p))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +310,8 @@ def subfield_screen(p: int, n: int) -> Iterator[bool]:
 def flat_screen(p: int, n: int) -> Iterator[bool]:
     """Whether the value sum S_0 = sum of f(x) has image 0 in the split
     prime field, for every table f of the cell with f(1) = 1, in
-    enumeration order; a table it passes is still checked at every shift by
-    ``kurlberg_test``.
+    enumeration order; a table it passes is decided canonically at every
+    shift by ``kurlberg_test``.
 
     Proof that a flat f passes: with f(0) = 0, S_0 * conj(S_0) is the sum of
     autocorrelation(f, h) over all h, (p - 1) - (p - 1) = 0 for a flat

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gausschar.cli import BUDGET_ENV_VAR, main
+from gausschar.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -164,38 +164,41 @@ def test_autocorr_command(capsys):
 
 
 def test_search_command(capsys):
-    code, out, _ = run_cli(capsys, "search", "--p", "3", "--n", "6")
+    code, out, _ = run_cli(capsys, "verify", "--statement", "remark_p_divides_n",
+                           "--p", "3", "--n", "6", "--witnesses")
     assert code == 0
-    assert "hit exps=0,5 a=2" in out
-    code, _, _ = run_cli(capsys, "search", "--p", "3", "--n", "3")
+    assert "witness exps=0,5 a=2" in out
+    code, _, _ = run_cli(capsys, "verify", "--statement", "remark_p_divides_n",
+                         "--p", "3", "--n", "3")
     assert code == 1
-    code, _, err = run_cli(capsys, "search", "--p", "3", "--n", "2")
+    code, _, err = run_cli(capsys, "verify", "--statement", "remark_p_divides_n",
+                           "--p", "3", "--n", "2")
     assert code == 2
     assert "does not divide" in err
+    # verify is the one way to run the search; there is no search subcommand.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["search", "--p", "3", "--n", "6"])
+    assert excinfo.value.code == 2
 
 
 def test_budget_env_var(capsys, monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV_VAR, "5")
+    # The budget comes from --budget alone; the environment sets nothing.
+    monkeypatch.setenv("GAUSSCHAR_BUDGET", "5")
     code, _, err = run_cli(capsys, "verify", "--statement", "thm_1_2",
                            "--p", "5", "--n", "2")
+    assert code == 0
+    assert err == ""
+    code, _, err = run_cli(capsys, "verify", "--statement", "thm_1_2",
+                           "--p", "5", "--n", "2", "--budget", "5")
     assert code == 2
     assert "exceeding the budget of 5" in err
-    # an explicit flag overrides the environment
-    code, _, _ = run_cli(capsys, "verify", "--statement", "thm_1_2",
-                         "--p", "5", "--n", "2", "--budget", "8")
-    assert code == 0
-    monkeypatch.setenv(BUDGET_ENV_VAR, "zero")
-    code, _, err = run_cli(capsys, "verify", "--statement", "thm_1_2",
-                           "--p", "5", "--n", "2")
-    assert code == 2
-    assert BUDGET_ENV_VAR in err
 
 
-def test_budget_flag_must_be_positive(capsys, monkeypatch):
-    # --budget gets the check GAUSSCHAR_BUDGET gets, before any cell runs.
+def test_budget_flag_must_be_positive(capsys):
+    # --budget is checked before any cell runs.
     commands = (["verify", "--statement", "prop_1_1", "--p", "5"],
                 ["verify", "--statement", "all"],
-                ["search", "--p", "3", "--n", "6"])
+                ["verify", "--statement", "remark_p_divides_n", "--p", "3", "--n", "6"])
     for budget, message in (("-3", "must be positive"), ("0", "must be positive"),
                             ("ten", "must be a decimal integer")):
         for command in commands:
@@ -204,11 +207,6 @@ def test_budget_flag_must_be_positive(capsys, monkeypatch):
             assert excinfo.value.code == 2
             err = capsys.readouterr().err
             assert f"argument --budget: {message}" in err, (command, budget)
-            monkeypatch.setenv(BUDGET_ENV_VAR, budget)
-            code, _, err = run_cli(capsys, *command)
-            monkeypatch.delenv(BUDGET_ENV_VAR)
-            assert code == 2
-            assert f"error: {BUDGET_ENV_VAR} {message}" in err, (command, budget)
 
 
 def test_no_floats_anywhere(capsys):
@@ -219,7 +217,8 @@ def test_no_floats_anywhere(capsys):
         ["gauss-sum", "--fn", "p=3 n=6 exps=0,5"],
         ["fourier", "--fn", "p=3 n=6 exps=0,5", "--xi", "2", "--output", "json"],
         ["autocorr", "--fn", "p=3 n=6 exps=0,5", "--h", "1"],
-        ["search", "--p", "3", "--n", "6", "--output", "json"],
+        ["verify", "--statement", "remark_p_divides_n", "--p", "3", "--n", "6",
+         "--output", "json"],
     ]
     float_pattern = re.compile(r"\d\.\d|\d[eE][+-]\d")
     for argv in commands:

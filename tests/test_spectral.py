@@ -286,7 +286,8 @@ def test_large_order_norm_in_bounded_memory():
 
 def test_split_prime_filter_refuses_an_order_above_max_order():
     # The filter's table of omega powers has one entry per root of unity,
-    # so the order is refused before it is built.
+    # so the order is refused before it is built; kurlberg_test, which has
+    # no filter, is refused by its canonical sums' order check.
     f = UnitFunction(3, 10 ** 11, (0, 5))
     for decide, args in ((has_unit_fourier_magnitude, (f, 1)), (kurlberg_test, (f,)),
                          (lambda: list(spectral.subfield_screen(3, 10 ** 11 + 1)), ())):
@@ -295,37 +296,30 @@ def test_split_prime_filter_refuses_an_order_above_max_order():
 
 
 def test_split_prime_filter_passes_exactly_the_canonical_hits(monkeypatch):
-    # On every default-grid cell, each per-function decision point hands to
-    # its canonical test exactly the inputs canonical equality accepts: no
-    # hit is lost to the prime-field image and no miss gets through it.
-    # (lemma_2_1 has no per-function filter; its cell screen is checked by
-    # test_subfield_screen_passes_exactly_the_subfield_members.)
-    real_norm, real_autocorrelation = fourier_norm, autocorrelation
+    # On every default-grid cell, the magnitude filter hands to its
+    # canonical test exactly the inputs canonical equality accepts: no hit
+    # is lost to the prime-field image and no miss gets through it.
+    # (lemma_2_1 and thm_1_7 have no per-function filter; their cell screens
+    # are checked by test_subfield_screen_passes_exactly_the_subfield_members
+    # and test_flat_screen_passes_every_flat_table.)
+    real_norm = fourier_norm
     canonical_calls = []
-    for name in ("fourier_norm", "autocorrelation"):
-        def counting(*args, _real=getattr(spectral, name)):
-            canonical_calls.append(name)
-            return _real(*args)
-        monkeypatch.setattr(spectral, name, counting)
 
-    def survives(decide, *args):
-        before = len(canonical_calls)
-        decide(*args)
-        return len(canonical_calls) > before
+    def counting(*args):
+        canonical_calls.append(args)
+        return real_norm(*args)
+    monkeypatch.setattr(spectral, "fourier_norm", counting)
 
     free = ("cor_1_3", "cor_2_3")
-    cells = {(statement == "thm_1_7", p, n, statement not in free)
-             for statement, p, n in default_grid() if statement != "lemma_2_1"}
-    for flat, p, n, fix_f1 in sorted(cells):
+    cells = {(p, n, statement not in free) for statement, p, n in default_grid()
+             if statement not in ("lemma_2_1", "thm_1_7")}
+    for p, n, fix_f1 in sorted(cells):
         for f in enumerate_unit_functions(p, n, fix_f1=fix_f1):
-            if flat:
-                hit = f.exps[0] == 0 and all(
-                    real_autocorrelation(f, h).as_integer() == -1 for h in range(1, p))
-                assert survives(kurlberg_test, f) == hit, f
-            else:
-                for a in range(1, p):
-                    hit = real_norm(f, a).as_integer() == p
-                    assert survives(has_unit_fourier_magnitude, f, a) == hit, (f, a)
+            for a in range(1, p):
+                hit = real_norm(f, a).as_integer() == p
+                before = len(canonical_calls)
+                has_unit_fourier_magnitude(f, a)
+                assert (len(canonical_calls) > before) == hit, (f, a)
 
 
 def test_cell_screens_align_with_per_function_images():
