@@ -21,17 +21,19 @@ every unit a or for none.  When p divides n no such k need exist, and the
 counterexample at p = 3, n = 6 has its only witness at a = 2.
 
 Each decision first maps its sum into a prime field, and most answers are
-"no".  For a prime ell = 1 (mod L) and an omega of exact order L in F_ell,
-the rule zeta_L -> omega is a ring homomorphism Z[zeta_L] -> F_ell: ell
-splits completely in Q(zeta_L) (Washington, *Introduction to Cyclotomic
-Fields*, ch. 2), so omega is a root of Phi_L mod ell.  Equal ring elements
-have equal images, so S(omega) * S(omega^-1) != p (mod ell) proves
-norm_squared(S) != p, a nonzero image of the value sum proves the profile
-is not flat (see ``flat_screen``), and an image moved by sigma_k proves the
-element is not fixed by sigma_k.  Each such "no" is exact and built from
-exponent lists alone.  Only the survivors go on to the canonical
-reduction, so every "yes" is still decided by canonical equality in
-Z[zeta_L].
+"no".  For a prime ell = 1 (mod L) and an omega of exact order L in F_ell
+(``_split_prime`` takes the first such ell above 2^29, below 2^30 at every
+admitted order), the rule zeta_L -> omega is a ring homomorphism
+Z[zeta_L] -> F_ell: ell splits completely in Q(zeta_L) (Washington,
+*Introduction to Cyclotomic Fields*, ch. 2), so omega is a root of Phi_L
+mod ell.  Equal ring elements have equal images, so
+S(omega) * S(omega^-1) != p (mod ell) proves norm_squared(S) != p, a
+nonzero image of the value sum proves the profile is not flat (see
+``flat_screen``), and an image moved by sigma_k proves the element is not
+fixed by sigma_k.  Each such "no" is exact and built from exponent lists
+alone.  Only the survivors go on to the canonical reduction, so every "yes"
+is still decided by canonical equality in Z[zeta_L]; a false pass, about
+one in 2^29 tables, costs one canonical test.
 
 An exhaustive verification takes these images for a whole cell at once.
 Each image is a sum with one term per position x (S_a(omega) and
@@ -39,20 +41,25 @@ S_a(omega^-1), tau(omega) - sigma_k(tau)(omega), and the value sum
 S_0(omega)), so over the n^k tables of a cell it is a sumset.  A cell
 screen splits the positions into a head and a tail, builds the tail's sums
 once as a block of at most _TAIL_TABLES values (or n, when the last
-position alone has more digits), and emits each head's verdicts against
-the block with one list comprehension: the verdicts come in the
-enumerator's own lexicographic order, at amortized O(1) work per table and
-in memory bounded by the block.  A screen only makes a proven rejection:
-the magnitude screen repeats its per-function filter's, the subfield
-screen's holds because its sigma_k fixes Q(zeta_n), and the flat screen's
-follows from the value-sum identity in ``flat_screen``.  A table the
-magnitude screen passes goes on to the per-function filter and then to the
-canonical test; one the flat screen passes goes straight to the canonical
-test of every shift (``kurlberg_test``).  The subfield screen takes
-k = 1 (mod n) to be a primitive root mod p, so that sigma_k generates the
-group fixing Q(zeta_n) (see ``subfield_screen``): its survivors are the
-members of Q(zeta_n), apart from false passes mod ell, and go straight to
-the canonical test.
+position alone has more digits), and emits each head's verdicts against the
+block with one list comprehension: the verdicts come in the enumerator's
+own lexicographic order, at amortized O(1) work per table and in memory
+bounded by the block.  The magnitude screen builds that sumset at the twist
+a = 1 alone and reaches every other unit a by the change of variables
+x -> a*x, which maps the a = 1 survivors onto the a survivors (see
+``magnitude_screen``), so one sumset per cell serves all p - 1 twists of
+``cor_1_3``.  That relates different tables at one twist, never one table
+at different twists, so the dichotomy ``cor_1_3`` verifies is not assumed.
+A screen only makes a proven rejection: the magnitude screen repeats its
+per-function filter's, the subfield screen's holds because its sigma_k
+fixes Q(zeta_n), and the flat screen's follows from the value-sum identity
+in ``flat_screen``.  A table the magnitude screen passes goes on to the
+per-function filter and then to the canonical test; one the flat screen
+passes goes straight to the canonical test of every shift
+(``kurlberg_test``).  The subfield screen takes k = 1 (mod n) to be a
+primitive root mod p, so that sigma_k generates the group fixing Q(zeta_n)
+(see ``subfield_screen``): its survivors are the members of Q(zeta_n),
+apart from false passes mod ell, and go straight to the canonical test.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterator
-from math import lcm
+from math import lcm, prod
 
 from .cyclo import CyclotomicElement, _check_order, _Frozen, factorize, sum_of_zeta_powers
 from .modp import UnitFunction, find_primitive_root, is_prime
@@ -95,12 +102,21 @@ def twisted_gauss_sum(f: UnitFunction, a: int) -> SpectralValue:
 
 @functools.lru_cache(maxsize=None)
 def _split_prime(order: int) -> "tuple[int, list]":
-    """The prime ell = k*order + 1 first above 2^61, and the list of the
+    """The prime ell = k*order + 1 first above 2^29, and the list of the
     powers omega^0, ..., omega^(order - 1) of omega = g^((ell - 1)/order),
     for the smallest g >= 2 that gives omega exact order ``order``.  The
-    order is checked against MAX_ORDER before the list is built."""
+    order is checked against MAX_ORDER before the list is built.
+
+    For every order up to MAX_ORDER that prime lies below 2^30 (the largest
+    is 537838289, at order 9607), so every image fits in one 30-bit CPython
+    digit and a verdict's sums and products stay small integers.  The
+    homomorphism needs only ell = 1 (mod order); the size of ell sets only
+    how often a "no" is missed.  A table whose norm is not p passes a
+    magnitude test when its image lands on p by accident, about once in
+    2^29 tables, and such a false pass costs one canonical test.
+    """
     _check_order(order)
-    ell = -(-(1 << 61) // order) * order + 1
+    ell = -(-(1 << 29) // order) * order + 1
     while not is_prime(ell):
         ell += order
     cofactor = (ell - 1) // order
@@ -204,11 +220,14 @@ def kurlberg_test(f: UnitFunction) -> bool:
 
     True iff f(1) = 1 and the autocorrelation equals exactly -1 at every
     nonzero shift (it is automatically p - 1 at shift 0), decided by
-    canonical equality shift by shift.  It has no prime-field filter of its
-    own: in a verification, ``flat_screen`` rejects first.
+    canonical equality shift by shift.  Only the shifts 1 <= h <= (p - 1)/2
+    are computed: substituting y = x - h gives r(p - h) = conj(r(h)), and
+    -1 is real, so r(p - h) = -1 exactly when r(h) = -1.  It has no
+    prime-field filter of its own: in a verification, ``flat_screen``
+    rejects first.
     """
     return f.exps[0] == 0 and all(
-        autocorrelation(f, h).as_integer() == -1 for h in range(1, f.p))
+        autocorrelation(f, h).as_integer() == -1 for h in range(1, f.p // 2 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +235,7 @@ def kurlberg_test(f: UnitFunction) -> bool:
 
 #: Tables a screen's tail block covers at most.  The block is built once per
 #: cell and reused after every head, so a screen holds O(_TAIL_TABLES) sums
-#: however large its cell is.  ``cor_1_3`` keeps p - 1 screens open at once,
-#: so the block is kept small; the per-head work it amortizes is a few
+#: however large its cell is; the per-head work it amortizes is a few
 #: additions per head position.
 _TAIL_TABLES = 256
 
@@ -255,24 +273,56 @@ def _position_rows(p: int, n: int, a: int, fix_f1: bool, image) -> list:
     return rows
 
 
-def magnitude_screen(p: int, n: int, a: int, fix_f1: bool = True) -> Iterator[bool]:
-    """``_magnitude_image_is_p(f, a)`` for every table f of the cell, in the
-    order ``enumerate_unit_functions(p, n, fix_f1)`` yields them; the cell
-    must already be validated, and a must be a unit.
+def magnitude_screen(p: int, n: int, twists, fix_f1: bool = True) -> Iterator[bool]:
+    """Whether ``_magnitude_image_is_p(f, a)`` holds for some a in
+    ``twists``, for every table f of the cell, in the order
+    ``enumerate_unit_functions(p, n, fix_f1)`` yields them; the cell must
+    already be validated, and every twist must be a unit.
 
-    S_a(omega) and S_a(omega^-1) are sums of one contribution per position,
-    so over the cell each is a sumset, built head times tail block.
+    Only the a = 1 screen is computed: S_1(omega) and S_1(omega^-1) are
+    sums of one contribution per position, so over the cell each is a
+    sumset, built head times tail block, and the indices of its survivors
+    are kept.  Every other twist follows by change of variables.  With
+    m_c(x) = c*x, substituting y = a*x gives S_a(f) = S_1(f o m_(1/a)), an
+    identity of ring elements that holds for the images too, so f passes
+    at a exactly when f o m_(1/a) passes at 1: the survivors at a are the
+    g o m_a for the survivors g at 1.  With f(1) fixed each g o m_a is
+    rescaled by conj(g(a)) to value 1 at 1.  That is sound because
+    scaling a sum by a root of unity c leaves S(omega) * S(omega^-1)
+    unchanged, c(omega) * c(omega^-1) being 1.  A table's verdict is its
+    membership in the union of the mapped survivors, streamed in
+    enumeration order.
     """
-    if a % p == 0:
+    twists = tuple(twists)
+    if any(a % p == 0 for a in twists):
         raise ValueError("the unit-magnitude test is defined on units only")
     ell, pw = _split_prime(lcm(n, p))
-    fwd = _position_rows(p, n, -a % p, fix_f1, lambda e: _images(pw, e))
-    bwd = _position_rows(p, n, -a % p, fix_f1, lambda e: _images(pw, e, -1))
+    fwd = _position_rows(p, n, p - 1, fix_f1, lambda e: _images(pw, e))
+    bwd = _position_rows(p, n, p - 1, fix_f1, lambda e: _images(pw, e, -1))
     j = _tail_start([len(row) for row in fwd])
     block = list(zip(_lex_sums(fwd[j:], ell), _lex_sums(bwd[j:], ell)))
     heads = zip(_lex_sums(fwd[:j], ell), _lex_sums(bwd[:j], ell))
-    return itertools.chain.from_iterable(
+    verdicts = itertools.chain.from_iterable(
         [(hs + s) * (ht + t) % ell == p for s, t in block] for hs, ht in heads)
+    hits = set()
+    for index in itertools.compress(itertools.count(), verdicts):
+        # The table's exponents are the p - 1 base-n digits of its index
+        # (the first is 0 when f(1) is fixed).
+        g = []
+        for _ in range(p - 1):
+            index, digit = divmod(index, n)
+            g.append(digit)
+        g.reverse()
+        for a in twists:
+            mapped = [g[a * x % p - 1] for x in range(1, p)]
+            c = mapped[0] if fix_f1 else 0
+            hits.add(functools.reduce(lambda i, e: i * n + (e - c) % n, mapped, 0))
+    pieces, start = [], 0
+    for index in sorted(hits):
+        pieces += (itertools.repeat(False, index - start), (True,))
+        start = index + 1
+    pieces.append(itertools.repeat(False, prod(map(len, fwd)) - start))
+    return itertools.chain.from_iterable(pieces)
 
 
 def _zero_sum_screen(rows: list, ell: int) -> Iterator[bool]:

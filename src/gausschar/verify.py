@@ -127,7 +127,7 @@ def _gauss_norm_is_p(f: UnitFunction) -> bool:
 
 def _gauss_screen(p: int, n: int, fix_f1: bool = True):
     """The cell screen of ``_gauss_norm_is_p``: tau(f) is S_(p-1)."""
-    return spectral.magnitude_screen(p, n, p - 1, fix_f1)
+    return spectral.magnitude_screen(p, n, (p - 1,), fix_f1)
 
 
 def _is_nontrivial_character(f: UnitFunction) -> bool:
@@ -184,7 +184,7 @@ def verify_thm_1_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
         oracle_hit = _is_nontrivial_character(f)
         return hit, oracle_hit, hit == oracle_hit, (f.exps, a) if hit else None
     # p does not divide n, so the witness test is the one at a = 1.
-    screen = spectral.magnitude_screen(p, n, 1)
+    screen = spectral.magnitude_screen(p, n, (1,))
     return _run("thm_1_2", p, n, judge, functions, screen)
 
 
@@ -198,9 +198,8 @@ def verify_cor_1_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
         full = hits == p - 1
         return (full, _is_nontrivial_character(f.normalized()), full or not hits,
                 (f.exps, 1) if full else None)
-    # A table that every unit's screen rejects has no witness at all.
-    screens = (spectral.magnitude_screen(p, n, a, fix_f1=False) for a in range(1, p))
-    screen = map(any, zip(*screens))
+    # A table that the screen rejects at every unit has no witness at all.
+    screen = spectral.magnitude_screen(p, n, range(1, p), fix_f1=False)
     return _run("cor_1_3", p, n, judge, functions, screen)
 
 

@@ -4,10 +4,11 @@ Multiplicative characters mod p, built directly from a primitive root; the
 tests use these to produce known characters and compare them with what the
 package's criteria and oracle pick out.  Beside them, plain integer
 polynomial arithmetic, the modular inverse, the Legendre symbol, the size of
-an enumeration and the Parseval total: each restates a definition that the
-package itself never needs.  Last, sympy's remainder mod Phi_N, the outside
-reference for every reduction; it imports sympy only when called, so the
-tests that use it skip without sympy.
+an enumeration, the Parseval total and the autocorrelation criterion over
+every shift: each restates a definition that the package itself never
+needs.  Last, sympy's remainder mod Phi_N, the outside reference for every
+reduction; it imports sympy only when called, so the tests that use it skip
+without sympy.
 """
 
 import functools
@@ -15,7 +16,7 @@ from math import gcd, lcm
 
 from gausschar.cyclo import CyclotomicElement, _Frozen, euler_phi
 from gausschar.modp import UnitFunction, check_odd_prime, find_primitive_root
-from gausschar.spectral import fourier_norm
+from gausschar.spectral import autocorrelation, fourier_norm
 
 
 def _multiplicative_order(g: int, p: int) -> int:
@@ -167,6 +168,16 @@ def parseval_sum(f: UnitFunction) -> int:
     if value is None:
         raise InconsistencyError("Parseval sum is not a rational integer")
     return value
+
+
+# ---------------------------------------------------------------------------
+# The autocorrelation criterion.
+
+def kurlberg_all_shifts(f: UnitFunction) -> bool:
+    """The autocorrelation criterion as defined: f(1) = 1 and the
+    autocorrelation is exactly -1 at every shift 1 <= h <= p - 1."""
+    return f.exps[0] == 0 and all(
+        autocorrelation(f, h).as_integer() == -1 for h in range(1, f.p))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,13 @@ from gausschar.spectral import (
     twisted_gauss_sum,
 )
 from gausschar.verify import GRID_CELLS, GRID_CELLS_FREE, default_grid
-from reference import enumerate_characters, mod_inverse, parseval_sum, sympy_remainder
+from reference import (
+    enumerate_characters,
+    kurlberg_all_shifts,
+    mod_inverse,
+    parseval_sum,
+    sympy_remainder,
+)
 
 TOL = 1e-9
 
@@ -240,12 +246,13 @@ def test_magnitude_fast_paths_match_ring_norm_on_grid():
 def test_split_prime_map_is_a_ring_homomorphism():
     # zeta_L -> omega respects reduction mod Phi_L exactly when omega is a
     # root of Phi_L mod ell; the ring operations and sigma_k are then checked
-    # on random canonical elements, at the largest order too.
+    # on random canonical elements, at the largest order too.  ell is the
+    # first prime = 1 (mod order) above 2^29, and lies below 2^30.
     rng = random.Random(139)
-    for order in list(range(1, 61)) + [330, 2002, 9700]:
+    for order in list(range(1, 61)) + [330, 2002, 9607, 9700]:
         ell, pw = _split_prime(order)
-        assert is_prime(ell) and ell > 2 ** 61 and (ell - 1) % order == 0
-        assert not any(is_prime(m) for m in range(ell - order, 2 ** 61, -order))
+        assert is_prime(ell) and 2 ** 29 < ell < 2 ** 30 and (ell - 1) % order == 0
+        assert not any(is_prime(m) for m in range(ell - order, 2 ** 29, -order))
         omega = pw[1 % order]
         assert pw == [pow(omega, i, ell) for i in range(order)]
         assert pow(omega, order, ell) == 1
@@ -340,9 +347,9 @@ def test_cell_screens_align_with_per_function_images():
         for fix_f1, functions in ((True, fixed), (False, free)):
             for a in range(1, p):
                 expected = [spectral._magnitude_image_is_p(f, a) for f in functions]
-                assert list(spectral.magnitude_screen(p, n, a, fix_f1)) == expected, (p, n, a)
+                assert list(spectral.magnitude_screen(p, n, (a,), fix_f1)) == expected, (p, n, a)
         with pytest.raises(ValueError, match="units only"):
-            spectral.magnitude_screen(p, n, p)
+            spectral.magnitude_screen(p, n, (1, p))
         expected = []
         for f in free:
             tau = [big // n * e + big // p * x for x, e in enumerate(f.exps, 1)]
@@ -350,6 +357,26 @@ def test_cell_screens_align_with_per_function_images():
         assert list(spectral.subfield_screen(p, n)) == expected, (p, n)
         expected = [sum(pw_n[e] for e in f.exps) % ell_n == 0 for f in fixed]
         assert list(spectral.flat_screen(p, n)) == expected, (p, n)
+
+
+def test_magnitude_screen_maps_the_a1_survivors_to_every_twist():
+    # The screen computes the a = 1 sumset alone and reaches every other
+    # twist by x -> a*x (rescaled to f(1) = 1 when f(1) is fixed).  Against
+    # the per-function images, table by table: one twist at a time, and all
+    # units at once as the any over a.  Every default-grid cell, f(1) fixed
+    # and free, and the p | n cells (3, 6), (3, 12) and (5, 10), where the
+    # witness sets differ from twist to twist.
+    cells = {(p, n) for _, p, n in default_grid()} | {(3, 6), (3, 12), (5, 10)}
+    for p, n in sorted(cells):
+        for fix_f1 in (True, False):
+            functions = enumerate_unit_functions(p, n, fix_f1=fix_f1)
+            images = [[spectral._magnitude_image_is_p(f, a) for a in range(1, p)]
+                      for f in functions]
+            for a in range(1, p):
+                assert (list(spectral.magnitude_screen(p, n, (a,), fix_f1))
+                        == [row[a - 1] for row in images]), (p, n, fix_f1, a)
+            assert (list(spectral.magnitude_screen(p, n, range(1, p), fix_f1))
+                    == [any(row) for row in images]), (p, n, fix_f1)
 
 
 def test_subfield_screen_passes_exactly_the_subfield_members():
@@ -412,7 +439,7 @@ def test_cell_screen_in_bounded_memory():
     spectral._split_prime(44)
     tracemalloc.start()
     try:
-        count = sum(1 for _ in spectral.magnitude_screen(11, 4, 1, fix_f1=False))
+        count = sum(1 for _ in spectral.magnitude_screen(11, 4, (1,), fix_f1=False))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -430,6 +457,16 @@ def test_autocorrelation_examples():
     for f in random_functions(rng, SAMPLE_CELLS, 2):
         assert autocorrelation(f, 0).as_integer() == f.p - 1
         assert autocorrelation(f, f.p).as_integer() == f.p - 1
+
+
+def test_kurlberg_test_matches_the_all_shift_definition():
+    # kurlberg_test computes the shifts h <= (p - 1)/2 only, since
+    # r(p - h) = conj(r(h)); the definition takes every nonzero shift.  Every
+    # table of the default-grid thm_1_7 cells, and of (3, 6) and (5, 10).
+    cells = {(p, n) for statement, p, n in default_grid() if statement == "thm_1_7"}
+    for p, n in sorted(cells | {(3, 6), (5, 10)}):
+        for f in enumerate_unit_functions(p, n):
+            assert kurlberg_test(f) == kurlberg_all_shifts(f), f
 
 
 def test_kurlberg_test_examples():

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from gausschar import verify
+from gausschar import spectral, verify
 from gausschar.cyclo import MAX_ORDER
-from gausschar.modp import BudgetExceededError, legendre_unit_function
+from gausschar.modp import BudgetExceededError, enumerate_unit_functions, legendre_unit_function
 from gausschar.verify import (
     GRID_CELLS,
     GRID_CELLS_FREE,
@@ -244,6 +244,49 @@ def test_every_judge_is_neutral_where_both_sides_reject(monkeypatch):
     monkeypatch.setattr(verify, "_run", spy)
     verify_grid(default_grid())
     assert exercised == set(STATEMENTS) - {"remark_counterexample"}
+
+
+def test_cor_1_3_judge_reports_a_broken_dichotomy(monkeypatch):
+    # A magnitude test that lies at one twist of one character leaves that
+    # table with p - 2 witnesses: neither empty nor all units, so it and
+    # nothing else is a mismatch.
+    target = (0, 1, 3, 2)  # the character of order 4 mod 5 with chi(2) = i
+    real = spectral.has_unit_fourier_magnitude
+
+    def lying(f, a):
+        return False if f.exps == target and a == 2 else real(f, a)
+    monkeypatch.setattr(spectral, "has_unit_fourier_magnitude", lying)
+    rep = verify_cor_1_3(5, 4)
+    assert rep.mismatches == [target] and not rep.success
+    assert rep.total_functions == 256
+
+
+def test_lemma_2_1_judge_reports_a_wrong_minus_tau(monkeypatch):
+    # A Gauss sum off by 1 on one constant table stays in Q(zeta_n) but is
+    # no longer -g(1), so that table and nothing else is a mismatch.
+    target = (1,) * 4
+    real = spectral.gauss_sum
+
+    def lying(g):
+        tau = real(g)
+        return spectral.SpectralValue(tau.value + 1, g.p, g.n) if g.exps == target else tau
+    monkeypatch.setattr(spectral, "gauss_sum", lying)
+    rep = verify_lemma_2_1(5, 3)
+    assert rep.mismatches == [target] and not rep.success
+    assert rep.passing_spectral == 3 and rep.total_functions == 81
+
+
+def test_run_refuses_a_screen_of_the_wrong_length():
+    # _run zips tables and verdicts strictly: a screen one verdict short or
+    # one verdict long raises instead of shifting verdicts onto other tables.
+    def judge(f, passed):
+        return False, False, True, None
+    for size in (7, 9):
+        functions = enumerate_unit_functions(5, 2)
+        with pytest.raises(ValueError):
+            verify._run("thm_1_2", 5, 2, judge, functions, [False] * size)
+    rep = verify._run("thm_1_2", 5, 2, judge, enumerate_unit_functions(5, 2), [False] * 8)
+    assert rep.total_functions == 8 and rep.success
 
 
 def test_verify_grid_empty_and_single():
