@@ -434,7 +434,8 @@ def test_flat_screen_in_linear_memory():
 
 def test_cell_screen_in_bounded_memory():
     # 4^10 = 1048576 tables: a list of their verdicts alone would take
-    # 8 MB, the screen holds one tail block and one head's verdicts.
+    # 8 MB, the screen holds one tail block, one head's verdicts and the
+    # indices of its survivors.
     import tracemalloc
     spectral._split_prime(44)
     tracemalloc.start()
