@@ -5,10 +5,21 @@ the exhaustive function enumerators, and the brute-force homomorphism
 oracle that every analytic test is checked against.  Primality is decided
 by a deterministic Miller-Rabin test, exact below 3.317e24 and refused
 above.
+
+An exhaustive verification asks the oracle only about candidates.
+``homomorphism_candidates`` walks a cell's lexicographic tree of tables
+and cuts each branch at the first relation f(a) f(b) = f(1) f(ab) it
+fails, checked as soon as its largest argument is assigned; it shares no
+code with ``spectral``.  It is sound because no character, times a
+constant when f(1) is free, ever fails such a relation.
+``index_verdicts`` turns any sorted set of indices into one verdict per
+table in enumeration order; the candidate stream and the magnitude screen
+both come through it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from collections.abc import Iterator
@@ -233,6 +244,76 @@ def enumerate_unit_functions(p: int, n: int, fix_f1: bool = True,
         raise ValueError(f"modulus {p} exceeds MAX_ORDER = {MAX_ORDER}")
     check_odd_prime(p)
     return _unit_function_stream(p, n, fix_f1)
+
+
+def homomorphism_candidates(p: int, n: int, fix_f1: bool = True) -> list:
+    """The sorted enumeration indices of the tables of a validated cell that
+    satisfy f(a) f(b) = f(1) f(ab) for all units a, b.
+
+    The index of a table is its place in ``enumerate_unit_functions(p, n,
+    fix_f1)``: its exponents at x = 1, ..., p - 1 read as base-n digits.
+    The lexicographic tree of tables is walked depth first, without
+    recursion, and each relation is checked, in exponent arithmetic mod n,
+    as soon as its largest argument is assigned; a branch is cut at the
+    first relation it fails.  Beside the output this keeps O(p) state: the
+    exponents of the current branch and the inverses mod p.
+
+    Every character, times a constant c when f(1) is free, passes every
+    relation, since c chi(a) c chi(b) = c (c chi(ab)); so no character is
+    cut.  Conversely a table passing every relation is f(1) times the
+    character f / f(1).  The indices are therefore exactly the tables that
+    ``is_character_oracle`` accepts, after ``UnitFunction.normalized`` when
+    f(1) is free.
+    """
+    if n == 1:
+        return [0]
+    inverse = [0] + [pow(a, -1, p) for a in range(1, p)]
+    exps = [0] * p  # exps[x] at x = 1, ..., p - 1; exps[0] is unused
+    first = 2 if fix_f1 else 1
+    found = []
+    x = first
+    while x >= first:
+        if exps[x] == n:
+            # Every digit at x is spent: back up one position.
+            exps[x] = 0
+            x -= 1
+            if x >= first:
+                exps[x] += 1
+        elif not _relations_hold(p, n, exps, inverse, x):
+            exps[x] += 1
+        elif x < p - 1:
+            x += 1
+        else:
+            found.append(functools.reduce(lambda i, e: i * n + e, exps[1:], 0))
+            exps[x] += 1
+    return found
+
+
+def _relations_hold(p: int, n: int, exps: list, inverse: list, x: int) -> bool:
+    """Whether every relation f(a) f(b) = f(1) f(ab) whose largest argument
+    is x holds for the exponents assigned at 1, ..., x: those with b = x
+    and ab (mod p) at most x, and those with ab = x (mod p) and a <= b < x."""
+    e1, ex = exps[1], exps[x]
+    for a in range(2, x + 1):
+        c = a * x % p
+        if c <= x and (exps[a] + ex - e1 - exps[c]) % n:
+            return False
+    for a in range(2, x):
+        b = x * inverse[a] % p
+        if a <= b < x and (exps[a] + exps[b] - e1 - ex) % n:
+            return False
+    return True
+
+
+def index_verdicts(indices, total: int) -> Iterator[bool]:
+    """One verdict per table of a cell of ``total`` tables, in enumeration
+    order: True exactly at the sorted, distinct ``indices``."""
+    pieces, start = [], 0
+    for index in indices:
+        pieces += (itertools.repeat(False, index - start), (True,))
+        start = index + 1
+    pieces.append(itertools.repeat(False, total - start))
+    return itertools.chain.from_iterable(pieces)
 
 
 def _trusted_unit_function(p: int, n: int, exps: tuple) -> UnitFunction:

@@ -70,7 +70,7 @@ from collections.abc import Iterator
 from math import lcm, prod
 
 from .cyclo import CyclotomicElement, _check_order, _Frozen, factorize, sum_of_zeta_powers
-from .modp import UnitFunction, find_primitive_root, is_prime
+from .modp import UnitFunction, find_primitive_root, index_verdicts, is_prime
 
 
 class SpectralValue(_Frozen):
@@ -317,12 +317,7 @@ def magnitude_screen(p: int, n: int, twists, fix_f1: bool = True) -> Iterator[bo
             mapped = [g[a * x % p - 1] for x in range(1, p)]
             c = mapped[0] if fix_f1 else 0
             hits.add(functools.reduce(lambda i, e: i * n + (e - c) % n, mapped, 0))
-    pieces, start = [], 0
-    for index in sorted(hits):
-        pieces += (itertools.repeat(False, index - start), (True,))
-        start = index + 1
-    pieces.append(itertools.repeat(False, prod(map(len, fwd)) - start))
-    return itertools.chain.from_iterable(pieces)
+    return index_verdicts(sorted(hits), prod(map(len, fwd)))
 
 
 def _zero_sum_screen(rows: list, ell: int) -> Iterator[bool]:

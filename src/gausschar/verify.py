@@ -13,28 +13,40 @@ budget before primality) and applies the statement's divisibility
 hypothesis; only then are per-cell constants built.  The two statements
 with a pinned parameter check their parameters themselves: ``prop_1_1``
 requires p and takes n = 2 or None, the counterexample takes (3, 6) or
-neither, and any other value is a ``HypothesisViolation``.  Among the
-per-cell constants is the cell screen, a stream from ``spectral`` of
-split-prime verdicts, one per table in enumeration order (see the
+neither, and any other value is a ``HypothesisViolation``.
+
+Among the per-cell constants are two streams of verdicts, one per table
+in enumeration order, each False only on a proven rejection.  The cell
+screen, from ``spectral``, holds the split-prime verdicts (see the
 ``spectral`` module docstring): False proves the statement's analytic test
-fails for that table, True leaves it to the per-function test.  Every
-verifier then runs through one loop, ``_run``, which zips the opened stream
-(or the pinned tables it is given) with the screen, strictly, so a verdict
-can never drift onto another table, and hands each pair to the statement's
-judge as ``judge(f, passed)``, ``passed`` being one verdict; the pinned
-counterexample's screen is ``(True,)``.  A judge returns ``(spectral_hit,
+fails for that table, True leaves it to the per-function test.  The
+candidate stream holds the oracle side's verdicts: most statements take
+``modp.homomorphism_candidates`` through ``modp.index_verdicts`` (at n = 2
+for ``prop_1_1``), so False proves that some relation
+f(a) f(b) = f(1) f(ab) fails and the table is no character, nor a constant
+times one; ``lemma_2_1`` takes the n constant tables at their closed-form
+indices d (n^k - 1)/(n - 1), and the pinned counterexample takes
+``(True,)``.  Every verifier then runs through one loop, ``_run``, which
+zips the opened stream (or the pinned tables it is given) with the screen
+and the candidate stream, strictly, so a verdict can never drift onto
+another table, and hands each triple to the statement's judge as
+``judge(f, passed, candidate)``.  A judge returns ``(spectral_hit,
 oracle_hit, agrees, witness)``: whether the analytic test (Gauss-sum
 magnitude, Fourier witness, subfield membership or autocorrelation profile)
 holds for f, whether the brute-force homomorphism oracle's side holds,
 whether the two sides relate as the statement predicts, and the
 ``(exps, a)`` record to list as a witness, or None.  A judge runs the
-per-function test only where ``passed`` allows it, so every "yes" is still
-decided by canonical equality, and on a table whose verdict is False and
-whose oracle side fails it returns ``(False, False, True, None)``: such a
-table adds only to the count.  Functions whose sides disagree are listed as
-mismatches, and a report succeeds exactly when there are none (the
-existence search ``remark_p_divides_n`` instead succeeds when it lists at
-least one witness).
+per-function test only where ``passed`` allows it, and the oracle (with
+``UnitFunction.normalized`` where f(1) is free) only where ``candidate``
+does: every analytic "yes" is still decided by canonical equality, and
+every oracle-side "yes" by the oracle (for ``prop_1_1`` and ``lemma_2_1``,
+by equality with the Legendre table or the constant test).  On a table
+whose screen verdict is False and whose oracle side fails a judge returns
+``(False, False, True, None)``: such a table adds only to the count.
+Functions whose sides disagree are listed as mismatches, and a report
+succeeds exactly when there are none (the existence search
+``remark_p_divides_n`` instead succeeds when it lists at least one
+witness).
 """
 
 from __future__ import annotations
@@ -134,14 +146,21 @@ def _is_nontrivial_character(f: UnitFunction) -> bool:
     return modp.is_character_oracle(f) and not f.is_trivial
 
 
-def _run(statement: str, p: int, n: int, judge, functions, screen,
+def _candidates(p: int, n: int, fix_f1: bool = True):
+    """The candidate stream of a validated cell: True exactly at the tables
+    that pass every relation f(a) f(b) = f(1) f(ab)."""
+    total = n ** (p - 2 if fix_f1 else p - 1)
+    return modp.index_verdicts(modp.homomorphism_candidates(p, n, fix_f1), total)
+
+
+def _run(statement: str, p: int, n: int, judge, functions, screen, candidates,
          existence: bool = False) -> VerificationReport:
-    """Judge every function of the opened cell, with its screen verdict,
-    and tally the report."""
+    """Judge every function of the opened cell, with its screen verdict and
+    its candidate verdict, and tally the report."""
     t0 = time.perf_counter()
     rep = VerificationReport(statement, p, n)
-    for f, passed in zip(functions, screen, strict=True):
-        spectral_hit, oracle_hit, agrees, witness = judge(f, passed)
+    for f, passed, candidate in zip(functions, screen, candidates, strict=True):
+        spectral_hit, oracle_hit, agrees, witness = judge(f, passed, candidate)
         rep.total_functions += 1
         rep.passing_spectral += spectral_hit
         rep.passing_oracle += oracle_hit
@@ -166,11 +185,11 @@ def verify_prop_1_1(p: "int | None", n: "int | None" = 2,
     functions = _cell("prop_1_1", p, 2, budget)
     legendre = modp.legendre_unit_function(p).exps
 
-    def judge(f, passed):
+    def judge(f, passed, candidate):
         hit = passed and _gauss_norm_is_p(f)
-        is_legendre = f.exps == legendre
+        is_legendre = candidate and f.exps == legendre
         return hit, is_legendre, hit == is_legendre, (f.exps, p - 1) if hit else None
-    return _run("prop_1_1", p, 2, judge, functions, _gauss_screen(p, 2))
+    return _run("prop_1_1", p, 2, judge, functions, _gauss_screen(p, 2), _candidates(p, 2))
 
 
 def verify_thm_1_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -178,14 +197,14 @@ def verify_thm_1_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
     f(1) = 1: some |fhat(a)| = 1 iff f is a nontrivial character."""
     functions = _cell("thm_1_2", p, n, budget)
 
-    def judge(f, passed):
+    def judge(f, passed, candidate):
         a = spectral.spectral_witness(f) if passed else None
         hit = a is not None
-        oracle_hit = _is_nontrivial_character(f)
+        oracle_hit = candidate and _is_nontrivial_character(f)
         return hit, oracle_hit, hit == oracle_hit, (f.exps, a) if hit else None
     # p does not divide n, so the witness test is the one at a = 1.
     screen = spectral.magnitude_screen(p, n, (1,))
-    return _run("thm_1_2", p, n, judge, functions, screen)
+    return _run("thm_1_2", p, n, judge, functions, screen, _candidates(p, n))
 
 
 def verify_cor_1_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -193,14 +212,14 @@ def verify_cor_1_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
     {a : |fhat(a)| = 1} is empty or all of the units, never in between."""
     functions = _cell("cor_1_3", p, n, budget, fix_f1=False)
 
-    def judge(f, passed):
+    def judge(f, passed, candidate):
         hits = passed and sum(spectral.has_unit_fourier_magnitude(f, a) for a in range(1, p))
         full = hits == p - 1
-        return (full, _is_nontrivial_character(f.normalized()), full or not hits,
-                (f.exps, 1) if full else None)
+        oracle_hit = candidate and _is_nontrivial_character(f.normalized())
+        return full, oracle_hit, full or not hits, (f.exps, 1) if full else None
     # A table that the screen rejects at every unit has no witness at all.
     screen = spectral.magnitude_screen(p, n, range(1, p), fix_f1=False)
-    return _run("cor_1_3", p, n, judge, functions, screen)
+    return _run("cor_1_3", p, n, judge, functions, screen, _candidates(p, n, fix_f1=False))
 
 
 def verify_lemma_2_1(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -210,8 +229,8 @@ def verify_lemma_2_1(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verificati
     functions = _cell("lemma_2_1", p, n, budget, fix_f1=False)
     big = lcm(n, p)
 
-    def judge(g, passed):
-        const = g.is_constant
+    def judge(g, passed, candidate):
+        const = candidate and g.is_constant
         if passed:
             tau = spectral.gauss_sum(g).value
             if tau.in_subfield(n):
@@ -219,7 +238,10 @@ def verify_lemma_2_1(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verificati
                 return True, const, minus_tau, (g.exps, None)
         return False, const, not const, None
     screen = spectral.subfield_screen(p, n)
-    return _run("lemma_2_1", p, n, judge, functions, screen)
+    # The constant table d has the index d * (1 + n + ... + n^(p-2)).
+    ones = sum(n ** i for i in range(p - 1))
+    constants = modp.index_verdicts([d * ones for d in range(n)], n ** (p - 1))
+    return _run("lemma_2_1", p, n, judge, functions, screen, constants)
 
 
 def verify_prop_2_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -227,27 +249,24 @@ def verify_prop_2_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verificatio
     f(1) = 1: norm_squared(tau(f)) = p iff f is a nontrivial character."""
     functions = _cell("prop_2_2", p, n, budget)
 
-    def judge(f, passed):
+    def judge(f, passed, candidate):
         hit = passed and _gauss_norm_is_p(f)
-        oracle_hit = _is_nontrivial_character(f)
+        oracle_hit = candidate and _is_nontrivial_character(f)
         return hit, oracle_hit, hit == oracle_hit, (f.exps, p - 1) if hit else None
-    return _run("prop_2_2", p, n, judge, functions, _gauss_screen(p, n))
+    return _run("prop_2_2", p, n, judge, functions, _gauss_screen(p, n), _candidates(p, n))
 
 
 def verify_cor_2_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Factorization form with f(1) free: norm_squared(tau(f)) = p iff f
-    splits as f(1) times a nontrivial character, with the factorization
-    rebuilt explicitly and checked."""
+    splits as f(1) times a nontrivial character."""
     functions = _cell("cor_2_3", p, n, budget, fix_f1=False)
 
-    def judge(f, passed):
-        g = f.normalized()
-        factors = _is_nontrivial_character(g)
-        if factors and tuple((f.exps[0] + e) % n for e in g.exps) != f.exps:
-            return False, True, False, None
+    def judge(f, passed, candidate):
+        factors = candidate and _is_nontrivial_character(f.normalized())
         hit = passed and _gauss_norm_is_p(f)
         return hit, factors, hit == factors, (f.exps, p - 1) if hit else None
-    return _run("cor_2_3", p, n, judge, functions, _gauss_screen(p, n, fix_f1=False))
+    return _run("cor_2_3", p, n, judge, functions, _gauss_screen(p, n, fix_f1=False),
+                _candidates(p, n, fix_f1=False))
 
 
 def verify_thm_1_7(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -258,12 +277,13 @@ def verify_thm_1_7(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
     divisibility hypothesis here."""
     functions = _cell("thm_1_7", p, n, budget, p_divides_n=None)
 
-    def judge(f, passed):
+    def judge(f, passed, candidate):
         flat = passed and spectral.kurlberg_test(f)
-        oracle_hit = modp.is_character_oracle(f)
+        oracle_hit = candidate and modp.is_character_oracle(f)
         return (flat, oracle_hit, flat == (oracle_hit and not f.is_trivial),
                 (f.exps, None) if flat else None)
-    return _run("thm_1_7", p, n, judge, functions, spectral.flat_screen(p, n))
+    return _run("thm_1_7", p, n, judge, functions, spectral.flat_screen(p, n),
+                _candidates(p, n))
 
 
 def remark_counterexample(p: "int | None" = None, n: "int | None" = None,
@@ -275,13 +295,14 @@ def remark_counterexample(p: "int | None" = None, n: "int | None" = None,
     if (p, n) not in ((None, None), (3, 6)):
         raise HypothesisViolation("the counterexample is pinned to p=3, n=6")
 
-    def judge(f, passed):
+    def judge(f, passed, candidate):
         hit = passed and _gauss_norm_is_p(f)
-        oracle_hit = modp.is_character_oracle(f)
+        oracle_hit = candidate and modp.is_character_oracle(f)
         a = spectral.spectral_witness(f)
         agrees = hit and not oracle_hit and f.n % f.p == 0 and a == 2
         return hit, oracle_hit, agrees, None if a is None else (f.exps, a)
-    return _run("remark_counterexample", 3, 6, judge, (UnitFunction(3, 6, (0, 5)),), (True,))
+    return _run("remark_counterexample", 3, 6, judge, (UnitFunction(3, 6, (0, 5)),), (True,),
+                (True,))
 
 
 def search_p_divides_n(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -291,13 +312,13 @@ def search_p_divides_n(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verifica
     returned as witnesses and no count formula is asserted."""
     functions = _cell("remark_p_divides_n", p, n, budget, p_divides_n=True)
 
-    def judge(f, passed):
+    def judge(f, passed, candidate):
         hit = passed and _gauss_norm_is_p(f)
-        oracle_hit = modp.is_character_oracle(f)
+        oracle_hit = candidate and modp.is_character_oracle(f)
         found = hit and not oracle_hit
         return hit, oracle_hit, True, (f.exps, spectral.spectral_witness(f)) if found else None
     return _run("remark_p_divides_n", p, n, judge, functions, _gauss_screen(p, n),
-                existence=True)
+                _candidates(p, n), existence=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import random
 from math import gcd, isqrt
 
@@ -8,11 +9,14 @@ from gausschar.modp import (
     UnitFunction,
     enumerate_unit_functions,
     find_primitive_root,
+    homomorphism_candidates,
+    index_verdicts,
     is_character_oracle,
     is_prime,
     legendre_unit_function,
     parse_unit_function,
 )
+from gausschar.verify import GRID_CELLS
 from reference import (
     Character,
     count_unit_functions,
@@ -363,3 +367,66 @@ def test_cross_enumeration_equality():
                        if is_character_oracle(f)}
         from_characters = {c.unit_function(n).exps for c in enumerate_characters(p, n)}
         assert from_stream == from_characters
+
+
+def _index(n, exps):
+    """The enumeration index of a table: its exponents as base-n digits."""
+    return functools.reduce(lambda i, e: i * n + e, exps, 0)
+
+
+def _oracle_indices(p, n, fix_f1):
+    """The indices of the tables the oracle accepts, after normalization
+    when f(1) is free, by dense enumeration."""
+    return [i for i, f in enumerate(enumerate_unit_functions(p, n, fix_f1=fix_f1))
+            if is_character_oracle(f.normalized())]
+
+
+def test_homomorphism_candidates_are_what_the_oracle_accepts():
+    for p, n in GRID_CELLS + ((3, 6), (5, 10)):
+        for fix_f1 in (True, False):
+            assert homomorphism_candidates(p, n, fix_f1) == _oracle_indices(p, n, fix_f1)
+    # At (11, 4) and (13, 3) the f(1)-free cells are too large to enumerate
+    # here.  f -> (f(1), f.normalized()) is a bijection onto the constants
+    # times the f(1) = 1 tables, so the oracle accepts exactly n times as
+    # many free tables as fixed ones; the free candidates are that many, and
+    # the oracle accepts each one.
+    for p, n in ((11, 4), (13, 3)):
+        fixed = homomorphism_candidates(p, n)
+        assert fixed == _oracle_indices(p, n, True)
+        free = homomorphism_candidates(p, n, fix_f1=False)
+        assert free == sorted(set(free)) and len(free) == n * len(fixed)
+        for index in free:
+            exps = [(index // n ** (p - 1 - x)) % n for x in range(1, p)]
+            assert is_character_oracle(UnitFunction(p, n, exps).normalized())
+
+
+def test_homomorphism_candidates_count_and_match_the_characters():
+    # gcd(n, p - 1) characters with f(1) fixed, n times as many tables with
+    # f(1) free; the indices are those of the character tables, times each
+    # constant when f(1) is free.
+    cells = [(p, n) for p in SMALL_PRIMES[:6] for n in range(1, 13)]
+    for p, n in cells + [(11, 4), (13, 3), (3, 6), (5, 10)]:
+        chars = [c.unit_function(n).exps for c in enumerate_characters(p, n)]
+        fixed = homomorphism_candidates(p, n)
+        free = homomorphism_candidates(p, n, fix_f1=False)
+        assert len(fixed) == gcd(n, p - 1) and len(free) == n * gcd(n, p - 1)
+        assert fixed == sorted(_index(n, exps) for exps in chars)
+        assert free == sorted(_index(n, [(e + c) % n for e in exps])
+                              for exps in chars for c in range(n))
+
+
+def test_homomorphism_candidates_at_n_one_check_no_relation(monkeypatch):
+    # The one table at n = 1 is the trivial character; a large p must not
+    # walk its O(p) relations per position.
+    def forbidden(*args):
+        raise AssertionError("a relation was checked")
+    monkeypatch.setattr("gausschar.modp._relations_hold", forbidden)
+    assert homomorphism_candidates(1009, 1) == [0]
+    assert homomorphism_candidates(9973, 1, fix_f1=False) == [0]
+
+
+def test_index_verdicts():
+    assert list(index_verdicts([1, 3], 5)) == [False, True, False, True, False]
+    assert list(index_verdicts([0, 4], 5)) == [True, False, False, False, True]
+    assert list(index_verdicts([], 3)) == [False] * 3
+    assert list(index_verdicts([0], 1)) == [True]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gausschar import spectral, verify
+from gausschar import modp, spectral, verify
 from gausschar.cyclo import MAX_ORDER
 from gausschar.modp import BudgetExceededError, enumerate_unit_functions, legendre_unit_function
 from gausschar.verify import (
@@ -228,13 +228,16 @@ def test_missing_parameters_name_the_statement():
 def test_every_judge_is_neutral_where_both_sides_reject(monkeypatch):
     """On a table whose screen verdict is False and whose oracle side fails,
     every judge returns (False, False, True, None), so the table adds only
-    to the count."""
+    to the count.  The candidate verdict only spares the oracle: every judge
+    returns on every table what it returns when told the table is a
+    candidate, so the oracle side it reports is the oracle's own."""
     exercised = set()
     run = verify._run
 
     def spy(statement, p, n, judge, *args, **kwargs):
-        def checked(f, passed):
-            result = judge(f, passed)
+        def checked(f, passed, candidate):
+            result = judge(f, passed, candidate)
+            assert judge(f, passed, True) == result, (statement, p, n, f.exps)
             if not passed and not result[1]:
                 assert result == (False, False, True, None), (statement, p, n, f.exps)
                 exercised.add(statement)
@@ -276,17 +279,43 @@ def test_lemma_2_1_judge_reports_a_wrong_minus_tau(monkeypatch):
     assert rep.passing_spectral == 3 and rep.total_functions == 81
 
 
+def _neutral_judge(f, passed, candidate):
+    return False, False, True, None
+
+
 def test_run_refuses_a_screen_of_the_wrong_length():
     # _run zips tables and verdicts strictly: a screen one verdict short or
     # one verdict long raises instead of shifting verdicts onto other tables.
-    def judge(f, passed):
-        return False, False, True, None
     for size in (7, 9):
         functions = enumerate_unit_functions(5, 2)
         with pytest.raises(ValueError):
-            verify._run("thm_1_2", 5, 2, judge, functions, [False] * size)
-    rep = verify._run("thm_1_2", 5, 2, judge, enumerate_unit_functions(5, 2), [False] * 8)
+            verify._run("thm_1_2", 5, 2, _neutral_judge, functions, [False] * size, [False] * 8)
+    rep = verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2),
+                      [False] * 8, [False] * 8)
     assert rep.total_functions == 8 and rep.success
+
+
+def test_run_refuses_a_candidate_stream_of_the_wrong_length():
+    for size in (7, 9):
+        functions = enumerate_unit_functions(5, 2)
+        with pytest.raises(ValueError):
+            verify._run("thm_1_2", 5, 2, _neutral_judge, functions, [False] * 8, [False] * size)
+
+
+def test_thm_1_2_reports_a_character_the_generator_drops(monkeypatch):
+    # A candidate stream without one character leaves that character's
+    # oracle side unchecked, so it and nothing else is a mismatch.
+    target = (0, 1, 3, 2)  # the character of order 4 mod 5 with chi(2) = i
+    dropped = int("".join(map(str, target)), 4)
+    real = modp.homomorphism_candidates
+
+    def dropping(p, n, fix_f1=True):
+        return [i for i in real(p, n, fix_f1) if i != dropped]
+    monkeypatch.setattr(modp, "homomorphism_candidates", dropping)
+    rep = verify_thm_1_2(5, 4)
+    assert rep.mismatches == [target] and not rep.success
+    assert rep.passing_spectral == 3 and rep.passing_oracle == 2
+    assert rep.total_functions == 64
 
 
 def test_verify_grid_empty_and_single():
