@@ -29,9 +29,10 @@ indices d (n^k - 1)/(n - 1), and the pinned counterexample takes
 ``(True,)``.  Every verifier then runs through one loop, ``_run``, which
 zips the opened stream (or the pinned tables it is given) with the screen
 and the candidate stream, strictly, so a verdict can never drift onto
-another table, and hands each triple to the statement's judge as
-``judge(f, passed, candidate)``.  A judge returns ``(spectral_hit,
-oracle_hit, agrees, witness)``: whether the analytic test (Gauss-sum
+another table.  It counts every table, and hands each triple with a True
+verdict to the statement's judge as ``judge(f, passed, candidate)``.  A
+judge returns ``(spectral_hit, oracle_hit, agrees, witness)``: whether
+the analytic test (Gauss-sum
 magnitude, Fourier witness, subfield membership or autocorrelation profile)
 holds for f, whether the brute-force homomorphism oracle's side holds,
 whether the two sides relate as the statement predicts, and the
@@ -42,7 +43,11 @@ does: every analytic "yes" is still decided by canonical equality, and
 every oracle-side "yes" by the oracle (for ``prop_1_1`` and ``lemma_2_1``,
 by equality with the Legendre table or the constant test).  On a table
 whose screen verdict is False and whose oracle side fails a judge returns
-``(False, False, True, None)``: such a table adds only to the count.
+``(False, False, True, None)``, which adds only to the count; so a table
+that both verdicts reject is counted and never judged, and the report is
+the one that judging every table gives.  The test
+``test_every_judge_is_neutral_where_both_sides_reject`` runs every judge
+on every default-grid table and is what keeps that skip exact.
 Functions whose sides disagree are listed as mismatches, and a report
 succeeds exactly when there are none (the existence search
 ``remark_p_divides_n`` instead succeeds when it lists at least one
@@ -155,19 +160,23 @@ def _candidates(p: int, n: int, fix_f1: bool = True):
 
 def _run(statement: str, p: int, n: int, judge, functions, screen, candidates,
          existence: bool = False) -> VerificationReport:
-    """Judge every function of the opened cell, with its screen verdict and
-    its candidate verdict, and tally the report."""
+    """Count every function of the opened cell, judge each one that its
+    screen verdict or its candidate verdict passes, and tally the report."""
     t0 = time.perf_counter()
     rep = VerificationReport(statement, p, n)
-    for f, passed, candidate in zip(functions, screen, candidates, strict=True):
+    total = 0
+    for total, (f, passed, candidate) in enumerate(
+            zip(functions, screen, candidates, strict=True), 1):
+        if not (passed or candidate):
+            continue  # both sides reject: the judge would be neutral
         spectral_hit, oracle_hit, agrees, witness = judge(f, passed, candidate)
-        rep.total_functions += 1
         rep.passing_spectral += spectral_hit
         rep.passing_oracle += oracle_hit
         if witness is not None:
             rep.witnesses.append(witness)
         if not agrees:
             rep.mismatches.append(f.exps)
+    rep.total_functions = total
     rep.success = bool(rep.witnesses) if existence else not rep.mismatches
     rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return rep

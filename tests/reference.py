@@ -6,17 +6,20 @@ package's criteria and oracle pick out.  Beside them, plain integer
 polynomial arithmetic, the modular inverse, the Legendre symbol, the size of
 an enumeration, the Parseval total and the autocorrelation criterion over
 every shift: each restates a definition that the package itself never
-needs.  Last, sympy's remainder mod Phi_N, the outside reference for every
-reduction; it imports sympy only when called, so the tests that use it skip
-without sympy.
+needs.  Then the dense verification loop, which judges every table where
+the package's loop judges only those a verdict passes.  Last, sympy's
+remainder mod Phi_N, the outside reference for every reduction; it imports
+sympy only when called, so the tests that use it skip without sympy.
 """
 
 import functools
+import time
 from math import gcd, lcm
 
 from gausschar.cyclo import CyclotomicElement, _Frozen, euler_phi
 from gausschar.modp import UnitFunction, check_odd_prime, find_primitive_root
 from gausschar.spectral import autocorrelation, fourier_norm
+from gausschar.verify import VerificationReport
 
 
 def _multiplicative_order(g: int, p: int) -> int:
@@ -178,6 +181,30 @@ def kurlberg_all_shifts(f: UnitFunction) -> bool:
     autocorrelation is exactly -1 at every shift 1 <= h <= p - 1."""
     return f.exps[0] == 0 and all(
         autocorrelation(f, h).as_integer() == -1 for h in range(1, f.p))
+
+
+# ---------------------------------------------------------------------------
+# The dense verification loop.
+
+def dense_run(statement: str, p: int, n: int, judge, functions, screen, candidates,
+              existence: bool = False) -> VerificationReport:
+    """``verify._run`` as it was before it skipped the tables both verdicts
+    reject: judge every function of the opened cell, with its screen verdict
+    and its candidate verdict, and tally the report."""
+    t0 = time.perf_counter()
+    rep = VerificationReport(statement, p, n)
+    for f, passed, candidate in zip(functions, screen, candidates, strict=True):
+        spectral_hit, oracle_hit, agrees, witness = judge(f, passed, candidate)
+        rep.total_functions += 1
+        rep.passing_spectral += spectral_hit
+        rep.passing_oracle += oracle_hit
+        if witness is not None:
+            rep.witnesses.append(witness)
+        if not agrees:
+            rep.mismatches.append(f.exps)
+    rep.success = bool(rep.witnesses) if existence else not rep.mismatches
+    rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    return rep
 
 
 # ---------------------------------------------------------------------------

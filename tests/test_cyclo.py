@@ -205,6 +205,21 @@ def test_slot_width_at_its_edge():
                 assert (CyclotomicElement.from_int(order, c) * zeta_pow(order, k)).coeffs == expected
 
 
+def test_slot_width_at_each_byte_boundary():
+    # The smallest weight W whose bound need = 2 W B_N + H(Phi_N) fills
+    # exactly 8k bits must get s-bit slots with 2^(s-1) > need.  A width
+    # rule one bit short gives s = 8k there, at 8, 16, 32 and 64 bits.
+    for order in (105, 330, 2002):
+        ctx = _context(order)
+        bound, height = ctx.row_bound, ctx.phi_height
+        for k in range(1 if order == 105 else 2, 9):
+            weight = max(1, -((height - 2 ** (8 * k - 1)) // (2 * bound)))
+            need = 2 * weight * bound + height
+            assert need.bit_length() == 8 * k, (order, k)
+            assert weight == 1 or (need - 2 * bound).bit_length() < 8 * k, (order, k)
+            assert 2 ** (8 * ctx.slots(weight).width - 1) > need, (order, k)
+
+
 def test_sum_of_zeta_powers_checks_order_before_exponents():
     def exploding():
         raise AssertionError("exponents were read")

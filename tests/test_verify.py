@@ -25,6 +25,7 @@ from gausschar.verify import (
     verify_thm_1_2,
     verify_thm_1_7,
 )
+from reference import count_unit_functions, dense_run
 
 #: Every default-grid cell, then five cells that fail to run, in file order.
 GOLDEN = Path(__file__).parent / "data" / "grid_golden.jsonl"
@@ -228,11 +229,11 @@ def test_missing_parameters_name_the_statement():
 def test_every_judge_is_neutral_where_both_sides_reject(monkeypatch):
     """On a table whose screen verdict is False and whose oracle side fails,
     every judge returns (False, False, True, None), so the table adds only
-    to the count.  The candidate verdict only spares the oracle: every judge
-    returns on every table what it returns when told the table is a
-    candidate, so the oracle side it reports is the oracle's own."""
+    to the count, and _run may count it without judging it.  The candidate
+    verdict only spares the oracle: every judge returns on every table what
+    it returns when told the table is a candidate, so the oracle side it
+    reports is the oracle's own."""
     exercised = set()
-    run = verify._run
 
     def spy(statement, p, n, judge, *args, **kwargs):
         def checked(f, passed, candidate):
@@ -242,11 +243,62 @@ def test_every_judge_is_neutral_where_both_sides_reject(monkeypatch):
                 assert result == (False, False, True, None), (statement, p, n, f.exps)
                 exercised.add(statement)
             return result
-        return run(statement, p, n, checked, *args, **kwargs)
+        # The dense loop judges every table, the ones _run skips included.
+        return dense_run(statement, p, n, checked, *args, **kwargs)
 
     monkeypatch.setattr(verify, "_run", spy)
     verify_grid(default_grid())
     assert exercised == set(STATEMENTS) - {"remark_counterexample"}
+
+
+def _masked(reports):
+    return [dict(rep.to_json_dict(), elapsed_ms=0) for rep in reports]
+
+
+#: Cells past the default grid where the sparse and the dense loop must agree.
+SECOND_TIER = [("thm_1_2", 11, 4), ("thm_1_7", 13, 3), ("cor_1_3", 7, 4),
+               ("remark_p_divides_n", 5, 10)]
+
+
+def test_sparse_run_equals_dense_run(monkeypatch):
+    # Counting a table that both verdicts reject, without judging it, gives
+    # the report that judging every table gives: every statement on every
+    # default-grid cell, and four cells past it.
+    config = default_grid() + SECOND_TIER
+    sparse = _masked(verify_grid(config))
+    monkeypatch.setattr(verify, "_run", dense_run)
+    assert sparse == _masked(verify_grid(config))
+
+
+#: The statements that enumerate n^(p-1) tables, with f(1) free.
+F1_FREE = {"cor_1_3", "lemma_2_1", "cor_2_3"}
+
+
+def test_run_judges_exactly_the_tables_a_verdict_passes(monkeypatch):
+    # In one default-grid pass a judge is called on each table whose screen
+    # verdict or candidate verdict is True, in order, and on no other; every
+    # table is still counted.
+    run = verify._run
+    judged, expected = [], []
+
+    def spy(statement, p, n, judge, functions, screen, candidates, **kwargs):
+        functions, screen, candidates = list(functions), list(screen), list(candidates)
+        expected.extend((statement, p, n, f.exps) for f, passed, candidate
+                        in zip(functions, screen, candidates) if passed or candidate)
+
+        def recorded(f, passed, candidate):
+            assert passed or candidate, (statement, p, n, f.exps)
+            judged.append((statement, p, n, f.exps))
+            return judge(f, passed, candidate)
+        return run(statement, p, n, recorded, functions, screen, candidates, **kwargs)
+
+    monkeypatch.setattr(verify, "_run", spy)
+    reports = verify_grid(default_grid())
+    assert judged == expected and len(judged) == 751
+    for rep in reports:
+        total = (1 if rep.statement == "remark_counterexample"
+                 else count_unit_functions(rep.p, rep.n, rep.statement not in F1_FREE))
+        assert rep.total_functions == total, (rep.statement, rep.p, rep.n)
 
 
 def test_cor_1_3_judge_reports_a_broken_dichotomy(monkeypatch):
