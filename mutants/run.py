@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Mutation run: every fast path's tests must fail on a broken copy of it.
+
+Usage, from the repository root:
+
+    python3 mutants/run.py              # every mutant
+    python3 mutants/run.py NAME ...     # only the named ones
+
+A mutant is one textual edit of one package file: (name, file, old text,
+new text, killing tests).  For each one the runner copies ``src/``,
+``tests/`` and ``pyproject.toml`` to a temporary directory, replaces the old
+text, which must occur exactly once, and runs ``python -m pytest -x`` on the
+killing tests against the copy.  The mutant is killed when pytest reports a
+failed test.  Tests are never edited: a mutant that no listed test kills is
+a gap in the tests, to be closed by a new or stronger test.
+
+Equivalent mutants change no answer, so no test can kill them; each is
+listed apart with its one-line proof and is not run.  The runner exits with
+status 1 if a mutant survives, an edit does not apply or pytest cannot run
+the tests, and 0 otherwise.  Standard library only; it is not part of the
+tier-1 suite (``testpaths`` is ``tests``).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CYCLO, MODP, VERIFY = ("src/gausschar/cyclo.py", "src/gausschar/modp.py",
+                       "src/gausschar/verify.py")
+TEST_CYCLO, TEST_MODP, TEST_SPECTRAL, TEST_VERIFY = (
+    "tests/test_cyclo.py", "tests/test_modp.py", "tests/test_spectral.py",
+    "tests/test_verify.py")
+
+# (name, file, old text, new text, killing tests)
+MUTANTS = (
+    ("norm_squared shifted by N - phi slots", CYCLO,
+     "<< bits * (n - len(c) + 1)", "<< bits * (n - len(c))",
+     (f"{TEST_CYCLO}::test_norm_squared_examples",)),
+    ("norm_squared fold drops the high part", CYCLO,
+     "folded = (product >> bits * n) + (product & ((1 << bits * n) - 1))",
+     "folded = product & ((1 << bits * n) - 1)",
+     (f"{TEST_CYCLO}::test_norm_squared_examples",)),
+    ("norm_squared packs c instead of its reversal", CYCLO,
+     "slots.pack(c) * slots.pack(c[::-1])", "slots.pack(c) * slots.pack(c)",
+     (f"{TEST_CYCLO}::test_norm_squared_examples",)),
+    ("norm_squared width from sa instead of sa^2", CYCLO,
+     "slots = _context(n).slots(sa * sa)", "slots = _context(n).slots(sa)",
+     (f"{TEST_CYCLO}::test_norm_squared_matches_ring_product",)),
+    ("in_subfield checks the first k without closing", CYCLO,
+     "fixed = {x * y % n for x in fixed for y in powers}", "break",
+     (f"{TEST_CYCLO}::test_in_subfield_matches_every_k",)),
+    ("in_subfield marks k covered without closing", CYCLO,
+     "fixed = {x * y % n for x in fixed for y in powers}", "fixed.add(k)",
+     (f"{TEST_SPECTRAL}::test_in_subfield_checks_generators_only",)),
+    ("slot width one bit short", CYCLO,
+     "width = (need.bit_length() + 8) >> 3", "width = (need.bit_length() + 7) >> 3",
+     (f"{TEST_CYCLO}::test_slot_width_at_each_byte_boundary",)),
+    ("_run skips a table unless passed", VERIFY,
+     "if not (passed or candidate):", "if not passed:",
+     (f"{TEST_VERIFY}::test_run_judges_exactly_the_tables_a_verdict_passes",
+      f"{TEST_VERIFY}::test_thm_1_7_cells")),
+    ("_run skips a table unless candidate", VERIFY,
+     "if not (passed or candidate):", "if not candidate:",
+     (f"{TEST_VERIFY}::test_run_judges_exactly_the_tables_a_verdict_passes",
+      f"{TEST_VERIFY}::test_search_p_divides_n")),
+    ("_run counts only the judged tables", VERIFY,
+     "    for total, (f, passed, candidate) in enumerate(\n"
+     "            zip(functions, screen, candidates, strict=True), 1):\n"
+     "        if not (passed or candidate):\n"
+     "            continue  # both sides reject: the judge would be neutral\n",
+     "    for f, passed, candidate in zip(functions, screen, candidates, strict=True):\n"
+     "        if not (passed or candidate):\n"
+     "            continue  # both sides reject: the judge would be neutral\n"
+     "        total += 1\n",
+     (f"{TEST_VERIFY}::test_run_judges_exactly_the_tables_a_verdict_passes",)),
+    ("homomorphism_candidates relations without f(1)", MODP,
+     "e1, ex = exps[1], exps[x]", "e1, ex = 0, exps[x]",
+     (f"{TEST_MODP}::test_homomorphism_candidates_are_what_the_oracle_accepts",
+      f"{TEST_MODP}::test_homomorphism_candidates_count_and_match_the_characters")),
+    ("homomorphism_candidates skips the relation a = b = x", MODP,
+     "for a in range(2, x + 1):", "for a in range(2, x):",
+     (f"{TEST_MODP}::test_homomorphism_candidates_are_what_the_oracle_accepts",
+      f"{TEST_MODP}::test_homomorphism_candidates_count_and_match_the_characters")),
+    ("homomorphism_candidates index off by one", MODP,
+     "exps[1:], 0))", "exps[1:], 0) + 1)",
+     (f"{TEST_MODP}::test_homomorphism_candidates_are_what_the_oracle_accepts",
+      f"{TEST_MODP}::test_homomorphism_candidates_count_and_match_the_characters")),
+)
+
+# Edits that change no answer, so no test can kill them; listed, not run.
+# (name, file, old text, new text, proof)
+EQUIVALENT = (
+    ("in_subfield closes with every power of k up to 1", CYCLO,
+     "while powers[-1] not in fixed:", "while powers[-1] != 1:",
+     "once k^m lies in the group fixed, k^(m+j) * fixed = k^j * fixed, so the "
+     "further powers add no element."),
+    ("homomorphism_candidates skips the relations a = b < x", MODP,
+     "if a <= b < x and", "if a < b < x and",
+     "with g = f / f(1), g(a)^2 = g(a^2) follows from the a != b relations at "
+     "(a, ac), (a, c) and (a^2, c) for any unit c outside {1, a, a^2}, which "
+     "exists for p >= 5; at p = 3 the only a = b relation, a = 2, has a = x."),
+)
+
+
+def run_mutant(file: str, old: str, new: str, tests) -> str:
+    """'killed', 'survived', or an error message, for one edit and its tests."""
+    with tempfile.TemporaryDirectory(prefix="gausschar-mutant-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        target = copy / file
+        text = target.read_text()
+        if text.count(old) != 1:
+            return f"the old text occurs {text.count(old)} times in {file}, not once"
+        target.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=copy, env=env, capture_output=True, text=True)
+    if proc.returncode == 0:
+        return "survived"
+    if proc.returncode == 1:
+        return "killed"
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    return f"pytest exited {proc.returncode}: {last}"
+
+
+def main(argv: list[str]) -> int:
+    wanted = set(argv)
+    known = {m[0] for m in MUTANTS}
+    if wanted - known:
+        print("unknown mutants:", ", ".join(sorted(wanted - known)))
+        return 2
+    bad = 0
+    start = time.perf_counter()
+    print("mutants (each must be killed):")
+    for name, file, old, new, tests in MUTANTS:
+        if wanted and name not in wanted:
+            continue
+        outcome = run_mutant(file, old, new, tests)
+        bad += outcome != "killed"
+        print(f"  {outcome:9s} {name}")
+    print("equivalent mutants (not run):")
+    for name, *_, proof in EQUIVALENT:
+        print(f"  {name}: {proof}")
+    print(f"{bad} failing, {time.perf_counter() - start:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -25,6 +25,14 @@ product packs both factors and multiplies the two integers once before the
 same remainder.  The O(phi^2) work is CPython's big-integer multiply and
 remainder; no table of size N * phi is ever built.
 
+``norm_squared`` takes one product and one remainder, with no
+``conjugate()``: it packs the coordinates c of z and their reversal
+c[::-1], so the product holds the coefficients of
+z * conj(z) * zeta^(phi-1), shifts it left by N - phi + 1 slots, which puts
+every exponent in [1, 2N), and folds once at bit s * N, adding the part
+above that bit to the part below it.  The fold is exact because Phi_N
+divides x^N - 1, so 2^(s*N) = 1 (mod M).
+
 Phi_N comes from k, the odd part of rad(N) (the product of the odd primes
 dividing N), by three standard identities (Washington, *Introduction to
 Cyclotomic Fields*, ch. 2), with r = rad(N) and t = N / r:
@@ -511,14 +519,29 @@ class CyclotomicElement(_Frozen):
 
         The automorphisms sigma_k with k = 1 (mod d) and gcd(k, N) = 1 are
         exactly the ones fixing Q(zeta_d) pointwise, so membership is
-        equivalent to being fixed by all of them.
+        equivalent to being fixed by all of them, the group H of those k.
+
+        Only generators are checked.  ``fixed`` is the subgroup generated by
+        the k checked so far; since sigma_a . sigma_b = sigma_(a*b), the
+        element is fixed by every sigma_k with k in it.  A k already in it
+        is skipped; after sigma_k passes, ``fixed`` becomes the subgroup
+        generated by it and k, the union of its cosets k^j * fixed up to the
+        first power of k that lies in it.  Each check at least doubles
+        ``fixed``, so at most log2|H| + 1 ``galois`` calls are made.
         """
         n = self.order
         if d < 1 or n % d != 0:
             raise ValueError(f"subfield order {d} does not divide the element order {n}")
+        fixed = {1}
         for k in range(1 + d, n, d):
-            if gcd(k, n) == 1 and self.galois(k) != self:
+            if k in fixed or gcd(k, n) != 1:
+                continue
+            if self.galois(k) != self:
                 return False
+            powers = [k]
+            while powers[-1] not in fixed:
+                powers.append(powers[-1] * k % n)
+            fixed = {x * y % n for x in fixed for y in powers}
         return True
 
     # -- magnitude and rationality --------------------------------------------
@@ -528,8 +551,29 @@ class CyclotomicElement(_Frozen):
 
         When rational this equals |z|^2 under every complex embedding that
         sends zeta_N to a primitive N-th root; sqrt-free by construction.
+
+        One product and one reduction, with no ``conjugate()``.  With c the
+        phi coordinates of z, z * conj(z) is the sum of A_d * zeta^d over
+        -phi < d < phi, where A_d is the sum of c_i * c_j over i - j = d.
+        Packing c and its reversal c[::-1] puts c_j in slot phi - 1 - j, so
+        slot k of their product holds A_(k-phi+1).  Shifting it left by
+        N - phi + 1 slots puts A_d in slot N + d >= 1, and the fold at bit
+        s * N adds the part above that bit to the part below it.  That is
+        exact mod M = Phi_N(2^s): Phi_N divides x^N - 1, so
+        2^(s*N) = 1 (mod M), and the shift multiplies by
+        2^(s*N) * 2^(-s(phi-1)), which maps A_d to zeta^d mod Phi_N.  The
+        folded integer is congruent mod M to a raw vector of N slots whose
+        absolute coefficients sum to at most the sum of |A_d|, at most sa^2
+        with sa the sum of |c_i|, so ``__mul__``'s width ``slots(sa * sa)``
+        reduces it exactly.  No c_i exceeds sa <= sa^2, so c packs too.
         """
-        return self * self.conjugate()
+        n, c = self.order, self.coeffs
+        sa = sum(map(abs, c))
+        slots = _context(n).slots(sa * sa)
+        bits = 8 * slots.width
+        product = slots.pack(c) * slots.pack(c[::-1]) << bits * (n - len(c) + 1)
+        folded = (product >> bits * n) + (product & ((1 << bits * n) - 1))
+        return CyclotomicElement(n, slots.reduce(folded))
 
     def as_integer(self) -> "int | None":
         """The rational integer this element represents, or None."""

@@ -7,7 +7,8 @@ polynomial arithmetic, the modular inverse, the Legendre symbol, the size of
 an enumeration, the Parseval total and the autocorrelation criterion over
 every shift: each restates a definition that the package itself never
 needs.  Then the dense verification loop, which judges every table where
-the package's loop judges only those a verdict passes.  Last, sympy's
+the package's loop judges only those a verdict passes, and the subfield
+test at every k, where the package checks only generators.  Last, sympy's
 remainder mod Phi_N, the outside reference for every reduction; it imports
 sympy only when called, so the tests that use it skip without sympy.
 """
@@ -205,6 +206,22 @@ def dense_run(statement: str, p: int, n: int, judge, functions, screen, candidat
     rep.success = bool(rep.witnesses) if existence else not rep.mismatches
     rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return rep
+
+
+# ---------------------------------------------------------------------------
+# Subfield membership at every k.
+
+def in_subfield_every_k(z: CyclotomicElement, d: int) -> bool:
+    """``CyclotomicElement.in_subfield`` as it was before it checked only
+    generators: z lies in Q(zeta_d) iff sigma_k fixes it for every k = 1
+    (mod d) coprime to the order."""
+    n = z.order
+    if d < 1 or n % d != 0:
+        raise ValueError(f"subfield order {d} does not divide the element order {n}")
+    for k in range(1 + d, n, d):
+        if gcd(k, n) == 1 and z.galois(k) != z:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from gausschar.cyclo import (
     _moebius_product,
     _power_map,
 )
-from reference import evaluate_poly, poly_mul, poly_trim, sympy_remainder
+from reference import evaluate_poly, in_subfield_every_k, poly_mul, poly_trim, sympy_remainder
 
 
 def reduced(order, coeffs):
@@ -302,6 +302,50 @@ def test_norm_squared_multiplicative():
             assert (a * b).norm_squared() == a.norm_squared() * b.norm_squared()
 
 
+def test_norm_squared_matches_ring_product():
+    # One packed product folded by x^N = 1 against z * conj(z): at every
+    # order up to 60 and at large ones (odd primes among them, where the two
+    # folded halves overlap), with coefficients up to 9, 10^6 and 10^12;
+    # the last need slots wider than 8 bytes.
+    rng = random.Random(1901)
+    for order in [*range(1, 61), 105, 330, 390, 930, 1001, 2002, 9240, 9700, 9973]:
+        deg = euler_phi(order)
+        for scale in (9, 10 ** 6, 10 ** 12):
+            z = CyclotomicElement(order, tuple(rng.randint(-scale, scale) for _ in range(deg)))
+            assert z.norm_squared() == z * z.conjugate(), (order, scale)
+
+
+def _vector_of_weight(rng, deg, weight):
+    """phi coordinates with random signs whose absolute values sum to weight."""
+    parts = min(deg, weight)
+    cuts = sorted(rng.sample(range(1, weight), parts - 1))
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, weight])]
+    coeffs = [0] * deg
+    for i, size in zip(rng.sample(range(deg), parts), sizes):
+        coeffs[i] = rng.choice((size, -size))
+    return tuple(coeffs)
+
+
+def test_norm_squared_at_each_slot_width():
+    # The smallest sa (sum of |c_i|) whose width slots(sa * sa) first
+    # reaches 2, 4, 8 and more than 8 bytes: the vector with sa in one
+    # coordinate, and spread ones, against z * conj(z).
+    rng = random.Random(1902)
+    for order in (105, 330, 2002):
+        ctx, deg = _context(order), euler_phi(order)
+        for width in (2, 4, 8, 9):
+            lo, hi = 0, 2 ** 64  # slots(lo^2) is narrower than width, slots(hi^2) is not
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if ctx.slots(mid * mid).width >= width else (mid, hi)
+            assert ctx.slots(hi * hi).width >= width > ctx.slots(lo * lo).width, (order, width)
+            vectors = [(hi,) + (0,) * (deg - 1), (0,) * (deg - 1) + (-hi,)]
+            vectors += [_vector_of_weight(rng, deg, hi) for _ in range(3)]
+            for coeffs in vectors:
+                z = CyclotomicElement(order, coeffs)
+                assert z.norm_squared() == z * z.conjugate(), (order, width)
+
+
 def test_embed_examples():
     assert zeta_pow(3, 1).embed(6) == zeta_pow(6, 2)
     assert CyclotomicElement.from_int(5, 2).embed(20) == CyclotomicElement.from_int(20, 2)
@@ -375,6 +419,28 @@ def test_in_subfield_matches_construction():
             lifted = inside.embed(order)
             assert lifted.in_subfield(d)
             assert not (lifted + zeta_pow(order, 1)).in_subfield(d)
+
+
+def test_in_subfield_matches_every_k():
+    # Checking generators only against checking every k, at N = 120, whose
+    # groups of k = 1 (mod d) are not all cyclic.  Orbit sums over <k>, and
+    # z + sigma_k(z), are fixed by a subgroup that need not be all of them,
+    # so each divisor d sees both answers.
+    rng = random.Random(1903)
+    order = 120
+    deg = euler_phi(order)
+    answers = set()
+    for k in (k for k in range(1, order) if gcd(k, order) == 1):
+        z = CyclotomicElement(order, tuple(rng.randint(-9, 9) for _ in range(deg)))
+        orbit, power = z, k
+        while power != 1:
+            orbit, power = orbit + z.galois(power), power * k % order
+        for element in (orbit, z + z.galois(k)):
+            for d in (d for d in range(1, order + 1) if order % d == 0):
+                answer = element.in_subfield(d)
+                assert answer == in_subfield_every_k(element, d), (k, d)
+                answers.add(answer)
+    assert answers == {True, False}
 
 
 def test_as_integer():

@@ -35,6 +35,7 @@ from gausschar.spectral import (
 from gausschar.verify import GRID_CELLS, GRID_CELLS_FREE, default_grid
 from reference import (
     enumerate_characters,
+    in_subfield_every_k,
     kurlberg_all_shifts,
     mod_inverse,
     parseval_sum,
@@ -398,6 +399,42 @@ def test_subfield_screen_passes_exactly_the_subfield_members():
             assert [f.exps for f in passed] == [(d,) * (p - 1) for d in range(n)], (p, n)
         else:
             assert len(passed) == n ** (p - 1), (p, n)
+
+
+def test_in_subfield_matches_every_k_on_the_screen_survivors():
+    # Generators only against every k, for tau of each table the subfield
+    # screen passes on a default-grid lemma_2_1 cell, at every divisor of
+    # its order.
+    cells = {(p, n) for statement, p, n in default_grid() if statement == "lemma_2_1"}
+    answers = set()
+    for p, n in sorted(cells):
+        order = lcm(n, p)
+        for f, ok in zip(enumerate_unit_functions(p, n, fix_f1=False),
+                         spectral.subfield_screen(p, n), strict=True):
+            if ok:
+                tau = gauss_sum(f).value
+                for d in (d for d in range(1, order + 1) if order % d == 0):
+                    answer = tau.in_subfield(d)
+                    assert answer == in_subfield_every_k(tau, d), (f, d)
+                    answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_in_subfield_checks_generators_only(monkeypatch):
+    # tau of a constant table at (97, 100) lies in Q(zeta_100), which the 96
+    # sigma_k with k = 1 (mod 100) fix inside Q(zeta_9700); checking every k
+    # applies the 95 besides the identity, but each sigma_k that passes at
+    # least doubles the covered group, so at most 7 are applied.
+    calls = []
+    galois = CyclotomicElement.galois
+
+    def counting(self, k):
+        calls.append(k)
+        return galois(self, k)
+    tau = gauss_sum(UnitFunction(97, 100, (3,) * 96)).value
+    monkeypatch.setattr(CyclotomicElement, "galois", counting)
+    assert tau.in_subfield(100)
+    assert 1 <= len(calls) <= 7, calls
 
 
 def test_flat_screen_passes_every_flat_table():
