@@ -32,8 +32,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CYCLO, MODP, VERIFY = ("src/gausschar/cyclo.py", "src/gausschar/modp.py",
-                       "src/gausschar/verify.py")
+CYCLO, MODP, SPECTRAL, VERIFY = ("src/gausschar/cyclo.py", "src/gausschar/modp.py",
+                                 "src/gausschar/spectral.py", "src/gausschar/verify.py")
 TEST_CYCLO, TEST_MODP, TEST_SPECTRAL, TEST_VERIFY = (
     "tests/test_cyclo.py", "tests/test_modp.py", "tests/test_spectral.py",
     "tests/test_verify.py")
@@ -62,24 +62,54 @@ MUTANTS = (
     ("slot width one bit short", CYCLO,
      "width = (need.bit_length() + 8) >> 3", "width = (need.bit_length() + 7) >> 3",
      (f"{TEST_CYCLO}::test_slot_width_at_each_byte_boundary",)),
+    ("row_bound without its 1 +", CYCLO,
+     "self.row_bound = 1 + min(", "self.row_bound = min(",
+     (f"{TEST_CYCLO}::test_row_bound_covers_every_power",)),
     ("_run skips a table unless passed", VERIFY,
-     "if not (passed or candidate):", "if not passed:",
+     "judged = screen | candidates", "judged = screen",
      (f"{TEST_VERIFY}::test_run_judges_exactly_the_tables_a_verdict_passes",
       f"{TEST_VERIFY}::test_thm_1_7_cells")),
     ("_run skips a table unless candidate", VERIFY,
-     "if not (passed or candidate):", "if not candidate:",
+     "judged = screen | candidates", "judged = candidates",
      (f"{TEST_VERIFY}::test_run_judges_exactly_the_tables_a_verdict_passes",
       f"{TEST_VERIFY}::test_search_p_divides_n")),
     ("_run counts only the judged tables", VERIFY,
-     "    for total, (f, passed, candidate) in enumerate(\n"
-     "            zip(functions, screen, candidates, strict=True), 1):\n"
-     "        if not (passed or candidate):\n"
-     "            continue  # both sides reject: the judge would be neutral\n",
-     "    for f, passed, candidate in zip(functions, screen, candidates, strict=True):\n"
-     "        if not (passed or candidate):\n"
-     "            continue  # both sides reject: the judge would be neutral\n"
-     "        total += 1\n",
+     "rep.total_functions = index + 1", "rep.total_functions = len(judged)",
      (f"{TEST_VERIFY}::test_run_judges_exactly_the_tables_a_verdict_passes",)),
+    ("_run without the index-past-the-cell guard", VERIFY,
+     "    if max(judged, default=-1) > index:\n        raise ValueError(",
+     "    if False:\n        raise ValueError(",
+     (f"{TEST_VERIFY}::test_run_refuses_a_screen_of_the_wrong_length",
+      f"{TEST_VERIFY}::test_run_refuses_a_candidate_stream_of_the_wrong_length")),
+    ("existence report always succeeds", VERIFY,
+     "rep.success = bool(rep.witnesses) if existence", "rep.success = True if existence",
+     (f"{TEST_VERIFY}::test_search_p_divides_n",)),
+    ("cor_1_3 judge always agrees", VERIFY,
+     "return full, oracle_hit, full or not hits,", "return full, oracle_hit, True,",
+     (f"{TEST_VERIFY}::test_cor_1_3_judge_reports_a_broken_dichotomy",)),
+    ("lemma_2_1 judge skips its -tau identity", VERIFY,
+     "minus_tau = const and zeta_pow(n, g.exps[0]).embed(big) == -tau",
+     "minus_tau = const",
+     (f"{TEST_VERIFY}::test_lemma_2_1_judge_reports_a_wrong_minus_tau",)),
+    ("zero-sum lookup target +h instead of -h", SPECTRAL,
+     "offsets.get(-h % ell, ())", "offsets.get(h % ell, ())",
+     (f"{TEST_SPECTRAL}::test_zero_sum_screen_matches_brute_force",)),
+    ("zero-sum head stride off by one", SPECTRAL,
+     "head * stride + offset", "head * (stride + 1) + offset",
+     (f"{TEST_SPECTRAL}::test_zero_sum_screen_matches_brute_force",)),
+    ("subfield_screen at the first k != 1 instead of the generator", SPECTRAL,
+     "if k % p == g), 1)", "if k % p > 1), 1)",
+     (f"{TEST_SPECTRAL}::test_subfield_screen_passes_exactly_the_subfield_members",)),
+    ("spectral_witness stops at a = p - 2", SPECTRAL,
+     "    for a in range(1, f.p):\n        if has_unit_fourier_magnitude(f, a):",
+     "    for a in range(1, f.p - 1):\n        if has_unit_fourier_magnitude(f, a):",
+     (f"{TEST_VERIFY}::test_remark_counterexample_report",)),
+    ("_split_prime without the exact-order check", SPECTRAL,
+     "if all(pow(omega, order // q, ell) != 1 for q in primes):", "if True:",
+     (f"{TEST_SPECTRAL}::test_split_prime_map_is_a_ring_homomorphism",)),
+    ("oracle skips b = a", MODP,
+     "for b in range(a, p):", "for b in range(a + 1, p):",
+     (f"{TEST_MODP}::test_cross_enumeration_equality",)),
     ("homomorphism_candidates relations without f(1)", MODP,
      "e1, ex = exps[1], exps[x]", "e1, ex = 0, exps[x]",
      (f"{TEST_MODP}::test_homomorphism_candidates_are_what_the_oracle_accepts",
@@ -89,7 +119,7 @@ MUTANTS = (
      (f"{TEST_MODP}::test_homomorphism_candidates_are_what_the_oracle_accepts",
       f"{TEST_MODP}::test_homomorphism_candidates_count_and_match_the_characters")),
     ("homomorphism_candidates index off by one", MODP,
-     "exps[1:], 0))", "exps[1:], 0) + 1)",
+     "found.append(table_index(exps[1:], n))", "found.append(table_index(exps[1:], n) + 1)",
      (f"{TEST_MODP}::test_homomorphism_candidates_are_what_the_oracle_accepts",
       f"{TEST_MODP}::test_homomorphism_candidates_count_and_match_the_characters")),
 )
@@ -101,11 +131,12 @@ EQUIVALENT = (
      "while powers[-1] not in fixed:", "while powers[-1] != 1:",
      "once k^m lies in the group fixed, k^(m+j) * fixed = k^j * fixed, so the "
      "further powers add no element."),
-    ("homomorphism_candidates skips the relations a = b < x", MODP,
-     "if a <= b < x and", "if a < b < x and",
-     "with g = f / f(1), g(a)^2 = g(a^2) follows from the a != b relations at "
-     "(a, ac), (a, c) and (a^2, c) for any unit c outside {1, a, a^2}, which "
-     "exists for p >= 5; at p = 3 the only a = b relation, a = 2, has a = x."),
+    ("prop_2_2 screened at a = 1", VERIFY,
+     'return _run("prop_2_2", p, n, judge, functions, _gauss_screen(p, n),',
+     'return _run("prop_2_2", p, n, judge, functions, spectral.magnitude_screen(p, n, (1,)),',
+     "p does not divide n there, so a sigma_k with k = 1 (mod n) maps S_(-1) to S_1 and "
+     "every table with norm_squared(tau) = p passes the a = 1 image exactly; any other "
+     "table either screen passes is decided by the canonical test at a = -1."),
 )
 
 

@@ -6,15 +6,17 @@ oracle that every analytic test is checked against.  Primality is decided
 by a deterministic Miller-Rabin test, exact below 3.317e24 and refused
 above.
 
+A table of a cell is named by its index, its place in the enumeration:
+its exponents at x = 1, ..., p - 1 read as base-n digits.  ``table_index``
+and ``table_exps`` are the one codec for that format; every verdict source
+hands the verification loop a sorted list of such indices.
+
 An exhaustive verification asks the oracle only about candidates.
 ``homomorphism_candidates`` walks a cell's lexicographic tree of tables
 and cuts each branch at the first relation f(a) f(b) = f(1) f(ab) it
 fails, checked as soon as its largest argument is assigned; it shares no
 code with ``spectral``.  It is sound because no character, times a
 constant when f(1) is free, ever fails such a relation.
-``index_verdicts`` turns any sorted set of indices into one verdict per
-table in enumeration order; the candidate stream and the magnitude screen
-both come through it.
 """
 
 from __future__ import annotations
@@ -251,12 +253,12 @@ def homomorphism_candidates(p: int, n: int, fix_f1: bool = True) -> list:
     satisfy f(a) f(b) = f(1) f(ab) for all units a, b.
 
     The index of a table is its place in ``enumerate_unit_functions(p, n,
-    fix_f1)``: its exponents at x = 1, ..., p - 1 read as base-n digits.
-    The lexicographic tree of tables is walked depth first, without
-    recursion, and each relation is checked, in exponent arithmetic mod n,
-    as soon as its largest argument is assigned; a branch is cut at the
-    first relation it fails.  Beside the output this keeps O(p) state: the
-    exponents of the current branch and the inverses mod p.
+    fix_f1)`` (``table_index``).  The lexicographic tree of tables is
+    walked depth first, without recursion, and each relation is checked, in
+    exponent arithmetic mod n, as soon as its largest argument is assigned;
+    a branch is cut at the first relation it fails.  Beside the output
+    this keeps O(p) state: the exponents of the current branch and the
+    inverses mod p.
 
     Every character, times a constant c when f(1) is free, passes every
     relation, since c chi(a) c chi(b) = c (c chi(ab)); so no character is
@@ -284,7 +286,7 @@ def homomorphism_candidates(p: int, n: int, fix_f1: bool = True) -> list:
         elif x < p - 1:
             x += 1
         else:
-            found.append(functools.reduce(lambda i, e: i * n + e, exps[1:], 0))
+            found.append(table_index(exps[1:], n))
             exps[x] += 1
     return found
 
@@ -292,7 +294,16 @@ def homomorphism_candidates(p: int, n: int, fix_f1: bool = True) -> list:
 def _relations_hold(p: int, n: int, exps: list, inverse: list, x: int) -> bool:
     """Whether every relation f(a) f(b) = f(1) f(ab) whose largest argument
     is x holds for the exponents assigned at 1, ..., x: those with b = x
-    and ab (mod p) at most x, and those with ab = x (mod p) and a <= b < x."""
+    and ab (mod p) at most x, and those with ab = x (mod p) and a < b < x.
+
+    The relations with a = b < x are implied by the others, so they are not
+    checked.  With g = f / f(1) the relations read g(a) g(b) = g(ab), and
+    g(a)^2 = g(a^2) follows from the a != b relations at (a, ac), (a, c)
+    and (a^2, c), for any unit c outside {1, a, a^2}: g(a) g(ac) = g(a^2 c)
+    = g(a^2) g(c) and g(ac) = g(a) g(c).  Such a c exists for p >= 5.  At
+    p = 3 the one a = b relation, a = 2, has ab = 1 and largest argument
+    x = 2, so it is checked in the first loop.
+    """
     e1, ex = exps[1], exps[x]
     for a in range(2, x + 1):
         c = a * x % p
@@ -300,20 +311,25 @@ def _relations_hold(p: int, n: int, exps: list, inverse: list, x: int) -> bool:
             return False
     for a in range(2, x):
         b = x * inverse[a] % p
-        if a <= b < x and (exps[a] + exps[b] - e1 - ex) % n:
+        if a < b < x and (exps[a] + exps[b] - e1 - ex) % n:
             return False
     return True
 
 
-def index_verdicts(indices, total: int) -> Iterator[bool]:
-    """One verdict per table of a cell of ``total`` tables, in enumeration
-    order: True exactly at the sorted, distinct ``indices``."""
-    pieces, start = [], 0
-    for index in indices:
-        pieces += (itertools.repeat(False, index - start), (True,))
-        start = index + 1
-    pieces.append(itertools.repeat(False, total - start))
-    return itertools.chain.from_iterable(pieces)
+def table_index(exps, n: int) -> int:
+    """The index of the table with exponents ``exps`` at x = 1, ..., p - 1:
+    its place in ``enumerate_unit_functions``, the exponents read as
+    base-n digits (the first is 0 when f(1) is fixed)."""
+    return functools.reduce(lambda i, e: i * n + e, exps, 0)
+
+
+def table_exps(index: int, p: int, n: int) -> list:
+    """The p - 1 exponents of the table at ``index``, the inverse of
+    ``table_index``."""
+    exps = [0] * (p - 1)
+    for x in range(p - 2, -1, -1):
+        index, exps[x] = divmod(index, n)
+    return exps
 
 
 def _trusted_unit_function(p: int, n: int, exps: tuple) -> UnitFunction:

@@ -41,16 +41,19 @@ S_a(omega^-1), tau(omega) - sigma_k(tau)(omega), and the value sum
 S_0(omega)), so over the n^k tables of a cell it is a sumset.  A cell
 screen splits the positions into a head and a tail, builds the tail's sums
 once as a block of at most _TAIL_TABLES values (or n, when the last
-position alone has more digits), and emits each head's verdicts against the
-block with one list comprehension: the verdicts come in the enumerator's
-own lexicographic order, at amortized O(1) work per table and in memory
-bounded by the block.  The magnitude screen builds that sumset at the twist
-a = 1 alone and reaches every other unit a by the change of variables
-x -> a*x, which maps the a = 1 survivors onto the a survivors (see
-``magnitude_screen``), so one sumset per cell serves all p - 1 twists of
-``cor_1_3``.  That relates different tables at one twist, never one table
-at different twists, so the dichotomy ``cor_1_3`` verifies is not assumed.
-A screen only makes a proven rejection: the magnitude screen repeats its
+position alone has more digits), and returns the sorted indices of the
+tables it passes (``modp.table_index``), in memory bounded by the block
+and the survivors.  The magnitude screen compares each head with the whole
+block, at amortized O(1) work per table.  The linear screens (subfield and
+flat) ask for a zero sum, so each head looks its one target up in a dict
+from block sums to tail offsets, at O(heads + block + survivors) work per
+cell.  The magnitude screen builds its sumset at the twist a = 1 alone
+and reaches every other unit a by the change of variables x -> a*x, which
+maps the a = 1 survivors onto the a survivors (see ``magnitude_screen``),
+so one sumset per cell serves all p - 1 twists of ``cor_1_3``.  That
+relates different tables at one twist, never one table at different
+twists, so the dichotomy ``cor_1_3`` verifies is not assumed.  A screen
+only makes a proven rejection: the magnitude screen repeats its
 per-function filter's, the subfield screen's holds because its sigma_k
 fixes Q(zeta_n), and the flat screen's follows from the value-sum identity
 in ``flat_screen``.  A table the magnitude screen passes goes on to the
@@ -70,7 +73,7 @@ from collections.abc import Iterator
 from math import lcm, prod
 
 from .cyclo import CyclotomicElement, _check_order, _Frozen, factorize, sum_of_zeta_powers
-from .modp import UnitFunction, find_primitive_root, index_verdicts, is_prime
+from .modp import UnitFunction, find_primitive_root, is_prime, table_exps, table_index
 
 
 class SpectralValue(_Frozen):
@@ -231,7 +234,7 @@ def kurlberg_test(f: UnitFunction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Cell screens: the split-prime verdicts of every table of a cell at once.
+# Cell screens: the tables of a cell that pass a split-prime test, at once.
 
 #: Tables a screen's tail block covers at most.  The block is built once per
 #: cell and reused after every head, so a screen holds O(_TAIL_TABLES) sums
@@ -273,11 +276,11 @@ def _position_rows(p: int, n: int, a: int, fix_f1: bool, image) -> list:
     return rows
 
 
-def magnitude_screen(p: int, n: int, twists, fix_f1: bool = True) -> Iterator[bool]:
-    """Whether ``_magnitude_image_is_p(f, a)`` holds for some a in
-    ``twists``, for every table f of the cell, in the order
-    ``enumerate_unit_functions(p, n, fix_f1)`` yields them; the cell must
-    already be validated, and every twist must be a unit.
+def magnitude_screen(p: int, n: int, twists, fix_f1: bool = True) -> list:
+    """The sorted indices of the tables f of the cell, in
+    ``enumerate_unit_functions(p, n, fix_f1)``, for which
+    ``_magnitude_image_is_p(f, a)`` holds for some a in ``twists``; the
+    cell must already be validated, and every twist must be a unit.
 
     Only the a = 1 screen is computed: S_1(omega) and S_1(omega^-1) are
     sums of one contribution per position, so over the cell each is a
@@ -289,9 +292,8 @@ def magnitude_screen(p: int, n: int, twists, fix_f1: bool = True) -> Iterator[bo
     g o m_a for the survivors g at 1.  With f(1) fixed each g o m_a is
     rescaled by conj(g(a)) to value 1 at 1.  That is sound because
     scaling a sum by a root of unity c leaves S(omega) * S(omega^-1)
-    unchanged, c(omega) * c(omega^-1) being 1.  A table's verdict is its
-    membership in the union of the mapped survivors, streamed in
-    enumeration order.
+    unchanged, c(omega) * c(omega^-1) being 1.  The result is the union
+    of the mapped survivors.
     """
     twists = tuple(twists)
     if any(a % p == 0 for a in twists):
@@ -306,33 +308,32 @@ def magnitude_screen(p: int, n: int, twists, fix_f1: bool = True) -> Iterator[bo
         [(hs + s) * (ht + t) % ell == p for s, t in block] for hs, ht in heads)
     hits = set()
     for index in itertools.compress(itertools.count(), verdicts):
-        # The table's exponents are the p - 1 base-n digits of its index
-        # (the first is 0 when f(1) is fixed).
-        g = []
-        for _ in range(p - 1):
-            index, digit = divmod(index, n)
-            g.append(digit)
-        g.reverse()
+        g = table_exps(index, p, n)
         for a in twists:
             mapped = [g[a * x % p - 1] for x in range(1, p)]
             c = mapped[0] if fix_f1 else 0
-            hits.add(functools.reduce(lambda i, e: i * n + (e - c) % n, mapped, 0))
-    return index_verdicts(sorted(hits), prod(map(len, fwd)))
+            hits.add(table_index([(e - c) % n for e in mapped], n))
+    return sorted(hits)
 
 
-def _zero_sum_screen(rows: list, ell: int) -> Iterator[bool]:
-    """Whether the sum of one entry per row is 0 mod ell, for every choice
-    in lexicographic order (as ``_lex_sums``), built head times tail block."""
+def _zero_sum_screen(rows: list, ell: int) -> list:
+    """The sorted indices, in lexicographic order of the choices (as
+    ``_lex_sums``), of the choices of one entry per row whose sum is 0 mod
+    ell.  The tail block's sums map to the offsets where they occur, and
+    each head sum h looks up its one target -h there."""
     j = _tail_start([len(row) for row in rows])
-    block = list(_lex_sums(rows[j:], ell))
-    targets = (-h % ell for h in _lex_sums(rows[:j], ell))
-    return itertools.chain.from_iterable([s == t for s in block] for t in targets)
+    offsets = {}
+    for offset, s in enumerate(_lex_sums(rows[j:], ell)):
+        offsets.setdefault(s, []).append(offset)
+    stride = prod(map(len, rows[j:]))
+    return [head * stride + offset for head, h in enumerate(_lex_sums(rows[:j], ell))
+            for offset in offsets.get(-h % ell, ())]
 
 
-def subfield_screen(p: int, n: int) -> Iterator[bool]:
-    """Whether tau(f) and sigma_k(tau(f)) have equal images in the split
-    prime field, for every table f of the cell with f(1) free, in
-    enumeration order; a table it passes is still decided canonically by
+def subfield_screen(p: int, n: int) -> list:
+    """The sorted indices of the tables f of the cell with f(1) free whose
+    tau(f) and sigma_k(tau(f)) have equal images in the split prime field;
+    a table it passes is still decided canonically by
     ``CyclotomicElement.in_subfield``.
 
     k = 1 (mod n), so sigma_k fixes Q(zeta_n) and every table with tau(f)
@@ -352,11 +353,11 @@ def subfield_screen(p: int, n: int) -> Iterator[bool]:
     return _zero_sum_screen(rows, ell)
 
 
-def flat_screen(p: int, n: int) -> Iterator[bool]:
-    """Whether the value sum S_0 = sum of f(x) has image 0 in the split
-    prime field, for every table f of the cell with f(1) = 1, in
-    enumeration order; a table it passes is decided canonically at every
-    shift by ``kurlberg_test``.
+def flat_screen(p: int, n: int) -> list:
+    """The sorted indices of the tables f of the cell with f(1) = 1 whose
+    value sum S_0 = sum of f(x) has image 0 in the split prime field; a
+    table it passes is decided canonically at every shift by
+    ``kurlberg_test``.
 
     Proof that a flat f passes: with f(0) = 0, S_0 * conj(S_0) is the sum of
     autocorrelation(f, h) over all h, (p - 1) - (p - 1) = 0 for a flat

@@ -15,37 +15,37 @@ with a pinned parameter check their parameters themselves: ``prop_1_1``
 requires p and takes n = 2 or None, the counterexample takes (3, 6) or
 neither, and any other value is a ``HypothesisViolation``.
 
-Among the per-cell constants are two streams of verdicts, one per table
-in enumeration order, each False only on a proven rejection.  The cell
-screen, from ``spectral``, holds the split-prime verdicts (see the
-``spectral`` module docstring): False proves the statement's analytic test
-fails for that table, True leaves it to the per-function test.  The
-candidate stream holds the oracle side's verdicts: most statements take
-``modp.homomorphism_candidates`` through ``modp.index_verdicts`` (at n = 2
-for ``prop_1_1``), so False proves that some relation
-f(a) f(b) = f(1) f(ab) fails and the table is no character, nor a constant
-times one; ``lemma_2_1`` takes the n constant tables at their closed-form
-indices d (n^k - 1)/(n - 1), and the pinned counterexample takes
-``(True,)``.  Every verifier then runs through one loop, ``_run``, which
-zips the opened stream (or the pinned tables it is given) with the screen
-and the candidate stream, strictly, so a verdict can never drift onto
-another table.  It counts every table, and hands each triple with a True
-verdict to the statement's judge as ``judge(f, passed, candidate)``.  A
-judge returns ``(spectral_hit, oracle_hit, agrees, witness)``: whether
-the analytic test (Gauss-sum
-magnitude, Fourier witness, subfield membership or autocorrelation profile)
-holds for f, whether the brute-force homomorphism oracle's side holds,
-whether the two sides relate as the statement predicts, and the
-``(exps, a)`` record to list as a witness, or None.  A judge runs the
-per-function test only where ``passed`` allows it, and the oracle (with
-``UnitFunction.normalized`` where f(1) is free) only where ``candidate``
-does: every analytic "yes" is still decided by canonical equality, and
-every oracle-side "yes" by the oracle (for ``prop_1_1`` and ``lemma_2_1``,
-by equality with the Legendre table or the constant test).  On a table
-whose screen verdict is False and whose oracle side fails a judge returns
-``(False, False, True, None)``, which adds only to the count; so a table
-that both verdicts reject is counted and never judged, and the report is
-the one that judging every table gives.  The test
+Among the per-cell constants are two sorted lists of table indices (see
+``modp.table_index``), each naming the tables that a verdict source has
+not rejected.  The cell screen, from ``spectral``, holds the split-prime
+survivors (see the ``spectral`` module docstring): a table left out is
+proven to fail the statement's analytic test, one listed is left to the
+per-function test.  The candidate list holds the oracle side's
+survivors: most statements take ``modp.homomorphism_candidates`` (at
+n = 2 for ``prop_1_1``), so a table left out fails some relation
+f(a) f(b) = f(1) f(ab) and is no character, nor a constant times one;
+``lemma_2_1`` lists the n constant tables, and the pinned counterexample
+lists its one table, ``[0]``.  Every verifier then runs through one loop,
+``_run``, which walks the opened stream (or the pinned tables it is
+given) once and counts every table.  It hands each table whose index is
+in either list to the statement's judge as ``judge(f, passed,
+candidate)``, with ``passed`` and ``candidate`` its membership in each,
+and raises ValueError on an index at or past the cell's table count, so
+a verdict can never name a table the cell does not have.  A judge
+returns ``(spectral_hit, oracle_hit, agrees, witness)``: whether the
+analytic test (Gauss-sum magnitude, Fourier witness, subfield membership
+or autocorrelation profile) holds for f, whether the brute-force
+homomorphism oracle's side holds, whether the two sides relate as the
+statement predicts, and the ``(exps, a)`` record to list as a witness,
+or None.  A judge runs the per-function test only where ``passed``
+allows it, and the oracle (with ``UnitFunction.normalized`` where f(1) is
+free) only where ``candidate`` does: every analytic "yes" is still
+decided by canonical equality, and every oracle-side "yes" by the oracle
+(for ``prop_1_1`` and ``lemma_2_1``, by equality with the Legendre table
+or the constant test).  On a table in neither list a judge returns
+``(False, False, True, None)``, which adds only to the count; so such a
+table is counted and never judged, and the report is the one that
+judging every table gives.  The test
 ``test_every_judge_is_neutral_where_both_sides_reject`` runs every judge
 on every default-grid table and is what keeps that skip exact.
 Functions whose sides disagree are listed as mismatches, and a report
@@ -151,32 +151,29 @@ def _is_nontrivial_character(f: UnitFunction) -> bool:
     return modp.is_character_oracle(f) and not f.is_trivial
 
 
-def _candidates(p: int, n: int, fix_f1: bool = True):
-    """The candidate stream of a validated cell: True exactly at the tables
-    that pass every relation f(a) f(b) = f(1) f(ab)."""
-    total = n ** (p - 2 if fix_f1 else p - 1)
-    return modp.index_verdicts(modp.homomorphism_candidates(p, n, fix_f1), total)
-
-
 def _run(statement: str, p: int, n: int, judge, functions, screen, candidates,
          existence: bool = False) -> VerificationReport:
-    """Count every function of the opened cell, judge each one that its
-    screen verdict or its candidate verdict passes, and tally the report."""
+    """Count every function of the opened cell, judge each one whose index
+    is in the screen's or the candidates' sorted index list, and tally the
+    report; an index past the last function raises ValueError."""
     t0 = time.perf_counter()
     rep = VerificationReport(statement, p, n)
-    total = 0
-    for total, (f, passed, candidate) in enumerate(
-            zip(functions, screen, candidates, strict=True), 1):
-        if not (passed or candidate):
+    screen, candidates = set(screen), set(candidates)
+    judged = screen | candidates
+    index = -1
+    for index, f in enumerate(functions):
+        if index not in judged:
             continue  # both sides reject: the judge would be neutral
-        spectral_hit, oracle_hit, agrees, witness = judge(f, passed, candidate)
+        spectral_hit, oracle_hit, agrees, witness = judge(f, index in screen, index in candidates)
         rep.passing_spectral += spectral_hit
         rep.passing_oracle += oracle_hit
         if witness is not None:
             rep.witnesses.append(witness)
         if not agrees:
             rep.mismatches.append(f.exps)
-    rep.total_functions = total
+    if max(judged, default=-1) > index:
+        raise ValueError(f"verdict index {max(judged)} is past the {index + 1} tables of the cell")
+    rep.total_functions = index + 1
     rep.success = bool(rep.witnesses) if existence else not rep.mismatches
     rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return rep
@@ -198,7 +195,8 @@ def verify_prop_1_1(p: "int | None", n: "int | None" = 2,
         hit = passed and _gauss_norm_is_p(f)
         is_legendre = candidate and f.exps == legendre
         return hit, is_legendre, hit == is_legendre, (f.exps, p - 1) if hit else None
-    return _run("prop_1_1", p, 2, judge, functions, _gauss_screen(p, 2), _candidates(p, 2))
+    return _run("prop_1_1", p, 2, judge, functions, _gauss_screen(p, 2),
+                modp.homomorphism_candidates(p, 2))
 
 
 def verify_thm_1_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -213,7 +211,7 @@ def verify_thm_1_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
         return hit, oracle_hit, hit == oracle_hit, (f.exps, a) if hit else None
     # p does not divide n, so the witness test is the one at a = 1.
     screen = spectral.magnitude_screen(p, n, (1,))
-    return _run("thm_1_2", p, n, judge, functions, screen, _candidates(p, n))
+    return _run("thm_1_2", p, n, judge, functions, screen, modp.homomorphism_candidates(p, n))
 
 
 def verify_cor_1_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -228,7 +226,8 @@ def verify_cor_1_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
         return full, oracle_hit, full or not hits, (f.exps, 1) if full else None
     # A table that the screen rejects at every unit has no witness at all.
     screen = spectral.magnitude_screen(p, n, range(1, p), fix_f1=False)
-    return _run("cor_1_3", p, n, judge, functions, screen, _candidates(p, n, fix_f1=False))
+    return _run("cor_1_3", p, n, judge, functions, screen,
+                modp.homomorphism_candidates(p, n, fix_f1=False))
 
 
 def verify_lemma_2_1(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -247,9 +246,7 @@ def verify_lemma_2_1(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verificati
                 return True, const, minus_tau, (g.exps, None)
         return False, const, not const, None
     screen = spectral.subfield_screen(p, n)
-    # The constant table d has the index d * (1 + n + ... + n^(p-2)).
-    ones = sum(n ** i for i in range(p - 1))
-    constants = modp.index_verdicts([d * ones for d in range(n)], n ** (p - 1))
+    constants = [modp.table_index((d,) * (p - 1), n) for d in range(n)]
     return _run("lemma_2_1", p, n, judge, functions, screen, constants)
 
 
@@ -262,7 +259,8 @@ def verify_prop_2_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verificatio
         hit = passed and _gauss_norm_is_p(f)
         oracle_hit = candidate and _is_nontrivial_character(f)
         return hit, oracle_hit, hit == oracle_hit, (f.exps, p - 1) if hit else None
-    return _run("prop_2_2", p, n, judge, functions, _gauss_screen(p, n), _candidates(p, n))
+    return _run("prop_2_2", p, n, judge, functions, _gauss_screen(p, n),
+                modp.homomorphism_candidates(p, n))
 
 
 def verify_cor_2_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -275,7 +273,7 @@ def verify_cor_2_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
         hit = passed and _gauss_norm_is_p(f)
         return hit, factors, hit == factors, (f.exps, p - 1) if hit else None
     return _run("cor_2_3", p, n, judge, functions, _gauss_screen(p, n, fix_f1=False),
-                _candidates(p, n, fix_f1=False))
+                modp.homomorphism_candidates(p, n, fix_f1=False))
 
 
 def verify_thm_1_7(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -292,7 +290,7 @@ def verify_thm_1_7(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
         return (flat, oracle_hit, flat == (oracle_hit and not f.is_trivial),
                 (f.exps, None) if flat else None)
     return _run("thm_1_7", p, n, judge, functions, spectral.flat_screen(p, n),
-                _candidates(p, n))
+                modp.homomorphism_candidates(p, n))
 
 
 def remark_counterexample(p: "int | None" = None, n: "int | None" = None,
@@ -310,8 +308,7 @@ def remark_counterexample(p: "int | None" = None, n: "int | None" = None,
         a = spectral.spectral_witness(f)
         agrees = hit and not oracle_hit and f.n % f.p == 0 and a == 2
         return hit, oracle_hit, agrees, None if a is None else (f.exps, a)
-    return _run("remark_counterexample", 3, 6, judge, (UnitFunction(3, 6, (0, 5)),), (True,),
-                (True,))
+    return _run("remark_counterexample", 3, 6, judge, (UnitFunction(3, 6, (0, 5)),), [0], [0])
 
 
 def search_p_divides_n(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -327,7 +324,7 @@ def search_p_divides_n(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verifica
         found = hit and not oracle_hit
         return hit, oracle_hit, True, (f.exps, spectral.spectral_witness(f)) if found else None
     return _run("remark_p_divides_n", p, n, judge, functions, _gauss_screen(p, n),
-                _candidates(p, n), existence=True)
+                modp.homomorphism_candidates(p, n), existence=True)
 
 
 # ---------------------------------------------------------------------------

@@ -190,12 +190,13 @@ def kurlberg_all_shifts(f: UnitFunction) -> bool:
 def dense_run(statement: str, p: int, n: int, judge, functions, screen, candidates,
               existence: bool = False) -> VerificationReport:
     """``verify._run`` as it was before it skipped the tables both verdicts
-    reject: judge every function of the opened cell, with its screen verdict
-    and its candidate verdict, and tally the report."""
+    reject: judge every function of the opened cell, with its membership in
+    the screen's and the candidates' index lists, and tally the report."""
     t0 = time.perf_counter()
     rep = VerificationReport(statement, p, n)
-    for f, passed, candidate in zip(functions, screen, candidates, strict=True):
-        spectral_hit, oracle_hit, agrees, witness = judge(f, passed, candidate)
+    screen, candidates = set(screen), set(candidates)
+    for index, f in enumerate(functions):
+        spectral_hit, oracle_hit, agrees, witness = judge(f, index in screen, index in candidates)
         rep.total_functions += 1
         rep.passing_spectral += spectral_hit
         rep.passing_oracle += oracle_hit

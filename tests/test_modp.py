@@ -10,11 +10,12 @@ from gausschar.modp import (
     enumerate_unit_functions,
     find_primitive_root,
     homomorphism_candidates,
-    index_verdicts,
     is_character_oracle,
     is_prime,
     legendre_unit_function,
     parse_unit_function,
+    table_exps,
+    table_index,
 )
 from gausschar.verify import GRID_CELLS
 from reference import (
@@ -425,8 +426,11 @@ def test_homomorphism_candidates_at_n_one_check_no_relation(monkeypatch):
     assert homomorphism_candidates(9973, 1, fix_f1=False) == [0]
 
 
-def test_index_verdicts():
-    assert list(index_verdicts([1, 3], 5)) == [False, True, False, True, False]
-    assert list(index_verdicts([0, 4], 5)) == [True, False, False, False, True]
-    assert list(index_verdicts([], 3)) == [False] * 3
-    assert list(index_verdicts([0], 1)) == [True]
+def test_table_index_is_the_enumeration_position():
+    # The codec's index of each table is its place in the enumeration, and
+    # table_exps inverts it, with f(1) fixed and free.
+    for p, n in ((3, 4), (5, 3), (7, 2)):
+        for fix_f1 in (True, False):
+            for index, f in enumerate(enumerate_unit_functions(p, n, fix_f1=fix_f1)):
+                assert table_index(f.exps, n) == index
+                assert table_exps(index, p, n) == list(f.exps)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import random
 from math import gcd, lcm
 
@@ -330,9 +331,14 @@ def test_split_prime_filter_passes_exactly_the_canonical_hits(monkeypatch):
                 assert (len(canonical_calls) > before) == hit, (f, a)
 
 
+def _true_indices(verdicts):
+    """The indices of the True verdicts, the form every cell screen returns."""
+    return [i for i, ok in enumerate(verdicts) if ok]
+
+
 def test_cell_screens_align_with_per_function_images():
-    # Verdict i of a cell screen is the split-prime verdict of table i of
-    # the enumeration, computed from that table's exponents alone: the
+    # A cell screen lists index i exactly when table i of the enumeration
+    # passes the split-prime test, computed from its exponents alone: the
     # magnitude image at every twist a, tau(omega) against its image under
     # sigma_k, k = 1 (mod n) and a primitive root mod p (f(1) free; k = 1
     # when p divides n), and the value sum (f(1) = 1).
@@ -348,16 +354,17 @@ def test_cell_screens_align_with_per_function_images():
         for fix_f1, functions in ((True, fixed), (False, free)):
             for a in range(1, p):
                 expected = [spectral._magnitude_image_is_p(f, a) for f in functions]
-                assert list(spectral.magnitude_screen(p, n, (a,), fix_f1)) == expected, (p, n, a)
+                assert (spectral.magnitude_screen(p, n, (a,), fix_f1)
+                        == _true_indices(expected)), (p, n, a)
         with pytest.raises(ValueError, match="units only"):
             spectral.magnitude_screen(p, n, (1, p))
         expected = []
         for f in free:
             tau = [big // n * e + big // p * x for x, e in enumerate(f.exps, 1)]
             expected.append(sum(pw[t % big] - pw[k * t % big] for t in tau) % ell == 0)
-        assert list(spectral.subfield_screen(p, n)) == expected, (p, n)
+        assert spectral.subfield_screen(p, n) == _true_indices(expected), (p, n)
         expected = [sum(pw_n[e] for e in f.exps) % ell_n == 0 for f in fixed]
-        assert list(spectral.flat_screen(p, n)) == expected, (p, n)
+        assert spectral.flat_screen(p, n) == _true_indices(expected), (p, n)
 
 
 def test_magnitude_screen_maps_the_a1_survivors_to_every_twist():
@@ -374,10 +381,10 @@ def test_magnitude_screen_maps_the_a1_survivors_to_every_twist():
             images = [[spectral._magnitude_image_is_p(f, a) for a in range(1, p)]
                       for f in functions]
             for a in range(1, p):
-                assert (list(spectral.magnitude_screen(p, n, (a,), fix_f1))
-                        == [row[a - 1] for row in images]), (p, n, fix_f1, a)
-            assert (list(spectral.magnitude_screen(p, n, range(1, p), fix_f1))
-                    == [any(row) for row in images]), (p, n, fix_f1)
+                assert (spectral.magnitude_screen(p, n, (a,), fix_f1)
+                        == _true_indices(row[a - 1] for row in images)), (p, n, fix_f1, a)
+            assert (spectral.magnitude_screen(p, n, range(1, p), fix_f1)
+                    == _true_indices(any(row) for row in images)), (p, n, fix_f1)
 
 
 def test_subfield_screen_passes_exactly_the_subfield_members():
@@ -389,12 +396,10 @@ def test_subfield_screen_passes_exactly_the_subfield_members():
     # Q(zeta_n) and every table passes.
     cells = {(p, n) for statement, p, n in default_grid() if statement == "lemma_2_1"}
     for p, n in sorted(cells | {(7, 5), (5, 8), (3, 6)}):
-        passed = []
-        for f, ok in zip(enumerate_unit_functions(p, n, fix_f1=False),
-                         spectral.subfield_screen(p, n), strict=True):
-            assert ok == gauss_sum(f).value.in_subfield(n), f
-            if ok:
-                passed.append(f)
+        functions = list(enumerate_unit_functions(p, n, fix_f1=False))
+        members = _true_indices(gauss_sum(f).value.in_subfield(n) for f in functions)
+        assert spectral.subfield_screen(p, n) == members, (p, n)
+        passed = [functions[i] for i in members]
         if n % p:
             assert [f.exps for f in passed] == [(d,) * (p - 1) for d in range(n)], (p, n)
         else:
@@ -409,14 +414,13 @@ def test_in_subfield_matches_every_k_on_the_screen_survivors():
     answers = set()
     for p, n in sorted(cells):
         order = lcm(n, p)
-        for f, ok in zip(enumerate_unit_functions(p, n, fix_f1=False),
-                         spectral.subfield_screen(p, n), strict=True):
-            if ok:
-                tau = gauss_sum(f).value
-                for d in (d for d in range(1, order + 1) if order % d == 0):
-                    answer = tau.in_subfield(d)
-                    assert answer == in_subfield_every_k(tau, d), (f, d)
-                    answers.add(answer)
+        functions = list(enumerate_unit_functions(p, n, fix_f1=False))
+        for f in (functions[i] for i in spectral.subfield_screen(p, n)):
+            tau = gauss_sum(f).value
+            for d in (d for d in range(1, order + 1) if order % d == 0):
+                answer = tau.in_subfield(d)
+                assert answer == in_subfield_every_k(tau, d), (f, d)
+                answers.add(answer)
     assert answers == {True, False}
 
 
@@ -444,11 +448,10 @@ def test_flat_screen_passes_every_flat_table():
     # (3, 6) and (5, 10), where p divides n.
     cells = {(p, n) for statement, p, n in default_grid() if statement == "thm_1_7"}
     for p, n in sorted(cells | {(3, 6), (5, 10)}):
-        flat = 0
-        for f, passed in zip(enumerate_unit_functions(p, n), spectral.flat_screen(p, n),
-                             strict=True):
+        flat, survivors = 0, set(spectral.flat_screen(p, n))
+        for index, f in enumerate(enumerate_unit_functions(p, n)):
             if kurlberg_test(f):
-                assert passed, f
+                assert index in survivors, f
                 flat += 1
         assert flat == gcd(n, p - 1) - 1, (p, n)
 
@@ -461,28 +464,46 @@ def test_flat_screen_in_linear_memory():
     spectral._split_prime(1000)
     tracemalloc.start()
     try:
-        verdicts = list(spectral.flat_screen(3, 1000))
+        survivors = spectral.flat_screen(3, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(verdicts) == 1000 and [d for d, ok in enumerate(verdicts) if ok] == [500]
+    assert survivors == [500]
     assert peak < 2 ** 20, peak
 
 
 def test_cell_screen_in_bounded_memory():
     # 4^10 = 1048576 tables: a list of their verdicts alone would take
     # 8 MB, the screen holds one tail block, one head's verdicts and the
-    # indices of its survivors.
+    # indices of its survivors.  Those are the Legendre table times each
+    # of the 4 constants, the tables c * chi with |S_1| = sqrt(11).
     import tracemalloc
     spectral._split_prime(44)
     tracemalloc.start()
     try:
-        count = sum(1 for _ in spectral.magnitude_screen(11, 4, (1,), fix_f1=False))
+        survivors = spectral.magnitude_screen(11, 4, (1,), fix_f1=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == 4 ** 10
+    legendre = [2 * e for e in legendre_unit_function(11).exps]
+    assert survivors == sorted(int("".join(str((e + c) % 4) for e in legendre), 4)
+                               for c in range(4))
     assert peak < 2 * 2 ** 20, peak
+
+
+def test_zero_sum_screen_matches_brute_force():
+    # The dict lookup against every choice of one entry per row, on seeded
+    # rows over a small field, so that tail sums repeat and one sum has
+    # several offsets, with heads of one to three positions.
+    rng = random.Random(20)
+    ell, survivors = 7, 0
+    for sizes in ((3, 4), (5, 2, 3), (2, 3, 300), (4, 4, 4, 4, 4, 4), (1, 6, 2, 1),
+                  (2, 2, 2, 4, 4, 4, 4)):
+        rows = [[rng.randrange(ell) for _ in range(size)] for size in sizes]
+        expected = _true_indices(sum(choice) % ell == 0 for choice in itertools.product(*rows))
+        assert spectral._zero_sum_screen(rows, ell) == expected, sizes
+        survivors += len(expected)
+    assert survivors > 100, survivors
 
 
 def test_autocorrelation_examples():

@@ -275,16 +275,19 @@ F1_FREE = {"cor_1_3", "lemma_2_1", "cor_2_3"}
 
 
 def test_run_judges_exactly_the_tables_a_verdict_passes(monkeypatch):
-    # In one default-grid pass a judge is called on each table whose screen
-    # verdict or candidate verdict is True, in order, and on no other; every
-    # table is still counted.
+    # Every verdict source hands _run a sorted list of distinct table
+    # indices.  In one default-grid pass a judge is called on each table
+    # whose index is in the screen or the candidates, in order, and on no
+    # other; every table is still counted.
     run = verify._run
     judged, expected = [], []
 
     def spy(statement, p, n, judge, functions, screen, candidates, **kwargs):
-        functions, screen, candidates = list(functions), list(screen), list(candidates)
-        expected.extend((statement, p, n, f.exps) for f, passed, candidate
-                        in zip(functions, screen, candidates) if passed or candidate)
+        assert screen == sorted(set(screen)), (statement, p, n)
+        assert candidates == sorted(set(candidates)), (statement, p, n)
+        functions = list(functions)
+        expected.extend((statement, p, n, functions[i].exps)
+                        for i in sorted(set(screen) | set(candidates)))
 
         def recorded(f, passed, candidate):
             assert passed or candidate, (statement, p, n, f.exps)
@@ -336,26 +339,29 @@ def _neutral_judge(f, passed, candidate):
 
 
 def test_run_refuses_a_screen_of_the_wrong_length():
-    # _run zips tables and verdicts strictly: a screen one verdict short or
-    # one verdict long raises instead of shifting verdicts onto other tables.
-    for size in (7, 9):
-        functions = enumerate_unit_functions(5, 2)
-        with pytest.raises(ValueError):
-            verify._run("thm_1_2", 5, 2, _neutral_judge, functions, [False] * size, [False] * 8)
+    # The screen is a list of table indices: one equal to the table count
+    # names no table of the cell, so _run raises instead of dropping it.
+    for screen in ([8], [0, 8], [2, 9]):
+        with pytest.raises(ValueError, match="past the 8 tables"):
+            verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2),
+                        screen, [3])
     rep = verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2),
-                      [False] * 8, [False] * 8)
+                      [7], [])
     assert rep.total_functions == 8 and rep.success
 
 
 def test_run_refuses_a_candidate_stream_of_the_wrong_length():
-    for size in (7, 9):
-        functions = enumerate_unit_functions(5, 2)
-        with pytest.raises(ValueError):
-            verify._run("thm_1_2", 5, 2, _neutral_judge, functions, [False] * 8, [False] * size)
+    for candidates in ([8], [0, 8], [5, 9]):
+        with pytest.raises(ValueError, match="past the 8 tables"):
+            verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2),
+                        [2], candidates)
+    rep = verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2),
+                      [], [0, 7])
+    assert rep.total_functions == 8 and rep.success
 
 
 def test_thm_1_2_reports_a_character_the_generator_drops(monkeypatch):
-    # A candidate stream without one character leaves that character's
+    # A candidate list without one character leaves that character's
     # oracle side unchecked, so it and nothing else is a mismatch.
     target = (0, 1, 3, 2)  # the character of order 4 mod 5 with chi(2) = i
     dropped = int("".join(map(str, target)), 4)
