@@ -82,8 +82,26 @@ MUTANTS = (
      (f"{TEST_VERIFY}::test_run_refuses_a_screen_of_the_wrong_length",
       f"{TEST_VERIFY}::test_run_refuses_a_candidate_stream_of_the_wrong_length")),
     ("existence report always succeeds", VERIFY,
-     "rep.success = bool(rep.witnesses) if existence", "rep.success = True if existence",
+     "rep.success = bool(rep.witnesses)", "rep.success = True",
      (f"{TEST_VERIFY}::test_search_p_divides_n",)),
+    ("thm_1_2 judge takes a screen pass as the witness a = 1", VERIFY,
+     "a = spectral.spectral_witness(f) if passed else None", "a = 1 if passed else None",
+     (f"{TEST_VERIFY}::test_reports_hold_under_a_small_split_prime",)),
+    ("prop_2_2 judge takes a screen pass as a hit", VERIFY,
+     "hit = passed and _gauss_norm_is_p(f)\n        oracle_hit = candidate and _is_nontrivial_character(f)\n",
+     "hit = passed\n        oracle_hit = candidate and _is_nontrivial_character(f)\n",
+     (f"{TEST_VERIFY}::test_reports_hold_under_a_small_split_prime",)),
+    ("cor_2_3 judge takes a screen pass as a hit", VERIFY,
+     "hit = passed and _gauss_norm_is_p(f)\n        return hit, factors,",
+     "hit = passed\n        return hit, factors,",
+     (f"{TEST_VERIFY}::test_reports_hold_under_a_small_split_prime",)),
+    ("cor_1_3 judge takes a screen pass as a witness at every unit", VERIFY,
+     "hits = passed and sum(spectral.has_unit_fourier_magnitude(f, a) for a in range(1, p))",
+     "hits = passed and p - 1",
+     (f"{TEST_VERIFY}::test_reports_hold_under_a_small_split_prime",)),
+    ("lemma_2_1 judge takes a screen pass as subfield membership", VERIFY,
+     "if tau.in_subfield(n):", "if True:",
+     (f"{TEST_VERIFY}::test_reports_hold_under_a_small_split_prime",)),
     ("cor_1_3 judge always agrees", VERIFY,
      "return full, oracle_hit, full or not hits,", "return full, oracle_hit, True,",
      (f"{TEST_VERIFY}::test_cor_1_3_judge_reports_a_broken_dichotomy",)),
@@ -110,16 +128,16 @@ MUTANTS = (
     ("oracle skips b = a", MODP,
      "for b in range(a, p):", "for b in range(a + 1, p):",
      (f"{TEST_MODP}::test_cross_enumeration_equality",)),
-    ("homomorphism_candidates relations without f(1)", MODP,
-     "e1, ex = exps[1], exps[x]", "e1, ex = 0, exps[x]",
+    ("homomorphism_candidates steps j t instead of j t n/m", MODP,
+     "j * log[x] * (n // m)", "j * log[x]",
      (f"{TEST_MODP}::test_homomorphism_candidates_are_what_the_oracle_accepts",
       f"{TEST_MODP}::test_homomorphism_candidates_count_and_match_the_characters")),
-    ("homomorphism_candidates skips the relation a = b = x", MODP,
-     "for a in range(2, x + 1):", "for a in range(2, x):",
+    ("homomorphism_candidates drops the constants when f(1) is free", MODP,
+     "for c in range(1 if fix_f1 else n)", "for c in range(1)",
      (f"{TEST_MODP}::test_homomorphism_candidates_are_what_the_oracle_accepts",
       f"{TEST_MODP}::test_homomorphism_candidates_count_and_match_the_characters")),
-    ("homomorphism_candidates index off by one", MODP,
-     "found.append(table_index(exps[1:], n))", "found.append(table_index(exps[1:], n) + 1)",
+    ("homomorphism_candidates at g = 2 instead of a primitive root", MODP,
+     "g = find_primitive_root(p)", "g = 2",
      (f"{TEST_MODP}::test_homomorphism_candidates_are_what_the_oracle_accepts",
       f"{TEST_MODP}::test_homomorphism_candidates_count_and_match_the_characters")),
 )

@@ -12,11 +12,15 @@ and ``table_exps`` are the one codec for that format; every verdict source
 hands the verification loop a sorted list of such indices.
 
 An exhaustive verification asks the oracle only about candidates.
-``homomorphism_candidates`` walks a cell's lexicographic tree of tables
-and cuts each branch at the first relation f(a) f(b) = f(1) f(ab) it
-fails, checked as soon as its largest argument is assigned; it shares no
-code with ``spectral``.  It is sound because no character, times a
-constant when f(1) is free, ever fails such a relation.
+``homomorphism_candidates`` lists them in closed form: F_p^x is cyclic, so
+a character is fixed by its value at a primitive root g, and that value is
+an n-th root of unity whose (p - 1)-th power is 1, i.e. one of the
+m = gcd(n, p - 1) elements of mu_m.  The m tables f(g^t) = zeta_n^(j t n/m),
+times each constant when f(1) is free, are therefore every candidate, and
+the oracle still confirms each one pair by pair.  Per statement the list
+shares no code with the cell screen: the one screen that calls
+``find_primitive_root``, ``spectral.subfield_screen``, is ``lemma_2_1``'s,
+which lists its n constant tables instead.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import functools
 import itertools
 import re
 from collections.abc import Iterator
+from math import gcd
 
 from .cyclo import MAX_ORDER, _Frozen, factorize
 
@@ -250,70 +255,28 @@ def enumerate_unit_functions(p: int, n: int, fix_f1: bool = True,
 
 def homomorphism_candidates(p: int, n: int, fix_f1: bool = True) -> list:
     """The sorted enumeration indices of the tables of a validated cell that
-    satisfy f(a) f(b) = f(1) f(ab) for all units a, b.
+    are a character, times a constant when f(1) is free.
 
     The index of a table is its place in ``enumerate_unit_functions(p, n,
-    fix_f1)`` (``table_index``).  The lexicographic tree of tables is
-    walked depth first, without recursion, and each relation is checked, in
-    exponent arithmetic mod n, as soon as its largest argument is assigned;
-    a branch is cut at the first relation it fails.  Beside the output
-    this keeps O(p) state: the exponents of the current branch and the
-    inverses mod p.
+    fix_f1)`` (``table_index``).  With g = ``find_primitive_root(p)`` and
+    m = gcd(n, p - 1), the tables are f(g^t) = zeta_n^(c + j t n/m) for
+    j < m and each constant c (only c = 0 when f(1) is fixed), read off
+    along the powers of g: n m tables with f(1) free, m with it fixed.
 
-    Every character, times a constant c when f(1) is free, passes every
-    relation, since c chi(a) c chi(b) = c (c chi(ab)); so no character is
-    cut.  Conversely a table passing every relation is f(1) times the
-    character f / f(1).  The indices are therefore exactly the tables that
-    ``is_character_oracle`` accepts, after ``UnitFunction.normalized`` when
-    f(1) is free.
+    They are all: a character chi is fixed by chi(g), and chi(g)^n =
+    chi(g)^(p-1) = 1 puts chi(g) in mu_m, so chi(g) = zeta_n^(j n/m) for
+    some j < m; a table with f(1) free is f(1) times the character
+    f / f(1).  Each listed table is such a product, so the indices are
+    exactly the tables that ``is_character_oracle`` accepts, after
+    ``UnitFunction.normalized`` when f(1) is free.
     """
-    if n == 1:
-        return [0]
-    inverse = [0] + [pow(a, -1, p) for a in range(1, p)]
-    exps = [0] * p  # exps[x] at x = 1, ..., p - 1; exps[0] is unused
-    first = 2 if fix_f1 else 1
-    found = []
-    x = first
-    while x >= first:
-        if exps[x] == n:
-            # Every digit at x is spent: back up one position.
-            exps[x] = 0
-            x -= 1
-            if x >= first:
-                exps[x] += 1
-        elif not _relations_hold(p, n, exps, inverse, x):
-            exps[x] += 1
-        elif x < p - 1:
-            x += 1
-        else:
-            found.append(table_index(exps[1:], n))
-            exps[x] += 1
-    return found
-
-
-def _relations_hold(p: int, n: int, exps: list, inverse: list, x: int) -> bool:
-    """Whether every relation f(a) f(b) = f(1) f(ab) whose largest argument
-    is x holds for the exponents assigned at 1, ..., x: those with b = x
-    and ab (mod p) at most x, and those with ab = x (mod p) and a < b < x.
-
-    The relations with a = b < x are implied by the others, so they are not
-    checked.  With g = f / f(1) the relations read g(a) g(b) = g(ab), and
-    g(a)^2 = g(a^2) follows from the a != b relations at (a, ac), (a, c)
-    and (a^2, c), for any unit c outside {1, a, a^2}: g(a) g(ac) = g(a^2 c)
-    = g(a^2) g(c) and g(ac) = g(a) g(c).  Such a c exists for p >= 5.  At
-    p = 3 the one a = b relation, a = 2, has ab = 1 and largest argument
-    x = 2, so it is checked in the first loop.
-    """
-    e1, ex = exps[1], exps[x]
-    for a in range(2, x + 1):
-        c = a * x % p
-        if c <= x and (exps[a] + ex - e1 - exps[c]) % n:
-            return False
-    for a in range(2, x):
-        b = x * inverse[a] % p
-        if a < b < x and (exps[a] + exps[b] - e1 - ex) % n:
-            return False
-    return True
+    m = gcd(n, p - 1)
+    g = find_primitive_root(p)
+    log, x = [0] * p, 1  # log[g^t mod p] = t, along the powers of g
+    for t in range(p - 1):
+        log[x], x = t, x * g % p
+    return sorted(table_index([(c + j * log[x] * (n // m)) % n for x in range(1, p)], n)
+                  for c in range(1 if fix_f1 else n) for j in range(m))
 
 
 def table_index(exps, n: int) -> int:

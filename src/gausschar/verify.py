@@ -22,10 +22,11 @@ survivors (see the ``spectral`` module docstring): a table left out is
 proven to fail the statement's analytic test, one listed is left to the
 per-function test.  The candidate list holds the oracle side's
 survivors: most statements take ``modp.homomorphism_candidates`` (at
-n = 2 for ``prop_1_1``), so a table left out fails some relation
-f(a) f(b) = f(1) f(ab) and is no character, nor a constant times one;
-``lemma_2_1`` lists the n constant tables, and the pinned counterexample
-lists its one table, ``[0]``.  Every verifier then runs through one loop,
+n = 2 for ``prop_1_1``), the characters in closed form from one
+primitive root, times each constant when f(1) is free, so a table left
+out is no character, nor a constant times one; ``lemma_2_1`` lists the
+n constant tables, and the pinned counterexample lists its one table,
+``[0]``.  Every verifier then runs through one loop,
 ``_run``, which walks the opened stream (or the pinned tables it is
 given) once and counts every table.  It hands each table whose index is
 in either list to the statement's judge as ``judge(f, passed,
@@ -48,10 +49,10 @@ table is counted and never judged, and the report is the one that
 judging every table gives.  The test
 ``test_every_judge_is_neutral_where_both_sides_reject`` runs every judge
 on every default-grid table and is what keeps that skip exact.
-Functions whose sides disagree are listed as mismatches, and a report
-succeeds exactly when there are none (the existence search
-``remark_p_divides_n`` instead succeeds when it lists at least one
-witness).
+Functions whose sides disagree are listed as mismatches, and ``_run``'s
+report succeeds exactly when there are none; the existence search
+``remark_p_divides_n`` then sets its report to succeed when it lists at
+least one witness.
 """
 
 from __future__ import annotations
@@ -151,8 +152,8 @@ def _is_nontrivial_character(f: UnitFunction) -> bool:
     return modp.is_character_oracle(f) and not f.is_trivial
 
 
-def _run(statement: str, p: int, n: int, judge, functions, screen, candidates,
-         existence: bool = False) -> VerificationReport:
+def _run(statement: str, p: int, n: int, judge, functions, screen,
+         candidates) -> VerificationReport:
     """Count every function of the opened cell, judge each one whose index
     is in the screen's or the candidates' sorted index list, and tally the
     report; an index past the last function raises ValueError."""
@@ -174,7 +175,7 @@ def _run(statement: str, p: int, n: int, judge, functions, screen, candidates,
     if max(judged, default=-1) > index:
         raise ValueError(f"verdict index {max(judged)} is past the {index + 1} tables of the cell")
     rep.total_functions = index + 1
-    rep.success = bool(rep.witnesses) if existence else not rep.mismatches
+    rep.success = not rep.mismatches
     rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return rep
 
@@ -323,8 +324,10 @@ def search_p_divides_n(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verifica
         oracle_hit = candidate and modp.is_character_oracle(f)
         found = hit and not oracle_hit
         return hit, oracle_hit, True, (f.exps, spectral.spectral_witness(f)) if found else None
-    return _run("remark_p_divides_n", p, n, judge, functions, _gauss_screen(p, n),
-                modp.homomorphism_candidates(p, n), existence=True)
+    rep = _run("remark_p_divides_n", p, n, judge, functions, _gauss_screen(p, n),
+               modp.homomorphism_candidates(p, n))
+    rep.success = bool(rep.witnesses)
+    return rep
 
 
 # ---------------------------------------------------------------------------

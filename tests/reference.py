@@ -187,8 +187,8 @@ def kurlberg_all_shifts(f: UnitFunction) -> bool:
 # ---------------------------------------------------------------------------
 # The dense verification loop.
 
-def dense_run(statement: str, p: int, n: int, judge, functions, screen, candidates,
-              existence: bool = False) -> VerificationReport:
+def dense_run(statement: str, p: int, n: int, judge, functions, screen,
+              candidates) -> VerificationReport:
     """``verify._run`` as it was before it skipped the tables both verdicts
     reject: judge every function of the opened cell, with its membership in
     the screen's and the candidates' index lists, and tally the report."""
@@ -204,7 +204,7 @@ def dense_run(statement: str, p: int, n: int, judge, functions, screen, candidat
             rep.witnesses.append(witness)
         if not agrees:
             rep.mismatches.append(f.exps)
-    rep.success = bool(rep.witnesses) if existence else not rep.mismatches
+    rep.success = not rep.mismatches
     rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return rep
 

