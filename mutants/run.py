@@ -17,8 +17,9 @@ a gap in the tests, to be closed by a new or stronger test.
 Equivalent mutants change no answer, so no test can kill them; each is
 listed apart with its one-line proof and is not run.  The runner exits with
 status 1 if a mutant survives, an edit does not apply or pytest cannot run
-the tests, and 0 otherwise.  Standard library only; it is not part of the
-tier-1 suite (``testpaths`` is ``tests``).
+the tests, and 0 otherwise; a reader that closes the output early (``|
+head``) stops the run with status 1 and no traceback.  Standard library
+only; it is not part of the tier-1 suite (``testpaths`` is ``tests``).
 """
 
 from __future__ import annotations
@@ -122,6 +123,15 @@ MUTANTS = (
      "    for a in range(1, f.p):\n        if has_unit_fourier_magnitude(f, a):",
      "    for a in range(1, f.p - 1):\n        if has_unit_fourier_magnitude(f, a):",
      (f"{TEST_VERIFY}::test_remark_counterexample_report",)),
+    ("screens drop the constants when f(1) is free", SPECTRAL,
+     "for h in tables for c in range(1 if fix_f1 else n))",
+     "for h in tables for c in range(1))",
+     (f"{TEST_SPECTRAL}::test_magnitude_screen_passes_c_times_each_character",
+      f"{TEST_SPECTRAL}::test_subfield_screen_passes_exactly_the_subfield_members")),
+    ("magnitude twist remap not rescaled to f(1) = 1", SPECTRAL,
+     "hits.add(tuple((e - mapped[0]) % n for e in mapped))",
+     "hits.add(tuple(e % n for e in mapped))",
+     (f"{TEST_SPECTRAL}::test_magnitude_screen_passes_c_times_each_character",)),
     ("_split_prime without the exact-order check", SPECTRAL,
      "if all(pow(omega, order // q, ell) != 1 for q in primes):", "if True:",
      (f"{TEST_SPECTRAL}::test_split_prime_map_is_a_ring_homomorphism",)),
@@ -149,12 +159,6 @@ EQUIVALENT = (
      "while powers[-1] not in fixed:", "while powers[-1] != 1:",
      "once k^m lies in the group fixed, k^(m+j) * fixed = k^j * fixed, so the "
      "further powers add no element."),
-    ("prop_2_2 screened at a = 1", VERIFY,
-     'return _run("prop_2_2", p, n, judge, functions, _gauss_screen(p, n),',
-     'return _run("prop_2_2", p, n, judge, functions, spectral.magnitude_screen(p, n, (1,)),',
-     "p does not divide n there, so a sigma_k with k = 1 (mod n) maps S_(-1) to S_1 and "
-     "every table with norm_squared(tau) = p passes the a = 1 image exactly; any other "
-     "table either screen passes is decided by the canonical test at a = -1."),
 )
 
 
@@ -191,19 +195,25 @@ def main(argv: list[str]) -> int:
         return 2
     bad = 0
     start = time.perf_counter()
-    print("mutants (each must be killed):")
+    print("mutants (each must be killed):", flush=True)
     for name, file, old, new, tests in MUTANTS:
         if wanted and name not in wanted:
             continue
         outcome = run_mutant(file, old, new, tests)
         bad += outcome != "killed"
-        print(f"  {outcome:9s} {name}")
+        print(f"  {outcome:9s} {name}", flush=True)
     print("equivalent mutants (not run):")
     for name, *_, proof in EQUIVALENT:
         print(f"  {name}: {proof}")
-    print(f"{bad} failing, {time.perf_counter() - start:.1f} s")
+    print(f"{bad} failing, {time.perf_counter() - start:.1f} s", flush=True)
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        sys.exit(main(sys.argv[1:]))
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so the exit flush
+        # cannot fail again, and fail, since the report was cut short.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

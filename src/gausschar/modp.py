@@ -226,7 +226,8 @@ def enumerate_unit_functions(p: int, n: int, fix_f1: bool = True,
     """Every mu_n-valued table exactly once, in lexicographic exponent order.
 
     With ``fix_f1`` the exponent at x = 1 is pinned to 0, i.e. f(1) = 1.
-    The one place a (p, n) cell is validated, cheapest check first: p odd
+    The one place a (p, n) cell is validated, cheapest check first: p and
+    n exactly int (a float or bool is refused, as by ``UnitFunction``), p odd
     and at least 3, n at least 1, then the budget (BudgetExceededError when
     the n^k tables exceed it), then p at most MAX_ORDER, then p's primality.
     The power is multiplied up only until it passes the budget, so a huge p
@@ -235,6 +236,8 @@ def enumerate_unit_functions(p: int, n: int, fix_f1: bool = True,
     the budget passes a single function, a p above MAX_ORDER is refused
     before its table of p - 1 exponents is built.
     """
+    if type(p) is not int or type(n) is not int:
+        raise ValueError(f"p and n must be integers, got p={p!r}, n={n!r}")
     if p < 3 or p % 2 == 0:
         raise ValueError(f"modulus must be an odd prime, got {p}")
     if n < 1:

@@ -38,27 +38,35 @@ one in 2^29 tables, costs one canonical test.
 An exhaustive verification takes these images for a whole cell at once.
 Each image is a sum with one term per position x (S_a(omega) and
 S_a(omega^-1), tau(omega) - sigma_k(tau)(omega), and the value sum
-S_0(omega)), so over the n^k tables of a cell it is a sumset.  A cell
-screen splits the positions into a head and a tail, builds the tail's sums
-once as a block of at most _TAIL_TABLES values (or n, when the last
-position alone has more digits), and returns the sorted indices of the
-tables it passes (``modp.table_index``), in memory bounded by the block
-and the survivors.  The magnitude screen compares each head with the whole
-block, at amortized O(1) work per table.  The linear screens (subfield and
-flat) ask for a zero sum, so each head looks its one target up in a dict
-from block sums to tail offsets, at O(heads + block + survivors) work per
-cell.  The magnitude screen builds its sumset at the twist a = 1 alone
-and reaches every other unit a by the change of variables x -> a*x, which
-maps the a = 1 survivors onto the a survivors (see ``magnitude_screen``),
-so one sumset per cell serves all p - 1 twists of ``cor_1_3``.  That
-relates different tables at one twist, never one table at different
-twists, so the dichotomy ``cor_1_3`` verifies is not assumed.  A screen
-only makes a proven rejection: the magnitude screen repeats its
-per-function filter's, the subfield screen's holds because its sigma_k
-fixes Q(zeta_n), and the flat screen's follows from the value-sum identity
-in ``flat_screen``.  A table the magnitude screen passes goes on to the
-per-function filter and then to the canonical test; one the flat screen
-passes goes straight to the canonical test of every shift
+S_0(omega)), so over the tables of a cell it is a sumset.  Every cell
+screen sums only the n^(p-2) tables with f(1) = 1.  It splits the
+positions into a head and a tail, builds the tail's sums once as a block
+of at most _TAIL_TABLES values (or n, when the last position alone has
+more digits), and returns the sorted indices of the tables it passes
+(``modp.table_index``), in memory bounded by the block and the survivors.
+The magnitude screen compares each head with the whole block, at
+amortized O(1) work per table.  The linear screens (subfield and flat) ask
+for a zero sum, so each head looks its one target up in a dict from block
+sums to tail offsets, at O(heads + block + survivors) work per cell.
+
+Two substitutions move no verdict, so one sumset per cell serves every
+magnitude statement, f(1) fixed or free.  A constant c in mu_n leaves
+S_a(omega) * S_a(omega^-1) unchanged and scales tau - sigma_k(tau) by c,
+because sigma_k fixes mu_n when k = 1 (mod n); so the tables with f(1)
+free that a screen passes are the c * h for the h with f(1) = 1 it
+passes.  The change of variables x -> a*x maps the a = 1 survivors onto
+the survivors at a (see ``magnitude_screen``), so the magnitude screen
+sums at a = 1 alone and passes the tables whose image passes at some
+unit.  That relates different tables at one twist, never one table at
+different twists, so the dichotomy ``cor_1_3`` verifies is not assumed.
+
+A screen only makes a proven rejection: a table the magnitude screen
+rejects fails the per-function filter at every unit, the subfield
+screen's rejection holds because its sigma_k fixes Q(zeta_n), and the flat
+screen's follows from the value-sum identity in ``flat_screen``.  A table
+the magnitude screen passes goes on to the per-function filter at the
+twist its statement tests, and then to the canonical test; one the flat
+screen passes goes straight to the canonical test of every shift
 (``kurlberg_test``).  The subfield screen takes k = 1 (mod n) to be a
 primitive root mod p, so that sigma_k generates the group fixing Q(zeta_n)
 (see ``subfield_screen``): its survivors are the members of Q(zeta_n),
@@ -262,45 +270,51 @@ def _lex_sums(rows: list, ell: int) -> Iterator[int]:
     return (sum(choice) % ell for choice in itertools.product(*rows))
 
 
-def _position_rows(p: int, n: int, a: int, fix_f1: bool, image) -> list:
+def _position_rows(p: int, n: int, a: int, image) -> list:
     """For each position x = 1, ..., p - 1, the row of the contributions of
-    digits 0, ..., n - 1 at x to a sum over x of a term of f(x) e(a*x/p).
+    digits 0, ..., n - 1 at x to a sum over x of a term of f(x) e(a*x/p),
+    for the tables with f(1) = 1: the row of x = 1 keeps digit 0 alone.
     The exponent of digit d at x is the one the constant table d has there
     (``_twisted_terms``), and ``image`` maps the exponents of one digit to
-    their contributions.  With ``fix_f1`` the row of x = 1 keeps digit 0
-    alone."""
+    their contributions."""
     columns = [image(_twisted_terms(p, n, (d,) * (p - 1), a)[1]) for d in range(n)]
     rows = [list(row) for row in zip(*columns)]
-    if fix_f1:
-        rows[0] = rows[0][:1]
+    rows[0] = rows[0][:1]
     return rows
 
 
-def magnitude_screen(p: int, n: int, twists, fix_f1: bool = True) -> list:
+def _times_constants(tables, n: int, fix_f1: bool) -> list:
+    """The sorted indices of the tables c * h, for each exponent list h
+    with f(1) = 1 in ``tables`` and each constant c in mu_n (c = 1 alone
+    with ``fix_f1``).  Distinct (c, h) give distinct tables, c being the
+    value at 1."""
+    return sorted(table_index([(e + c) % n for e in h], n)
+                  for h in tables for c in range(1 if fix_f1 else n))
+
+
+def magnitude_screen(p: int, n: int, fix_f1: bool = True) -> list:
     """The sorted indices of the tables f of the cell, in
     ``enumerate_unit_functions(p, n, fix_f1)``, for which
-    ``_magnitude_image_is_p(f, a)`` holds for some a in ``twists``; the
-    cell must already be validated, and every twist must be a unit.
+    ``_magnitude_image_is_p(f, a)`` holds for some unit a; the cell must
+    already be validated.
 
-    Only the a = 1 screen is computed: S_1(omega) and S_1(omega^-1) are
-    sums of one contribution per position, so over the cell each is a
-    sumset, built head times tail block, and the indices of its survivors
-    are kept.  Every other twist follows by change of variables.  With
-    m_c(x) = c*x, substituting y = a*x gives S_a(f) = S_1(f o m_(1/a)), an
-    identity of ring elements that holds for the images too, so f passes
-    at a exactly when f o m_(1/a) passes at 1: the survivors at a are the
-    g o m_a for the survivors g at 1.  With f(1) fixed each g o m_a is
-    rescaled by conj(g(a)) to value 1 at 1.  That is sound because
-    scaling a sum by a root of unity c leaves S(omega) * S(omega^-1)
-    unchanged, c(omega) * c(omega^-1) being 1.  The result is the union
-    of the mapped survivors.
+    Only the tables with f(1) = 1 are summed, at a = 1 alone:
+    S_1(omega) and S_1(omega^-1) are sums of one contribution per
+    position, so over those tables each is a sumset, built head times tail
+    block, and the indices of its survivors are kept.  Two substitutions
+    reach the rest, and neither moves a verdict.  Scaling f by a constant
+    c in mu_n scales S_a by c, which leaves S_a(omega) * S_a(omega^-1)
+    unchanged, c(omega) * c(omega^-1) being 1.  With m_c(x) = c*x,
+    substituting y = a*x gives S_a(f) = S_1(f o m_(1/a)), an identity of
+    ring elements that holds for the images too, so f passes at a exactly
+    when f o m_(1/a) passes at 1.  The tables with f(1) = 1 that pass at
+    some unit are therefore the g o m_a, rescaled by conj(g(a)) to value 1
+    at 1, for the survivors g and every unit a; with f(1) free they are
+    those times each constant.
     """
-    twists = tuple(twists)
-    if any(a % p == 0 for a in twists):
-        raise ValueError("the unit-magnitude test is defined on units only")
     ell, pw = _split_prime(lcm(n, p))
-    fwd = _position_rows(p, n, p - 1, fix_f1, lambda e: _images(pw, e))
-    bwd = _position_rows(p, n, p - 1, fix_f1, lambda e: _images(pw, e, -1))
+    fwd = _position_rows(p, n, p - 1, lambda e: _images(pw, e))
+    bwd = _position_rows(p, n, p - 1, lambda e: _images(pw, e, -1))
     j = _tail_start([len(row) for row in fwd])
     block = list(zip(_lex_sums(fwd[j:], ell), _lex_sums(bwd[j:], ell)))
     heads = zip(_lex_sums(fwd[:j], ell), _lex_sums(bwd[:j], ell))
@@ -309,11 +323,10 @@ def magnitude_screen(p: int, n: int, twists, fix_f1: bool = True) -> list:
     hits = set()
     for index in itertools.compress(itertools.count(), verdicts):
         g = table_exps(index, p, n)
-        for a in twists:
+        for a in range(1, p):
             mapped = [g[a * x % p - 1] for x in range(1, p)]
-            c = mapped[0] if fix_f1 else 0
-            hits.add(table_index([(e - c) % n for e in mapped], n))
-    return sorted(hits)
+            hits.add(tuple((e - mapped[0]) % n for e in mapped))
+    return _times_constants(hits, n, fix_f1)
 
 
 def _zero_sum_screen(rows: list, ell: int) -> list:
@@ -334,7 +347,10 @@ def subfield_screen(p: int, n: int) -> list:
     """The sorted indices of the tables f of the cell with f(1) free whose
     tau(f) and sigma_k(tau(f)) have equal images in the split prime field;
     a table it passes is still decided canonically by
-    ``CyclotomicElement.in_subfield``.
+    ``CyclotomicElement.in_subfield``.  The rows sum the tables with
+    f(1) = 1, and each survivor h stands for every c * h: tau(c * h) -
+    sigma_k(tau(c * h)) is c times that of h, as sigma_k fixes mu_n, and the
+    image of c is a unit.
 
     k = 1 (mod n), so sigma_k fixes Q(zeta_n) and every table with tau(f)
     in Q(zeta_n) passes.  When p does not divide n, k is also the primitive
@@ -348,9 +364,9 @@ def subfield_screen(p: int, n: int) -> list:
     ell, pw = _split_prime(big)
     g = find_primitive_root(p)
     k = next((k for k in range(1, big, n) if k % p == g), 1)
-    rows = _position_rows(p, n, 1, False, lambda e: [
+    rows = _position_rows(p, n, 1, lambda e: [
         s - t for s, t in zip(_images(pw, e), _images(pw, e, k))])
-    return _zero_sum_screen(rows, ell)
+    return _times_constants((table_exps(i, p, n) for i in _zero_sum_screen(rows, ell)), n, False)
 
 
 def flat_screen(p: int, n: int) -> list:

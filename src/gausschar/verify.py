@@ -3,8 +3,9 @@
 Each statement has one verifier, called as ``verifier(p, n, budget)``;
 the statement table ``_PARAMETRIC_VERIFIERS`` maps every statement name
 to it, in default-grid order, and ``STATEMENTS`` is that table's keys.
-``run_statement`` only looks a name up there and calls the verifier, and
-``default_grid`` reads each statement's cells from ``_DEFAULT_CELLS``.
+``run_statement`` looks a name up there and calls the verifier, and sets
+the report's ``elapsed_ms`` from the whole call (a verifier called
+directly leaves it 0); ``default_grid`` reads each statement's cells from ``_DEFAULT_CELLS``.
 
 A verifier first opens its (p, n) cell with ``_cell``, which refuses a
 missing p or n with a message naming the statement, validates the cell
@@ -20,7 +21,11 @@ Among the per-cell constants are two sorted lists of table indices (see
 not rejected.  The cell screen, from ``spectral``, holds the split-prime
 survivors (see the ``spectral`` module docstring): a table left out is
 proven to fail the statement's analytic test, one listed is left to the
-per-function test.  The candidate list holds the oracle side's
+per-function test.  Every magnitude statement takes the same screen,
+``spectral.magnitude_screen(p, n)`` or, with f(1) free,
+``magnitude_screen(p, n, fix_f1=False)``: it passes the tables whose
+image passes at some unit, so a table it leaves out fails at every twist,
+the one its statement tests included.  The candidate list holds the oracle side's
 survivors: most statements take ``modp.homomorphism_candidates`` (at
 n = 2 for ``prop_1_1``), the characters in closed form from one
 primitive root, times each constant when f(1) is free, so a table left
@@ -143,11 +148,6 @@ def _gauss_norm_is_p(f: UnitFunction) -> bool:
     return spectral.has_unit_fourier_magnitude(f, f.p - 1)
 
 
-def _gauss_screen(p: int, n: int, fix_f1: bool = True):
-    """The cell screen of ``_gauss_norm_is_p``: tau(f) is S_(p-1)."""
-    return spectral.magnitude_screen(p, n, (p - 1,), fix_f1)
-
-
 def _is_nontrivial_character(f: UnitFunction) -> bool:
     return modp.is_character_oracle(f) and not f.is_trivial
 
@@ -157,7 +157,6 @@ def _run(statement: str, p: int, n: int, judge, functions, screen,
     """Count every function of the opened cell, judge each one whose index
     is in the screen's or the candidates' sorted index list, and tally the
     report; an index past the last function raises ValueError."""
-    t0 = time.perf_counter()
     rep = VerificationReport(statement, p, n)
     screen, candidates = set(screen), set(candidates)
     judged = screen | candidates
@@ -176,7 +175,6 @@ def _run(statement: str, p: int, n: int, judge, functions, screen,
         raise ValueError(f"verdict index {max(judged)} is past the {index + 1} tables of the cell")
     rep.total_functions = index + 1
     rep.success = not rep.mismatches
-    rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return rep
 
 
@@ -196,7 +194,7 @@ def verify_prop_1_1(p: "int | None", n: "int | None" = 2,
         hit = passed and _gauss_norm_is_p(f)
         is_legendre = candidate and f.exps == legendre
         return hit, is_legendre, hit == is_legendre, (f.exps, p - 1) if hit else None
-    return _run("prop_1_1", p, 2, judge, functions, _gauss_screen(p, 2),
+    return _run("prop_1_1", p, 2, judge, functions, spectral.magnitude_screen(p, 2),
                 modp.homomorphism_candidates(p, 2))
 
 
@@ -210,9 +208,10 @@ def verify_thm_1_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
         hit = a is not None
         oracle_hit = candidate and _is_nontrivial_character(f)
         return hit, oracle_hit, hit == oracle_hit, (f.exps, a) if hit else None
-    # p does not divide n, so the witness test is the one at a = 1.
-    screen = spectral.magnitude_screen(p, n, (1,))
-    return _run("thm_1_2", p, n, judge, functions, screen, modp.homomorphism_candidates(p, n))
+    # A table the screen rejects fails the magnitude image at every unit,
+    # so the witness test rejects it too.
+    return _run("thm_1_2", p, n, judge, functions, spectral.magnitude_screen(p, n),
+                modp.homomorphism_candidates(p, n))
 
 
 def verify_cor_1_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -226,8 +225,7 @@ def verify_cor_1_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
         oracle_hit = candidate and _is_nontrivial_character(f.normalized())
         return full, oracle_hit, full or not hits, (f.exps, 1) if full else None
     # A table that the screen rejects at every unit has no witness at all.
-    screen = spectral.magnitude_screen(p, n, range(1, p), fix_f1=False)
-    return _run("cor_1_3", p, n, judge, functions, screen,
+    return _run("cor_1_3", p, n, judge, functions, spectral.magnitude_screen(p, n, fix_f1=False),
                 modp.homomorphism_candidates(p, n, fix_f1=False))
 
 
@@ -260,7 +258,7 @@ def verify_prop_2_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verificatio
         hit = passed and _gauss_norm_is_p(f)
         oracle_hit = candidate and _is_nontrivial_character(f)
         return hit, oracle_hit, hit == oracle_hit, (f.exps, p - 1) if hit else None
-    return _run("prop_2_2", p, n, judge, functions, _gauss_screen(p, n),
+    return _run("prop_2_2", p, n, judge, functions, spectral.magnitude_screen(p, n),
                 modp.homomorphism_candidates(p, n))
 
 
@@ -273,7 +271,7 @@ def verify_cor_2_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
         factors = candidate and _is_nontrivial_character(f.normalized())
         hit = passed and _gauss_norm_is_p(f)
         return hit, factors, hit == factors, (f.exps, p - 1) if hit else None
-    return _run("cor_2_3", p, n, judge, functions, _gauss_screen(p, n, fix_f1=False),
+    return _run("cor_2_3", p, n, judge, functions, spectral.magnitude_screen(p, n, fix_f1=False),
                 modp.homomorphism_candidates(p, n, fix_f1=False))
 
 
@@ -324,7 +322,7 @@ def search_p_divides_n(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verifica
         oracle_hit = candidate and modp.is_character_oracle(f)
         found = hit and not oracle_hit
         return hit, oracle_hit, True, (f.exps, spectral.spectral_witness(f)) if found else None
-    rep = _run("remark_p_divides_n", p, n, judge, functions, _gauss_screen(p, n),
+    rep = _run("remark_p_divides_n", p, n, judge, functions, spectral.magnitude_screen(p, n),
                modp.homomorphism_candidates(p, n))
     rep.success = bool(rep.witnesses)
     return rep
@@ -367,12 +365,17 @@ _DEFAULT_CELLS = {
 def run_statement(statement: str, p: "int | None" = None, n: "int | None" = None,
                   budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Run one named verification: look its verifier up in the statement
-    table and call it with (p, n, budget).  Raises ValueError on an unknown
-    name; the verifier raises on missing or bad parameters."""
+    table and call it with (p, n, budget), timing the whole call, screen
+    and candidates included, as the report's ``elapsed_ms``.  Raises
+    ValueError on an unknown name; the verifier raises on missing or bad
+    parameters."""
     verifier = _PARAMETRIC_VERIFIERS.get(statement)
     if verifier is None:
         raise ValueError(f"unknown statement {statement!r}")
-    return verifier(p, n, budget)
+    t0 = time.perf_counter()
+    rep = verifier(p, n, budget)
+    rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    return rep
 
 
 def default_grid() -> list:

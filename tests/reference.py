@@ -14,7 +14,6 @@ sympy only when called, so the tests that use it skip without sympy.
 """
 
 import functools
-import time
 from math import gcd, lcm
 
 from gausschar.cyclo import CyclotomicElement, _Frozen, euler_phi
@@ -192,7 +191,6 @@ def dense_run(statement: str, p: int, n: int, judge, functions, screen,
     """``verify._run`` as it was before it skipped the tables both verdicts
     reject: judge every function of the opened cell, with its membership in
     the screen's and the candidates' index lists, and tally the report."""
-    t0 = time.perf_counter()
     rep = VerificationReport(statement, p, n)
     screen, candidates = set(screen), set(candidates)
     for index, f in enumerate(functions):
@@ -205,7 +203,6 @@ def dense_run(statement: str, p: int, n: int, judge, functions, screen,
         if not agrees:
             rep.mismatches.append(f.exps)
     rep.success = not rep.mismatches
-    rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return rep
 
 

@@ -17,9 +17,11 @@ from gausschar.modp import (
     UnitFunction,
     enumerate_unit_functions,
     find_primitive_root,
+    homomorphism_candidates,
     is_character_oracle,
     is_prime,
     legendre_unit_function,
+    table_index,
 )
 from gausschar.spectral import (
     SpectralValue,
@@ -338,11 +340,12 @@ def _true_indices(verdicts):
 
 def test_cell_screens_align_with_per_function_images():
     # A cell screen lists index i exactly when table i of the enumeration
-    # passes the split-prime test, computed from its exponents alone: the
-    # magnitude image at every twist a, tau(omega) against its image under
-    # sigma_k, k = 1 (mod n) and a primitive root mod p (f(1) free; k = 1
-    # when p divides n), and the value sum (f(1) = 1).
-    cells = {(p, n) for _, p, n in default_grid()} | {(3, 6)}
+    # passes the split-prime test, computed from its exponents alone:
+    # tau(omega) against its image under sigma_k, k = 1 (mod n) and a
+    # primitive root mod p (f(1) free; k = 1 when p divides n), and the
+    # value sum (f(1) = 1).  The magnitude screen is checked by
+    # test_magnitude_screen_maps_the_a1_survivors_to_every_twist.
+    cells = {(p, n) for _, p, n in default_grid()} | {(3, 6), (3, 12), (5, 10), (5, 8), (7, 5)}
     for p, n in sorted(cells):
         big = lcm(n, p)
         g = find_primitive_root(p)
@@ -351,13 +354,6 @@ def test_cell_screens_align_with_per_function_images():
         ell_n, pw_n = _split_prime(n)
         fixed = list(enumerate_unit_functions(p, n, fix_f1=True))
         free = list(enumerate_unit_functions(p, n, fix_f1=False))
-        for fix_f1, functions in ((True, fixed), (False, free)):
-            for a in range(1, p):
-                expected = [spectral._magnitude_image_is_p(f, a) for f in functions]
-                assert (spectral.magnitude_screen(p, n, (a,), fix_f1)
-                        == _true_indices(expected)), (p, n, a)
-        with pytest.raises(ValueError, match="units only"):
-            spectral.magnitude_screen(p, n, (1, p))
         expected = []
         for f in free:
             tau = [big // n * e + big // p * x for x, e in enumerate(f.exps, 1)]
@@ -368,23 +364,32 @@ def test_cell_screens_align_with_per_function_images():
 
 
 def test_magnitude_screen_maps_the_a1_survivors_to_every_twist():
-    # The screen computes the a = 1 sumset alone and reaches every other
-    # twist by x -> a*x (rescaled to f(1) = 1 when f(1) is fixed).  Against
-    # the per-function images, table by table: one twist at a time, and all
-    # units at once as the any over a.  Every default-grid cell, f(1) fixed
-    # and free, and the p | n cells (3, 6), (3, 12) and (5, 10), where the
-    # witness sets differ from twist to twist.
-    cells = {(p, n) for _, p, n in default_grid()} | {(3, 6), (3, 12), (5, 10)}
+    # The screen sums the f(1) = 1 tables at a = 1 alone and reaches every
+    # other twist by x -> a*x, rescaled to f(1) = 1, and every f(1) by the
+    # constants.  Against the per-function images, table by table, as the
+    # any over the units: every default-grid cell, f(1) fixed and free, the
+    # p | n cells (3, 6), (3, 12) and (5, 10), where the witness sets differ
+    # from twist to twist, and (5, 8) and (7, 5).
+    cells = {(p, n) for _, p, n in default_grid()} | {(3, 6), (3, 12), (5, 10), (5, 8), (7, 5)}
     for p, n in sorted(cells):
         for fix_f1 in (True, False):
             functions = enumerate_unit_functions(p, n, fix_f1=fix_f1)
-            images = [[spectral._magnitude_image_is_p(f, a) for a in range(1, p)]
-                      for f in functions]
-            for a in range(1, p):
-                assert (spectral.magnitude_screen(p, n, (a,), fix_f1)
-                        == _true_indices(row[a - 1] for row in images)), (p, n, fix_f1, a)
-            assert (spectral.magnitude_screen(p, n, range(1, p), fix_f1)
-                    == _true_indices(any(row) for row in images)), (p, n, fix_f1)
+            images = (any(spectral._magnitude_image_is_p(f, a) for a in range(1, p))
+                      for f in functions)
+            assert (spectral.magnitude_screen(p, n, fix_f1)
+                    == _true_indices(images)), (p, n, fix_f1)
+
+
+def test_magnitude_screen_passes_c_times_each_character():
+    # At (5, 4) and (7, 3) the tables that pass are the nontrivial
+    # characters chi, with |S_a| = sqrt(p) at every unit a, and with f(1)
+    # free each c * chi.  Each chi o m_a is chi(a) * chi, so the twist
+    # remap lands on chi again only once it is rescaled to f(1) = 1.
+    for p, n in ((5, 4), (7, 3)):
+        constants = {table_index((c,) * (p - 1), n) for c in range(n)}
+        for fix_f1 in (True, False):
+            expected = [i for i in homomorphism_candidates(p, n, fix_f1) if i not in constants]
+            assert spectral.magnitude_screen(p, n, fix_f1) == expected, (p, n, fix_f1)
 
 
 def test_subfield_screen_passes_exactly_the_subfield_members():
@@ -473,22 +478,23 @@ def test_flat_screen_in_linear_memory():
 
 
 def test_cell_screen_in_bounded_memory():
-    # 4^10 = 1048576 tables: a list of their verdicts alone would take
-    # 8 MB, the screen holds one tail block, one head's verdicts and the
-    # indices of its survivors.  Those are the Legendre table times each
-    # of the 4 constants, the tables c * chi with |S_1| = sqrt(11).
+    # The screen sums the 4^9 = 262144 tables with f(1) = 1: a list of
+    # their verdicts alone would take 2 MB, the screen holds one tail
+    # block, one head's verdicts and the tables of its survivors.  Those
+    # are the Legendre table times each of the 4 constants, the tables
+    # c * chi with |S_a| = sqrt(11) at some unit a.
     import tracemalloc
     spectral._split_prime(44)
     tracemalloc.start()
     try:
-        survivors = spectral.magnitude_screen(11, 4, (1,), fix_f1=False)
+        survivors = spectral.magnitude_screen(11, 4, fix_f1=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     legendre = [2 * e for e in legendre_unit_function(11).exps]
     assert survivors == sorted(int("".join(str((e + c) % 4) for e in legendre), 4)
                                for c in range(4))
-    assert peak < 2 * 2 ** 20, peak
+    assert peak < 2 ** 20, peak
 
 
 def test_zero_sum_screen_matches_brute_force():

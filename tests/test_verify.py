@@ -1,5 +1,6 @@
 import functools
 import json
+import time
 from math import gcd, lcm
 from pathlib import Path
 
@@ -336,7 +337,9 @@ def test_run_judges_exactly_the_tables_a_verdict_passes(monkeypatch):
 
     monkeypatch.setattr(verify, "_run", spy)
     reports = verify_grid(default_grid())
-    assert judged == expected and len(judged) == 751
+    # 752: the (3, 6) search screen passes the tables that pass at any unit,
+    # one more than its Gauss-sum image alone passes.
+    assert judged == expected and len(judged) == 752
     for rep in reports:
         total = (1 if rep.statement == "remark_counterexample"
                  else count_unit_functions(rep.p, rep.n, rep.statement not in F1_FREE))
@@ -419,6 +422,28 @@ def test_verify_grid_empty_and_single():
     assert verify_grid([]) == []
     reports = verify_grid([("thm_1_2", 5, 2)])
     assert len(reports) == 1 and reports[0].total_functions == 8
+
+
+def test_a_cell_refuses_a_non_int_p_or_n():
+    # The cell's one validation point refuses a float or bool p or n as a
+    # bad cell: verify_grid reports it, and True is not read as n = 1.
+    with pytest.raises(ValueError, match="must be integers"):
+        run_statement("thm_1_2", 7.0, 3)
+    with pytest.raises(ValueError, match="must be integers"):
+        run_statement("cor_1_3", 5, True)
+    [rep] = verify_grid([("thm_1_2", 7.0, 3)])
+    assert not rep.success and "must be integers" in rep.error
+
+
+def test_elapsed_ms_covers_the_whole_verification(monkeypatch):
+    # The clock runs around the verifier, so the time a screen takes shows.
+    real = spectral.magnitude_screen
+
+    def slow(*args, **kwargs):
+        time.sleep(0.1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(spectral, "magnitude_screen", slow)
+    assert run_statement("thm_1_2", 5, 4).elapsed_ms >= 100
 
 
 def test_verify_grid_captures_cell_errors():
