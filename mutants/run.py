@@ -66,41 +66,25 @@ MUTANTS = (
     ("row_bound without its 1 +", CYCLO,
      "self.row_bound = 1 + min(", "self.row_bound = min(",
      (f"{TEST_CYCLO}::test_row_bound_covers_every_power",)),
-    ("_run skips a table unless passed", VERIFY,
-     "judged = screen | candidates", "judged = screen",
-     (f"{TEST_VERIFY}::test_run_judges_exactly_the_tables_a_verdict_passes",
-      f"{TEST_VERIFY}::test_thm_1_7_cells")),
-    ("_run skips a table unless candidate", VERIFY,
-     "judged = screen | candidates", "judged = candidates",
-     (f"{TEST_VERIFY}::test_run_judges_exactly_the_tables_a_verdict_passes",
-      f"{TEST_VERIFY}::test_search_p_divides_n")),
+    ("thm_1_7 judges only its screen's tables", VERIFY,
+     "spectral.flat_screen(p, n) + modp.homomorphism_candidates(p, n))",
+     "spectral.flat_screen(p, n))",
+     (f"{TEST_VERIFY}::test_thm_1_7_cells",)),
+    ("remark_p_divides_n judges only its candidates", VERIFY,
+     "spectral.magnitude_screen(p, n) + modp.homomorphism_candidates(p, n))\n    rep.success",
+     "modp.homomorphism_candidates(p, n))\n    rep.success",
+     (f"{TEST_VERIFY}::test_search_p_divides_n",)),
     ("_run counts only the judged tables", VERIFY,
      "rep.total_functions = index + 1", "rep.total_functions = len(judged)",
      (f"{TEST_VERIFY}::test_run_judges_exactly_the_tables_a_verdict_passes",)),
     ("_run without the index-past-the-cell guard", VERIFY,
      "    if max(judged, default=-1) > index:\n        raise ValueError(",
      "    if False:\n        raise ValueError(",
-     (f"{TEST_VERIFY}::test_run_refuses_a_screen_of_the_wrong_length",
-      f"{TEST_VERIFY}::test_run_refuses_a_candidate_stream_of_the_wrong_length")),
+     (f"{TEST_VERIFY}::test_run_refuses_an_index_past_the_cell",)),
     ("existence report always succeeds", VERIFY,
      "rep.success = bool(rep.witnesses)", "rep.success = True",
      (f"{TEST_VERIFY}::test_search_p_divides_n",)),
-    ("thm_1_2 judge takes a screen pass as the witness a = 1", VERIFY,
-     "a = spectral.spectral_witness(f) if passed else None", "a = 1 if passed else None",
-     (f"{TEST_VERIFY}::test_reports_hold_under_a_small_split_prime",)),
-    ("prop_2_2 judge takes a screen pass as a hit", VERIFY,
-     "hit = passed and _gauss_norm_is_p(f)\n        oracle_hit = candidate and _is_nontrivial_character(f)\n",
-     "hit = passed\n        oracle_hit = candidate and _is_nontrivial_character(f)\n",
-     (f"{TEST_VERIFY}::test_reports_hold_under_a_small_split_prime",)),
-    ("cor_2_3 judge takes a screen pass as a hit", VERIFY,
-     "hit = passed and _gauss_norm_is_p(f)\n        return hit, factors,",
-     "hit = passed\n        return hit, factors,",
-     (f"{TEST_VERIFY}::test_reports_hold_under_a_small_split_prime",)),
-    ("cor_1_3 judge takes a screen pass as a witness at every unit", VERIFY,
-     "hits = passed and sum(spectral.has_unit_fourier_magnitude(f, a) for a in range(1, p))",
-     "hits = passed and p - 1",
-     (f"{TEST_VERIFY}::test_reports_hold_under_a_small_split_prime",)),
-    ("lemma_2_1 judge takes a screen pass as subfield membership", VERIFY,
+    ("lemma_2_1 judge takes every judged table as a subfield member", VERIFY,
      "if tau.in_subfield(n):", "if True:",
      (f"{TEST_VERIFY}::test_reports_hold_under_a_small_split_prime",)),
     ("cor_1_3 judge always agrees", VERIFY,
@@ -119,6 +103,9 @@ MUTANTS = (
     ("subfield_screen at the first k != 1 instead of the generator", SPECTRAL,
      "if k % p == g), 1)", "if k % p > 1), 1)",
      (f"{TEST_SPECTRAL}::test_subfield_screen_passes_exactly_the_subfield_members",)),
+    ("has_unit_fourier_magnitude passes every image survivor", SPECTRAL,
+     "return fourier_norm(f, a).as_integer() == f.p", "return True",
+     (f"{TEST_VERIFY}::test_reports_hold_under_a_small_split_prime",)),
     ("spectral_witness stops at a = p - 2", SPECTRAL,
      "    for a in range(1, f.p):\n        if has_unit_fourier_magnitude(f, a):",
      "    for a in range(1, f.p - 1):\n        if has_unit_fourier_magnitude(f, a):",

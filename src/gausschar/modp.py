@@ -9,12 +9,14 @@ above.
 A table of a cell is named by its index, its place in the enumeration:
 its exponents at x = 1, ..., p - 1 read as base-n digits.  ``table_index``
 and ``table_exps`` are the one codec for that format; every verdict source
-hands the verification loop a sorted list of such indices.
+returns a sorted list of such indices, and a verifier hands the
+verification loop its screen's and its candidates' lists end to end.
 
-An exhaustive verification asks the oracle only about candidates.
-``homomorphism_candidates`` lists them in closed form: F_p^x is cyclic, so
-a character is fixed by its value at a primitive root g, and that value is
-an n-th root of unity whose (p - 1)-th power is 1, i.e. one of the
+An exhaustive verification asks the oracle only about the tables those lists
+name, never about one that both the screen and the candidates leave out.
+``homomorphism_candidates`` lists the candidates in closed form: F_p^x is
+cyclic, so a character is fixed by its value at a primitive root g, and that
+value is an n-th root of unity whose (p - 1)-th power is 1, i.e. one of the
 m = gcd(n, p - 1) elements of mu_m.  The m tables f(g^t) = zeta_n^(j t n/m),
 times each constant when f(1) is free, are therefore every candidate, and
 the oracle still confirms each one pair by pair.  Per statement the list

@@ -5,7 +5,8 @@ the statement table ``_PARAMETRIC_VERIFIERS`` maps every statement name
 to it, in default-grid order, and ``STATEMENTS`` is that table's keys.
 ``run_statement`` looks a name up there and calls the verifier, and sets
 the report's ``elapsed_ms`` from the whole call (a verifier called
-directly leaves it 0); ``default_grid`` reads each statement's cells from ``_DEFAULT_CELLS``.
+directly leaves it 0); ``default_grid`` reads each statement's cells from
+``_DEFAULT_CELLS``.
 
 A verifier first opens its (p, n) cell with ``_cell``, which refuses a
 missing p or n with a message naming the statement, validates the cell
@@ -14,50 +15,50 @@ budget before primality) and applies the statement's divisibility
 hypothesis; only then are per-cell constants built.  The two statements
 with a pinned parameter check their parameters themselves: ``prop_1_1``
 requires p and takes n = 2 or None, the counterexample takes (3, 6) or
-neither, and any other value is a ``HypothesisViolation``.
+neither, and any other value is a ``HypothesisViolation``; a pinned value
+given as a float, such as 3.0 or 2.0, is refused as ``_cell`` refuses it.
 
 Among the per-cell constants are two sorted lists of table indices (see
 ``modp.table_index``), each naming the tables that a verdict source has
 not rejected.  The cell screen, from ``spectral``, holds the split-prime
 survivors (see the ``spectral`` module docstring): a table left out is
-proven to fail the statement's analytic test, one listed is left to the
-per-function test.  Every magnitude statement takes the same screen,
-``spectral.magnitude_screen(p, n)`` or, with f(1) free,
-``magnitude_screen(p, n, fix_f1=False)``: it passes the tables whose
+proven to fail the statement's analytic test.  Every magnitude statement
+takes the same screen, ``spectral.magnitude_screen(p, n)`` or, with f(1)
+free, ``magnitude_screen(p, n, fix_f1=False)``: it passes the tables whose
 image passes at some unit, so a table it leaves out fails at every twist,
-the one its statement tests included.  The candidate list holds the oracle side's
-survivors: most statements take ``modp.homomorphism_candidates`` (at
-n = 2 for ``prop_1_1``), the characters in closed form from one
-primitive root, times each constant when f(1) is free, so a table left
-out is no character, nor a constant times one; ``lemma_2_1`` lists the
-n constant tables, and the pinned counterexample lists its one table,
-``[0]``.  Every verifier then runs through one loop,
-``_run``, which walks the opened stream (or the pinned tables it is
-given) once and counts every table.  It hands each table whose index is
-in either list to the statement's judge as ``judge(f, passed,
-candidate)``, with ``passed`` and ``candidate`` its membership in each,
-and raises ValueError on an index at or past the cell's table count, so
-a verdict can never name a table the cell does not have.  A judge
-returns ``(spectral_hit, oracle_hit, agrees, witness)``: whether the
-analytic test (Gauss-sum magnitude, Fourier witness, subfield membership
-or autocorrelation profile) holds for f, whether the brute-force
-homomorphism oracle's side holds, whether the two sides relate as the
-statement predicts, and the ``(exps, a)`` record to list as a witness,
-or None.  A judge runs the per-function test only where ``passed``
-allows it, and the oracle (with ``UnitFunction.normalized`` where f(1) is
-free) only where ``candidate`` does: every analytic "yes" is still
-decided by canonical equality, and every oracle-side "yes" by the oracle
-(for ``prop_1_1`` and ``lemma_2_1``, by equality with the Legendre table
-or the constant test).  On a table in neither list a judge returns
-``(False, False, True, None)``, which adds only to the count; so such a
-table is counted and never judged, and the report is the one that
-judging every table gives.  The test
+the one its statement tests included.  The candidate list holds the
+oracle side's survivors: most statements take
+``modp.homomorphism_candidates`` (at n = 2 for ``prop_1_1``), the
+characters in closed form from one primitive root, times each constant
+when f(1) is free, so a table left out is no character, nor a constant
+times one; ``lemma_2_1`` lists the n constant tables, and the pinned
+counterexample lists its one table, ``[0]``.
+
+Every verifier then runs through one loop, ``_run``, and hands it the
+screen's list and the candidate list end to end as the tables to judge.
+``_run`` walks the opened stream (or the pinned tables it is given) once,
+counts every table, calls the statement's judge as ``judge(f)`` on each
+table whose index is listed, and raises ValueError on an index at or past
+the cell's table count, so a list can never name a table the cell does
+not have.  A judge sees the table alone and decides both sides in full:
+the statement's analytic test (Gauss-sum magnitude, Fourier witness,
+subfield membership or autocorrelation profile, each "yes" decided by
+canonical equality) and its oracle side (the brute-force homomorphism
+oracle, with ``UnitFunction.normalized`` where f(1) is free; for
+``prop_1_1`` and ``lemma_2_1``, equality with the Legendre table or the
+constant test).  It returns ``(spectral_hit, oracle_hit, agrees,
+witness)``: whether each side holds, whether the two relate as the
+statement predicts, and the ``(exps, a)`` record to list as a witness, or
+None.  A table in neither list fails both sides, by the two proven
+rejections, so its judge returns ``(False, False, True, None)``, which
+adds only to the count; ``_run`` counts such a table without judging it,
+and the report is the one that judging every table gives.  The test
 ``test_every_judge_is_neutral_where_both_sides_reject`` runs every judge
-on every default-grid table and is what keeps that skip exact.
-Functions whose sides disagree are listed as mismatches, and ``_run``'s
-report succeeds exactly when there are none; the existence search
-``remark_p_divides_n`` then sets its report to succeed when it lists at
-least one witness.
+on every default-grid table that ``_run`` skips and is what keeps that
+skip exact.  Functions whose sides disagree are listed as mismatches, and
+``_run``'s report succeeds exactly when there are none; the existence
+search ``remark_p_divides_n`` then sets its report to succeed when it
+lists at least one witness.
 """
 
 from __future__ import annotations
@@ -152,19 +153,18 @@ def _is_nontrivial_character(f: UnitFunction) -> bool:
     return modp.is_character_oracle(f) and not f.is_trivial
 
 
-def _run(statement: str, p: int, n: int, judge, functions, screen,
-         candidates) -> VerificationReport:
+def _run(statement: str, p: int, n: int, judge, functions, judged) -> VerificationReport:
     """Count every function of the opened cell, judge each one whose index
-    is in the screen's or the candidates' sorted index list, and tally the
-    report; an index past the last function raises ValueError."""
+    is in ``judged`` (a verifier lists its screen's survivors, then its
+    candidates), and tally the report; an index past the last function
+    raises ValueError."""
     rep = VerificationReport(statement, p, n)
-    screen, candidates = set(screen), set(candidates)
-    judged = screen | candidates
+    judged = set(judged)
     index = -1
     for index, f in enumerate(functions):
         if index not in judged:
             continue  # both sides reject: the judge would be neutral
-        spectral_hit, oracle_hit, agrees, witness = judge(f, index in screen, index in candidates)
+        spectral_hit, oracle_hit, agrees, witness = judge(f)
         rep.passing_spectral += spectral_hit
         rep.passing_oracle += oracle_hit
         if witness is not None:
@@ -187,15 +187,15 @@ def verify_prop_1_1(p: "int | None", n: "int | None" = 2,
         raise ValueError("prop_1_1 requires p")
     if n not in (None, 2):
         raise HypothesisViolation("prop_1_1 is a statement about sign functions; n is fixed to 2")
-    functions = _cell("prop_1_1", p, 2, budget)
+    functions = _cell("prop_1_1", p, 2 if n is None else n, budget)
     legendre = modp.legendre_unit_function(p).exps
 
-    def judge(f, passed, candidate):
-        hit = passed and _gauss_norm_is_p(f)
-        is_legendre = candidate and f.exps == legendre
+    def judge(f):
+        hit = _gauss_norm_is_p(f)
+        is_legendre = f.exps == legendre
         return hit, is_legendre, hit == is_legendre, (f.exps, p - 1) if hit else None
-    return _run("prop_1_1", p, 2, judge, functions, spectral.magnitude_screen(p, 2),
-                modp.homomorphism_candidates(p, 2))
+    return _run("prop_1_1", p, 2, judge, functions,
+                spectral.magnitude_screen(p, 2) + modp.homomorphism_candidates(p, 2))
 
 
 def verify_thm_1_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -203,15 +203,15 @@ def verify_thm_1_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
     f(1) = 1: some |fhat(a)| = 1 iff f is a nontrivial character."""
     functions = _cell("thm_1_2", p, n, budget)
 
-    def judge(f, passed, candidate):
-        a = spectral.spectral_witness(f) if passed else None
+    def judge(f):
+        a = spectral.spectral_witness(f)
         hit = a is not None
-        oracle_hit = candidate and _is_nontrivial_character(f)
+        oracle_hit = _is_nontrivial_character(f)
         return hit, oracle_hit, hit == oracle_hit, (f.exps, a) if hit else None
     # A table the screen rejects fails the magnitude image at every unit,
     # so the witness test rejects it too.
-    return _run("thm_1_2", p, n, judge, functions, spectral.magnitude_screen(p, n),
-                modp.homomorphism_candidates(p, n))
+    return _run("thm_1_2", p, n, judge, functions,
+                spectral.magnitude_screen(p, n) + modp.homomorphism_candidates(p, n))
 
 
 def verify_cor_1_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -219,14 +219,14 @@ def verify_cor_1_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
     {a : |fhat(a)| = 1} is empty or all of the units, never in between."""
     functions = _cell("cor_1_3", p, n, budget, fix_f1=False)
 
-    def judge(f, passed, candidate):
-        hits = passed and sum(spectral.has_unit_fourier_magnitude(f, a) for a in range(1, p))
+    def judge(f):
+        hits = sum(spectral.has_unit_fourier_magnitude(f, a) for a in range(1, p))
         full = hits == p - 1
-        oracle_hit = candidate and _is_nontrivial_character(f.normalized())
+        oracle_hit = _is_nontrivial_character(f.normalized())
         return full, oracle_hit, full or not hits, (f.exps, 1) if full else None
     # A table that the screen rejects at every unit has no witness at all.
-    return _run("cor_1_3", p, n, judge, functions, spectral.magnitude_screen(p, n, fix_f1=False),
-                modp.homomorphism_candidates(p, n, fix_f1=False))
+    return _run("cor_1_3", p, n, judge, functions, spectral.magnitude_screen(p, n, fix_f1=False)
+                + modp.homomorphism_candidates(p, n, fix_f1=False))
 
 
 def verify_lemma_2_1(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -236,17 +236,15 @@ def verify_lemma_2_1(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verificati
     functions = _cell("lemma_2_1", p, n, budget, fix_f1=False)
     big = lcm(n, p)
 
-    def judge(g, passed, candidate):
-        const = candidate and g.is_constant
-        if passed:
-            tau = spectral.gauss_sum(g).value
-            if tau.in_subfield(n):
-                minus_tau = const and zeta_pow(n, g.exps[0]).embed(big) == -tau
-                return True, const, minus_tau, (g.exps, None)
+    def judge(g):
+        const = g.is_constant
+        tau = spectral.gauss_sum(g).value
+        if tau.in_subfield(n):
+            minus_tau = const and zeta_pow(n, g.exps[0]).embed(big) == -tau
+            return True, const, minus_tau, (g.exps, None)
         return False, const, not const, None
-    screen = spectral.subfield_screen(p, n)
     constants = [modp.table_index((d,) * (p - 1), n) for d in range(n)]
-    return _run("lemma_2_1", p, n, judge, functions, screen, constants)
+    return _run("lemma_2_1", p, n, judge, functions, spectral.subfield_screen(p, n) + constants)
 
 
 def verify_prop_2_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -254,12 +252,12 @@ def verify_prop_2_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verificatio
     f(1) = 1: norm_squared(tau(f)) = p iff f is a nontrivial character."""
     functions = _cell("prop_2_2", p, n, budget)
 
-    def judge(f, passed, candidate):
-        hit = passed and _gauss_norm_is_p(f)
-        oracle_hit = candidate and _is_nontrivial_character(f)
+    def judge(f):
+        hit = _gauss_norm_is_p(f)
+        oracle_hit = _is_nontrivial_character(f)
         return hit, oracle_hit, hit == oracle_hit, (f.exps, p - 1) if hit else None
-    return _run("prop_2_2", p, n, judge, functions, spectral.magnitude_screen(p, n),
-                modp.homomorphism_candidates(p, n))
+    return _run("prop_2_2", p, n, judge, functions,
+                spectral.magnitude_screen(p, n) + modp.homomorphism_candidates(p, n))
 
 
 def verify_cor_2_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -267,12 +265,12 @@ def verify_cor_2_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
     splits as f(1) times a nontrivial character."""
     functions = _cell("cor_2_3", p, n, budget, fix_f1=False)
 
-    def judge(f, passed, candidate):
-        factors = candidate and _is_nontrivial_character(f.normalized())
-        hit = passed and _gauss_norm_is_p(f)
+    def judge(f):
+        factors = _is_nontrivial_character(f.normalized())
+        hit = _gauss_norm_is_p(f)
         return hit, factors, hit == factors, (f.exps, p - 1) if hit else None
-    return _run("cor_2_3", p, n, judge, functions, spectral.magnitude_screen(p, n, fix_f1=False),
-                modp.homomorphism_candidates(p, n, fix_f1=False))
+    return _run("cor_2_3", p, n, judge, functions, spectral.magnitude_screen(p, n, fix_f1=False)
+                + modp.homomorphism_candidates(p, n, fix_f1=False))
 
 
 def verify_thm_1_7(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -283,13 +281,13 @@ def verify_thm_1_7(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
     divisibility hypothesis here."""
     functions = _cell("thm_1_7", p, n, budget, p_divides_n=None)
 
-    def judge(f, passed, candidate):
-        flat = passed and spectral.kurlberg_test(f)
-        oracle_hit = candidate and modp.is_character_oracle(f)
+    def judge(f):
+        flat = spectral.kurlberg_test(f)
+        oracle_hit = modp.is_character_oracle(f)
         return (flat, oracle_hit, flat == (oracle_hit and not f.is_trivial),
                 (f.exps, None) if flat else None)
-    return _run("thm_1_7", p, n, judge, functions, spectral.flat_screen(p, n),
-                modp.homomorphism_candidates(p, n))
+    return _run("thm_1_7", p, n, judge, functions,
+                spectral.flat_screen(p, n) + modp.homomorphism_candidates(p, n))
 
 
 def remark_counterexample(p: "int | None" = None, n: "int | None" = None,
@@ -301,13 +299,15 @@ def remark_counterexample(p: "int | None" = None, n: "int | None" = None,
     if (p, n) not in ((None, None), (3, 6)):
         raise HypothesisViolation("the counterexample is pinned to p=3, n=6")
 
-    def judge(f, passed, candidate):
-        hit = passed and _gauss_norm_is_p(f)
-        oracle_hit = candidate and modp.is_character_oracle(f)
+    def judge(f):
+        hit = _gauss_norm_is_p(f)
+        oracle_hit = modp.is_character_oracle(f)
         a = spectral.spectral_witness(f)
         agrees = hit and not oracle_hit and f.n % f.p == 0 and a == 2
         return hit, oracle_hit, agrees, None if a is None else (f.exps, a)
-    return _run("remark_counterexample", 3, 6, judge, (UnitFunction(3, 6, (0, 5)),), [0], [0])
+    # UnitFunction refuses a float p or n, such as 3.0, that == lets through.
+    table = UnitFunction(3 if p is None else p, 6 if n is None else n, (0, 5))
+    return _run("remark_counterexample", 3, 6, judge, (table,), [0])
 
 
 def search_p_divides_n(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -317,13 +317,13 @@ def search_p_divides_n(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verifica
     returned as witnesses and no count formula is asserted."""
     functions = _cell("remark_p_divides_n", p, n, budget, p_divides_n=True)
 
-    def judge(f, passed, candidate):
-        hit = passed and _gauss_norm_is_p(f)
-        oracle_hit = candidate and modp.is_character_oracle(f)
+    def judge(f):
+        hit = _gauss_norm_is_p(f)
+        oracle_hit = modp.is_character_oracle(f)
         found = hit and not oracle_hit
         return hit, oracle_hit, True, (f.exps, spectral.spectral_witness(f)) if found else None
-    rep = _run("remark_p_divides_n", p, n, judge, functions, spectral.magnitude_screen(p, n),
-               modp.homomorphism_candidates(p, n))
+    rep = _run("remark_p_divides_n", p, n, judge, functions,
+               spectral.magnitude_screen(p, n) + modp.homomorphism_candidates(p, n))
     rep.success = bool(rep.witnesses)
     return rep
 

@@ -7,7 +7,7 @@ polynomial arithmetic, the modular inverse, the Legendre symbol, the size of
 an enumeration, the Parseval total and the autocorrelation criterion over
 every shift: each restates a definition that the package itself never
 needs.  Then the dense verification loop, which judges every table where
-the package's loop judges only those a verdict passes, and the subfield
+the package's loop judges only those a verdict lists, and the subfield
 test at every k, where the package checks only generators.  Last, sympy's
 remainder mod Phi_N, the outside reference for every reduction; it imports
 sympy only when called, so the tests that use it skip without sympy.
@@ -186,15 +186,13 @@ def kurlberg_all_shifts(f: UnitFunction) -> bool:
 # ---------------------------------------------------------------------------
 # The dense verification loop.
 
-def dense_run(statement: str, p: int, n: int, judge, functions, screen,
-              candidates) -> VerificationReport:
-    """``verify._run`` as it was before it skipped the tables both verdicts
-    reject: judge every function of the opened cell, with its membership in
-    the screen's and the candidates' index lists, and tally the report."""
+def dense_run(statement: str, p: int, n: int, judge, functions, judged) -> VerificationReport:
+    """``verify._run`` as it was before it skipped the tables that neither
+    verdict lists: call the judge on every function of the opened cell,
+    whatever ``judged`` lists, and tally the report."""
     rep = VerificationReport(statement, p, n)
-    screen, candidates = set(screen), set(candidates)
-    for index, f in enumerate(functions):
-        spectral_hit, oracle_hit, agrees, witness = judge(f, index in screen, index in candidates)
+    for f in functions:
+        spectral_hit, oracle_hit, agrees, witness = judge(f)
         rep.total_functions += 1
         rep.passing_spectral += spectral_hit
         rep.passing_oracle += oracle_hit

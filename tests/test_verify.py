@@ -228,29 +228,52 @@ def test_missing_parameters_name_the_statement():
                 run_statement(statement, p, n)
 
 
-def test_every_judge_is_neutral_where_both_sides_reject(monkeypatch):
-    """On a table whose screen verdict is False and whose oracle side fails,
-    every judge returns (False, False, True, None), so the table adds only
-    to the count, and _run may count it without judging it.  The candidate
-    verdict only spares the oracle: every judge returns on every table what
-    it returns when told the table is a candidate, so the oracle side it
-    reports is the oracle's own."""
-    exercised = set()
+def _neutrality_check(exercised):
+    """A stand-in for ``_run`` that calls the full judge on every table of
+    the cell, through ``dense_run``, and asserts that each table ``_run``
+    would skip, one that no index list names, adds only to the count; it
+    records each statement where it saw such a table in ``exercised``."""
+    def check(statement, p, n, judge, functions, judged):
+        functions, judged = list(functions), set(judged)
+        skipped = {f.exps for index, f in enumerate(functions) if index not in judged}
 
-    def spy(statement, p, n, judge, *args):
-        def checked(f, passed, candidate):
-            result = judge(f, passed, candidate)
-            assert judge(f, passed, True) == result, (statement, p, n, f.exps)
-            if not passed and not result[1]:
+        def checked(f):
+            result = judge(f)
+            if f.exps in skipped:
                 assert result == (False, False, True, None), (statement, p, n, f.exps)
                 exercised.add(statement)
             return result
-        # The dense loop judges every table, the ones _run skips included.
-        return dense_run(statement, p, n, checked, *args)
+        return dense_run(statement, p, n, checked, functions, judged)
+    return check
 
-    monkeypatch.setattr(verify, "_run", spy)
+
+def test_every_judge_is_neutral_where_both_sides_reject(monkeypatch):
+    """Every judge runs its statement's full analytic test and its oracle
+    side on whatever table it is given.  On every default-grid table that
+    neither the screen nor the candidate list names, it must find both
+    sides false and in agreement, so _run may count such a table without
+    judging it: this cross-checks every screen and candidate list against
+    the canonical tests on the whole grid."""
+    exercised = set()
+    monkeypatch.setattr(verify, "_run", _neutrality_check(exercised))
     verify_grid(default_grid())
     assert exercised == set(STATEMENTS) - {"remark_counterexample"}
+
+
+def test_neutrality_check_catches_a_table_both_lists_drop(monkeypatch):
+    # The flat screen rejects the trivial character, which the oracle
+    # accepts.  A candidate list without it leaves it skipped, and the full
+    # judge, not neutral there, fails the cross-check.
+    real = modp.homomorphism_candidates
+
+    def dropping(p, n, fix_f1=True):
+        indices = real(p, n, fix_f1)
+        assert indices[0] == 0  # the trivial character's table comes first
+        return indices[1:]
+    monkeypatch.setattr(modp, "homomorphism_candidates", dropping)
+    monkeypatch.setattr(verify, "_run", _neutrality_check(set()))
+    with pytest.raises(AssertionError, match=r"'thm_1_7', 5, 4, \(0, 0, 0, 0\)"):
+        verify_thm_1_7(5, 4)
 
 
 def _masked(reports):
@@ -315,25 +338,39 @@ F1_FREE = {"cor_1_3", "lemma_2_1", "cor_2_3"}
 
 
 def test_run_judges_exactly_the_tables_a_verdict_passes(monkeypatch):
-    # Every verdict source hands _run a sorted list of distinct table
-    # indices.  In one default-grid pass a judge is called on each table
-    # whose index is in the screen or the candidates, in order, and on no
-    # other; every table is still counted.
+    # Every verdict source returns a sorted list of distinct table indices,
+    # and a verifier hands _run its sources' lists end to end; lemma_2_1's
+    # constants, listed inline, are what follows its screen.  In one
+    # default-grid pass a judge is called on each table whose index is
+    # listed, in order, and on no other; every table is still counted.
     run = verify._run
-    judged, expected = [], []
+    sources, judged, expected = [], [], []
 
-    def spy(statement, p, n, judge, functions, screen, candidates):
-        assert screen == sorted(set(screen)), (statement, p, n)
-        assert candidates == sorted(set(candidates)), (statement, p, n)
+    def recording(real):
+        def source(*args, **kwargs):
+            indices = real(*args, **kwargs)
+            assert indices == sorted(set(indices)), (real.__name__, args, kwargs)
+            sources.append(indices)
+            return indices
+        return source
+    for module, name in ((spectral, "magnitude_screen"), (spectral, "flat_screen"),
+                         (spectral, "subfield_screen"), (modp, "homomorphism_candidates")):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+
+    def spy(statement, p, n, judge, functions, indices):
+        listed = [i for source in sources for i in source]
+        assert indices[:len(listed)] == listed, (statement, p, n)
+        inline = indices[len(listed):]  # lemma_2_1's constants, the counterexample's [0]
+        assert inline == sorted(set(inline)), (statement, p, n)
+        assert bool(inline) == (statement in ("lemma_2_1", "remark_counterexample")), statement
+        sources.clear()
         functions = list(functions)
-        expected.extend((statement, p, n, functions[i].exps)
-                        for i in sorted(set(screen) | set(candidates)))
+        expected.extend((statement, p, n, functions[i].exps) for i in sorted(set(indices)))
 
-        def recorded(f, passed, candidate):
-            assert passed or candidate, (statement, p, n, f.exps)
+        def recorded(f):
             judged.append((statement, p, n, f.exps))
-            return judge(f, passed, candidate)
-        return run(statement, p, n, recorded, functions, screen, candidates)
+            return judge(f)
+        return run(statement, p, n, recorded, functions, indices)
 
     monkeypatch.setattr(verify, "_run", spy)
     reports = verify_grid(default_grid())
@@ -376,46 +413,39 @@ def test_lemma_2_1_judge_reports_a_wrong_minus_tau(monkeypatch):
     assert rep.passing_spectral == 3 and rep.total_functions == 81
 
 
-def _neutral_judge(f, passed, candidate):
+def _neutral_judge(f):
     return False, False, True, None
 
 
-def test_run_refuses_a_screen_of_the_wrong_length():
-    # The screen is a list of table indices: one equal to the table count
-    # names no table of the cell, so _run raises instead of dropping it.
-    for screen in ([8], [0, 8], [2, 9]):
+def test_run_refuses_an_index_past_the_cell():
+    # The list is of table indices, a screen's and a candidate list's end
+    # to end: one equal to the table count names no table of the cell, so
+    # _run raises instead of dropping it.
+    for judged in ([8, 3], [0, 8, 3], [2, 9, 3], [2, 8], [2, 0, 8], [2, 5, 9]):
         with pytest.raises(ValueError, match="past the 8 tables"):
-            verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2),
-                        screen, [3])
-    rep = verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2),
-                      [7], [])
-    assert rep.total_functions == 8 and rep.success
-
-
-def test_run_refuses_a_candidate_stream_of_the_wrong_length():
-    for candidates in ([8], [0, 8], [5, 9]):
-        with pytest.raises(ValueError, match="past the 8 tables"):
-            verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2),
-                        [2], candidates)
-    rep = verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2),
-                      [], [0, 7])
-    assert rep.total_functions == 8 and rep.success
+            verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2), judged)
+    for judged in ([7], [0, 7]):
+        rep = verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2), judged)
+        assert rep.total_functions == 8 and rep.success
 
 
 def test_thm_1_2_reports_a_character_the_generator_drops(monkeypatch):
-    # A candidate list without one character leaves that character's
-    # oracle side unchecked, so it and nothing else is a mismatch.
+    # A character that the candidate list drops still passes the screen, so
+    # it is judged, and the full judge asks the oracle about it: the report
+    # equals the real one.
     target = (0, 1, 3, 2)  # the character of order 4 mod 5 with chi(2) = i
-    dropped = int("".join(map(str, target)), 4)
+    dropped = modp.table_index(target, 4)
+    expected = _masked([verify_thm_1_2(5, 4)])
     real = modp.homomorphism_candidates
 
     def dropping(p, n, fix_f1=True):
-        return [i for i in real(p, n, fix_f1) if i != dropped]
+        indices = real(p, n, fix_f1)
+        assert dropped in indices
+        return [i for i in indices if i != dropped]
     monkeypatch.setattr(modp, "homomorphism_candidates", dropping)
     rep = verify_thm_1_2(5, 4)
-    assert rep.mismatches == [target] and not rep.success
-    assert rep.passing_spectral == 3 and rep.passing_oracle == 2
-    assert rep.total_functions == 64
+    assert _masked([rep]) == expected
+    assert rep.success and rep.passing_oracle == 3 and (target, 1) in rep.witnesses
 
 
 def test_verify_grid_empty_and_single():
@@ -431,8 +461,13 @@ def test_a_cell_refuses_a_non_int_p_or_n():
         run_statement("thm_1_2", 7.0, 3)
     with pytest.raises(ValueError, match="must be integers"):
         run_statement("cor_1_3", 5, True)
-    [rep] = verify_grid([("thm_1_2", 7.0, 3)])
-    assert not rep.success and "must be integers" in rep.error
+    # The pinned statements refuse it too, though 3.0 == 3 and 2.0 == 2.
+    for statement, p, n in (("remark_counterexample", 3.0, 6),
+                            ("remark_counterexample", 3, 6.0), ("prop_1_1", 5, 2.0)):
+        with pytest.raises(ValueError, match="p and n must be integers"):
+            run_statement(statement, p, n)
+    for rep in verify_grid([("thm_1_2", 7.0, 3), ("remark_counterexample", 3.0, 6)]):
+        assert not rep.success and "must be integers" in rep.error
 
 
 def test_elapsed_ms_covers_the_whole_verification(monkeypatch):
