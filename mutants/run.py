@@ -80,7 +80,8 @@ MUTANTS = (
     ("_run without the index-past-the-cell guard", VERIFY,
      "    if max(judged, default=-1) > index:\n        raise ValueError(",
      "    if False:\n        raise ValueError(",
-     (f"{TEST_VERIFY}::test_run_refuses_an_index_past_the_cell",)),
+     (f"{TEST_VERIFY}::test_run_refuses_a_screen_of_the_wrong_length",
+      f"{TEST_VERIFY}::test_run_refuses_a_candidate_stream_of_the_wrong_length")),
     ("existence report always succeeds", VERIFY,
      "rep.success = bool(rep.witnesses)", "rep.success = True",
      (f"{TEST_VERIFY}::test_search_p_divides_n",)),

@@ -417,16 +417,24 @@ def _neutral_judge(f):
     return False, False, True, None
 
 
-def test_run_refuses_an_index_past_the_cell():
-    # The list is of table indices, a screen's and a candidate list's end
-    # to end: one equal to the table count names no table of the cell, so
-    # _run raises instead of dropping it.
-    for judged in ([8, 3], [0, 8, 3], [2, 9, 3], [2, 8], [2, 0, 8], [2, 5, 9]):
+def test_run_refuses_a_screen_of_the_wrong_length():
+    # The list is of table indices, a screen's and then a candidate list's:
+    # a screen index equal to the table count names no table of the cell,
+    # so _run raises instead of dropping it.
+    for judged in ([8, 3], [0, 8, 3], [2, 9, 3]):
         with pytest.raises(ValueError, match="past the 8 tables"):
             verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2), judged)
-    for judged in ([7], [0, 7]):
-        rep = verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2), judged)
-        assert rep.total_functions == 8 and rep.success
+    rep = verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2), [7])
+    assert rep.total_functions == 8 and rep.success
+
+
+def test_run_refuses_a_candidate_stream_of_the_wrong_length():
+    # The same past-the-cell index, from the candidate list after a screen's.
+    for judged in ([2, 8], [2, 0, 8], [2, 5, 9]):
+        with pytest.raises(ValueError, match="past the 8 tables"):
+            verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2), judged)
+    rep = verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2), [0, 7])
+    assert rep.total_functions == 8 and rep.success
 
 
 def test_thm_1_2_reports_a_character_the_generator_drops(monkeypatch):
