@@ -123,6 +123,9 @@ MUTANTS = (
     ("_split_prime without the exact-order check", SPECTRAL,
      "if all(pow(omega, order // q, ell) != 1 for q in primes):", "if True:",
      (f"{TEST_SPECTRAL}::test_split_prime_map_is_a_ring_homomorphism",)),
+    ("is_prime accepts prime powers", MODP,
+     "factorize(m) == [(m, 1)]", "len(factorize(m)) == 1",
+     (f"{TEST_MODP}::test_is_prime",)),
     ("oracle skips b = a", MODP,
      "for b in range(a, p):", "for b in range(a + 1, p):",
      (f"{TEST_MODP}::test_cross_enumeration_equality",)),

@@ -3,8 +3,8 @@
 Primitive roots, the quadratic-residue indicator, mu_n-valued function tables,
 the exhaustive function enumerators, and the brute-force homomorphism
 oracle that every analytic test is checked against.  Primality is decided
-by a deterministic Miller-Rabin test, exact below 3.317e24 and refused
-above.
+by trial division through ``cyclo.factorize``, exact below 2^32 and refused
+at once above.
 
 A table of a cell is named by its index, its place in the enumeration:
 its exponents at x = 1, ..., p - 1 read as base-n digits.  ``table_index``
@@ -53,44 +53,20 @@ class BudgetExceededError(ValueError):
             f"enumeration would visit {size} functions, exceeding the budget of {budget}")
 
 
-#: The first thirteen primes, the Miller-Rabin bases.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-#: The smallest strong pseudoprime to every base in _MR_BASES (Sorenson and
-#: Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
-#: Without 41 the bound would be 318665857834031151167461, which passes
-#: all twelve bases 2..37.
-_MR_BOUND = 3_317_044_064_679_887_385_961_981
+#: is_prime refuses m at or above this bound: trial division up to 2^16 takes
+#: a millisecond or two, and no path of the package tests a larger number.
+_PRIME_BOUND = 1 << 32
 
 
 def is_prime(m: int) -> bool:
-    """Whether m is prime, by Miller-Rabin over the bases 2..41.
+    """Whether m is prime, by trial division through ``factorize``.
 
-    Deterministic and proven correct for every m below _MR_BOUND; a larger m
-    raises ValueError rather than get a probabilistic answer.
+    Exact for every m below 2^32, at most 32768 trial divisors; a larger m
+    raises ValueError at once rather than run for hours.
     """
-    if m >= _MR_BOUND:
-        raise ValueError(f"primality of {m} is decided only below {_MR_BOUND}")
-    if m < 2:
-        return False
-    for q in _MR_BASES:
-        if m % q == 0:
-            return m == q
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
+    if m >= _PRIME_BOUND:
+        raise ValueError(f"primality of {m} is decided only below {_PRIME_BOUND}")
+    return m >= 2 and factorize(m) == [(m, 1)]
 
 
 def check_odd_prime(p: int) -> None:

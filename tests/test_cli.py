@@ -107,6 +107,26 @@ def test_classify_json_record(capsys):
     assert record["warnings"] == []
 
 
+def test_classify_table_non_character(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--fn", "p=5 n=4 exps=0,1,1,0")
+    assert code == 0
+    assert "spectral   not a nontrivial character" in out.splitlines()
+
+
+def test_verify_table_lists_mismatches(capsys, monkeypatch):
+    # A flatness test that passes every judged table disagrees with the
+    # oracle on the trivial character and on each non-character the flat
+    # screen passes; each disagreement is listed under the row.
+    from gausschar import spectral
+    monkeypatch.setattr(spectral, "kurlberg_test", lambda f: True)
+    code, out, _ = run_cli(capsys, "verify", "--statement", "thm_1_7",
+                           "--p", "5", "--n", "4")
+    assert code == 1
+    mismatches = [r for r in out.splitlines() if r.startswith("    mismatch exps=")]
+    assert len(mismatches) == 7
+    assert "    mismatch exps=0,0,0,0" in mismatches
+
+
 def test_classify_counterexample_not_applicable(capsys):
     code, out, _ = run_cli(capsys, "classify", "--fn", "p=3 n=6 exps=0,5")
     assert code == 0

@@ -258,6 +258,14 @@ def test_int_operands():
     assert 0 * z == CyclotomicElement.from_int(8, 0)
 
 
+def test_int_on_the_left_and_non_int_operands():
+    z = zeta_pow(12, 1)
+    assert 3 - z == CyclotomicElement.from_int(12, 3) - z
+    for op in (lambda: z + 1.5, lambda: z - "a", lambda: z * 1.5, lambda: 1.5 - z):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_order_mismatch_rejected():
     with pytest.raises(OrderMismatchError):
         zeta_pow(3, 1) + zeta_pow(6, 2)

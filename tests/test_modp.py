@@ -7,6 +7,7 @@ import pytest
 from gausschar.modp import (
     BudgetExceededError,
     UnitFunction,
+    check_odd_prime,
     enumerate_unit_functions,
     find_primitive_root,
     homomorphism_candidates,
@@ -43,17 +44,23 @@ def test_is_prime_agrees_with_trial_division():
 
 
 def test_is_prime_on_strong_pseudoprimes_and_past_its_bound():
-    # Strong pseudoprimes to the bases 2, 3, 5, 7, then to 2..31, then to
-    # every base 2..37, the last of which only base 41 exposes.
-    for composite in (3215031751, 3825123056546413051, 318665857834031151167461):
-        assert not is_prime(composite)
-    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 18 + 3)
-    assert not is_prime((10 ** 9 + 7) * (10 ** 9 + 9))
-    # The smallest strong pseudoprime to all thirteen bases, and beyond:
-    # no probabilistic answer is given.
-    for m in (3317044064679887385961981, 10 ** 25 + 7):
+    # A strong pseudoprime to the bases 2, 3, 5 and 7, and the largest prime
+    # below 2^32: both are decided by trial division.
+    assert not is_prime(3215031751)
+    assert is_prime(4294967291)
+    # From 2^32 on no answer is given: trial division would run for hours.
+    for m in (2 ** 32, 3825123056546413051, 318665857834031151167461,
+              2 ** 61 - 1, 10 ** 18 + 3, (10 ** 9 + 7) * (10 ** 9 + 9),
+              3317044064679887385961981, 10 ** 25 + 7):
         with pytest.raises(ValueError, match="decided only below"):
             is_prime(m)
+
+
+def test_primality_callers_refuse_past_the_bound():
+    with pytest.raises(ValueError, match="decided only below"):
+        find_primitive_root(10 ** 18 + 3)
+    with pytest.raises(ValueError, match="decided only below"):
+        check_odd_prime(2 ** 61 - 1)
 
 
 def test_find_primitive_root_small_cases():
@@ -147,8 +154,8 @@ def test_unit_function_list_exps_become_a_tuple():
 
 
 def test_exponent_count_checked_before_primality(monkeypatch):
-    # Trial division of a 25-digit p would run for hours; the length check
-    # must reject the table without ever testing p.
+    # A 25-digit p is past is_prime's bound, and the length check comes
+    # first: the table is rejected, its count named, without testing p.
     def no_primality_test(m):
         raise AssertionError(f"primality of {m} was tested")
     monkeypatch.setattr("gausschar.modp.is_prime", no_primality_test)

@@ -251,7 +251,14 @@ def test_split_prime_map_is_a_ring_homomorphism():
     # zeta_L -> omega respects reduction mod Phi_L exactly when omega is a
     # root of Phi_L mod ell; the ring operations and sigma_k are then checked
     # on random canonical elements, at the largest order too.  ell is the
-    # first prime = 1 (mod order) above 2^29, and lies below 2^30.
+    # first prime = 1 (mod order) above 2^29, and lies below 2^30.  Some
+    # primes are pinned as literals, so the check does not rest only on the
+    # is_prime that _split_prime itself calls.
+    pinned = {1: 536870923, 20: 536871001, 42: 536870923, 330: 536871061,
+              2002: 536914379, 9240: 536871721, 9607: 537838289,
+              9700: 536933801, 9947: 537496093, 10000: 537030001}
+    for order, ell in pinned.items():
+        assert _split_prime(order)[0] == ell, order
     rng = random.Random(139)
     for order in list(range(1, 61)) + [330, 2002, 9607, 9700]:
         ell, pw = _split_prime(order)
