@@ -67,8 +67,10 @@ MUTANTS = (
      "self.row_bound = 1 + min(", "self.row_bound = min(",
      (f"{TEST_CYCLO}::test_row_bound_covers_every_power",)),
     ("thm_1_7 judges only its screen's tables", VERIFY,
-     "spectral.flat_screen(p, n) + modp.homomorphism_candidates(p, n))",
-     "spectral.flat_screen(p, n))",
+     'return _run("thm_1_7", p, n, judge, functions,\n'
+     "                spectral.bucket_screen(p, n) + modp.homomorphism_candidates(p, n))",
+     'return _run("thm_1_7", p, n, judge, functions,\n'
+     "                spectral.bucket_screen(p, n))",
      (f"{TEST_VERIFY}::test_thm_1_7_cells",)),
     ("remark_p_divides_n judges only its candidates", VERIFY,
      "spectral.magnitude_screen(p, n) + modp.homomorphism_candidates(p, n))\n    rep.success",
@@ -99,8 +101,15 @@ MUTANTS = (
      "offsets.get(-h % ell, ())", "offsets.get(h % ell, ())",
      (f"{TEST_SPECTRAL}::test_zero_sum_screen_matches_brute_force",)),
     ("zero-sum head stride off by one", SPECTRAL,
-     "head * stride + offset", "head * (stride + 1) + offset",
+     "head * stride + offset for head, h in", "head * (stride + 1) + offset for head, h in",
      (f"{TEST_SPECTRAL}::test_zero_sum_screen_matches_brute_force",)),
+    ("bucket looked up at +h_0", SPECTRAL,
+     "buckets.get(-h0 % ell, ())", "buckets.get(h0 % ell, ())",
+     (f"{TEST_SPECTRAL}::test_flat_screen_passes_every_flat_table",)),
+    ("bucket skipped for one head", SPECTRAL,
+     "for head, (h0, hs, ht) in enumerate(heads)",
+     "for head, (h0, hs, ht) in enumerate(heads) if head",
+     (f"{TEST_SPECTRAL}::test_flat_screen_passes_every_flat_table",)),
     ("subfield_screen at the first k != 1 instead of the generator", SPECTRAL,
      "if k % p == g), 1)", "if k % p > 1), 1)",
      (f"{TEST_SPECTRAL}::test_subfield_screen_passes_exactly_the_subfield_members",)),

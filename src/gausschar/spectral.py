@@ -20,6 +20,17 @@ complex conjugation and fixes the integer p, norm_squared(S_a) = p holds for
 every unit a or for none.  When p divides n no such k need exist, and the
 counterexample at p = 3, n = 6 has its only witness at a = 2.
 
+Two Fourier identities put a linear condition, a value sum
+S_0 = sum of f(x) equal to 0, in front of the bilinear magnitude test.
+Parseval gives the sum of norm_squared(S_xi) over all xi in F_p as
+p(p - 1).  When p does not divide n and norm_squared(S_a) = p at one
+unit, it holds at all p - 1 of them, so norm_squared(S_0) = 0 and
+S_0 = 0 in the domain Z[zeta_n].  For any n, norm_squared(S_xi) is the
+sum of autocorrelation(f, h) e(h*xi/p) over h (Wiener-Khinchin), so a
+flat profile, p - 1 at h = 0 and -1 elsewhere, gives norm_squared(S_xi) =
+p at every xi != 0 and 0 at xi = 0, hence S_0 = 0 again.  Neither
+argument assumes that f is a character.
+
 Each decision first maps its sum into a prime field, and most answers are
 "no".  For a prime ell = 1 (mod L) and an omega of exact order L in F_ell
 (``_split_prime`` takes the first such ell above 2^29, below 2^30 at every
@@ -28,10 +39,9 @@ Z[zeta_L] -> F_ell: ell splits completely in Q(zeta_L) (Washington,
 *Introduction to Cyclotomic Fields*, ch. 2), so omega is a root of Phi_L
 mod ell.  Equal ring elements have equal images, so
 S(omega) * S(omega^-1) != p (mod ell) proves norm_squared(S) != p, a
-nonzero image of the value sum proves the profile is not flat (see
-``flat_screen``), and an image moved by sigma_k proves the element is not
-fixed by sigma_k.  Each such "no" is exact and built from exponent lists
-alone.  Only the survivors go on to the canonical reduction, so every "yes"
+nonzero image of the value sum proves S_0 != 0, and an image moved by
+sigma_k proves the element is not fixed by sigma_k.  Each such "no" is
+exact and built from exponent lists alone.  Only the survivors go on to the canonical reduction, so every "yes"
 is still decided by canonical equality in Z[zeta_L]; a false pass, about
 one in 2^29 tables, costs one canonical test.
 
@@ -45,12 +55,20 @@ of at most _TAIL_TABLES values (or n, when the last position alone has
 more digits), and returns the sorted indices of the tables it passes
 (``modp.table_index``), in memory bounded by the block and the survivors.
 The magnitude screen compares each head with the whole block, at
-amortized O(1) work per table.  The linear screens (subfield and flat) ask
-for a zero sum, so each head looks its one target up in a dict from block
-sums to tail offsets, at O(heads + block + survivors) work per cell.
+amortized O(1) work per table.  The subfield screen asks for a zero sum,
+so each head looks its one target up in a dict from block sums to tail
+offsets, at O(heads + block + survivors) work per cell.  The bucket screen
+keys that dict by the value sum and keeps each offset's magnitude sums
+beside it, so each head runs the magnitude test on the tail offsets that
+complete a zero value sum alone: a few per head, not the whole block.
+An L above MAX_ORDER (within the default budget, only p = 3 reaches one)
+has no split prime; there the bucket screen keeps the value-sum test
+alone, in the split prime field of n, so a ``thm_1_7`` cell is still
+decided whole, while a Gauss statement's judge refuses the order at the
+first table it judges.
 
 Two substitutions move no verdict, so one sumset per cell serves every
-magnitude statement, f(1) fixed or free.  A constant c in mu_n leaves
+statement that takes a screen, f(1) fixed or free.  A constant c in mu_n leaves
 S_a(omega) * S_a(omega^-1) unchanged and scales tau - sigma_k(tau) by c,
 because sigma_k fixes mu_n when k = 1 (mod n); so the tables with f(1)
 free that a screen passes are the c * h for the h with f(1) = 1 it
@@ -61,12 +79,13 @@ unit.  That relates different tables at one twist, never one table at
 different twists, so the dichotomy ``cor_1_3`` verifies is not assumed.
 
 A screen only makes a proven rejection: a table the magnitude screen
-rejects fails the per-function filter at every unit, the subfield
-screen's rejection holds because its sigma_k fixes Q(zeta_n), and the flat
-screen's follows from the value-sum identity in ``flat_screen``.  A table
-the magnitude screen passes goes on to the per-function filter at the
-twist its statement tests, and then to the canonical test; one the flat
-screen passes goes straight to the canonical test of every shift
+rejects fails the per-function filter at every unit, the subfield screen's
+rejection holds because its sigma_k fixes Q(zeta_n), and the bucket
+screen's follows from the S_0 = 0 identities above and, for tau, from the
+Galois relation between S_1 and tau when p does not divide n.  A table the
+magnitude or the bucket screen passes goes on to the per-function filter at
+the twist its statement tests, and then to the canonical test; under
+``thm_1_7`` it goes straight to the canonical test of every shift
 (``kurlberg_test``).  The subfield screen takes k = 1 (mod n) to be a
 primitive root mod p, so that sigma_k generates the group fixing Q(zeta_n)
 (see ``subfield_screen``): its survivors are the members of Q(zeta_n),
@@ -80,7 +99,8 @@ import itertools
 from collections.abc import Iterator
 from math import lcm, prod
 
-from .cyclo import CyclotomicElement, _check_order, _Frozen, factorize, sum_of_zeta_powers
+from .cyclo import (MAX_ORDER, CyclotomicElement, _check_order, _Frozen, factorize,
+                    sum_of_zeta_powers)
 from .modp import UnitFunction, find_primitive_root, is_prime, table_exps, table_index
 
 
@@ -234,7 +254,7 @@ def kurlberg_test(f: UnitFunction) -> bool:
     canonical equality shift by shift.  Only the shifts 1 <= h <= (p - 1)/2
     are computed: substituting y = x - h gives r(p - h) = conj(r(h)), and
     -1 is real, so r(p - h) = -1 exactly when r(h) = -1.  It has no
-    prime-field filter of its own: in a verification, ``flat_screen``
+    prime-field filter of its own: in a verification, ``bucket_screen``
     rejects first.
     """
     return f.exps[0] == 0 and all(
@@ -369,15 +389,44 @@ def subfield_screen(p: int, n: int) -> list:
     return _times_constants((table_exps(i, p, n) for i in _zero_sum_screen(rows, ell)), n, False)
 
 
-def flat_screen(p: int, n: int) -> list:
-    """The sorted indices of the tables f of the cell with f(1) = 1 whose
-    value sum S_0 = sum of f(x) has image 0 in the split prime field; a
-    table it passes is decided canonically at every shift by
-    ``kurlberg_test``.
+def bucket_screen(p: int, n: int, fix_f1: bool = True) -> list:
+    """The sorted indices of the tables f of the cell, in
+    ``enumerate_unit_functions(p, n, fix_f1)``, whose value sum S_0 has
+    image 0 and whose S_1 has S_1(omega) * S_1(omega^-1) = p in the split
+    prime field of L = lcm(n, p); the cell must already be validated.
 
-    Proof that a flat f passes: with f(0) = 0, S_0 * conj(S_0) is the sum of
-    autocorrelation(f, h) over all h, (p - 1) - (p - 1) = 0 for a flat
-    profile, so S_0 = 0 in the domain Z[zeta_n].
+    Every table with S_0 = 0 and norm_squared(S_1) = p passes, and so does
+    every table a Gauss statement with p not dividing n or a flatness
+    statement accepts (the module docstring proves S_0 = 0 for both).  Only
+    the tables with f(1) = 1 are summed.  The value-sum rows are one digit
+    row omega^((L/n)*d), the same at every position; each tail offset is
+    kept in a dict keyed by its value-sum image, with its S_1(omega) and
+    S_1(omega^-1) sums, so the dict holds one entry per offset of the
+    block.  Each head looks up only the bucket at -h_0 and tests
+    (h_s + s)(h_t + t) = p (mod ell) on it.  With f(1) free the survivors
+    are taken times each constant: c in mu_n scales S_0 by a unit and
+    leaves the magnitude image unchanged.
+
+    When L exceeds MAX_ORDER no split prime of L is built, and the screen
+    keeps the value-sum test alone, in the split prime field of n.
     """
-    ell, pw = _split_prime(n)
-    return _zero_sum_screen([pw[:1]] + [pw] * (p - 2), ell)
+    big = lcm(n, p)
+    ell, pw = _split_prime(n if big > MAX_ORDER else big)
+    digits = pw[::len(pw) // n]
+    zero = [digits[:1]] + [digits] * (p - 2)
+    if big > MAX_ORDER:
+        hits = _zero_sum_screen(zero, ell)
+    else:
+        fwd = _position_rows(p, n, p - 1, lambda e: _images(pw, e))
+        bwd = _position_rows(p, n, p - 1, lambda e: _images(pw, e, -1))
+        j = _tail_start([len(row) for row in zero])
+        buckets = {}
+        for offset, (key, s, t) in enumerate(zip(*(_lex_sums(rows[j:], ell)
+                                                   for rows in (zero, fwd, bwd)))):
+            buckets.setdefault(key, []).append((offset, s, t))
+        stride = prod(map(len, zero[j:]))
+        heads = zip(*(_lex_sums(rows[:j], ell) for rows in (zero, fwd, bwd)))
+        hits = (head * stride + offset for head, (h0, hs, ht) in enumerate(heads)
+                for offset, s, t in buckets.get(-h0 % ell, ())
+                if (hs + s) * (ht + t) % ell == p)
+    return _times_constants((table_exps(i, p, n) for i in hits), n, fix_f1)

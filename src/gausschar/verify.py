@@ -22,17 +22,21 @@ Among the per-cell constants are two sorted lists of table indices (see
 ``modp.table_index``), each naming the tables that a verdict source has
 not rejected.  The cell screen, from ``spectral``, holds the split-prime
 survivors (see the ``spectral`` module docstring): a table left out is
-proven to fail the statement's analytic test.  Every magnitude statement
-takes the same screen, ``spectral.magnitude_screen(p, n)`` or, with f(1)
-free, ``magnitude_screen(p, n, fix_f1=False)``: it passes the tables whose
-image passes at some unit, so a table it leaves out fails at every twist,
-the one its statement tests included.  The candidate list holds the
-oracle side's survivors: most statements take
-``modp.homomorphism_candidates`` (at n = 2 for ``prop_1_1``), the
-characters in closed form from one primitive root, times each constant
-when f(1) is free, so a table left out is no character, nor a constant
-times one; ``lemma_2_1`` lists the n constant tables, and the pinned
-counterexample lists its one table, ``[0]``.
+proven to fail the statement's analytic test.  The Gauss-sum statements
+that assume p does not divide n (``prop_1_1``, ``thm_1_2``,
+``prop_2_2``, ``cor_2_3``) and ``thm_1_7`` take
+``spectral.bucket_screen(p, n)`` or, with f(1) free,
+``bucket_screen(p, n, fix_f1=False)``: a table it leaves out has a
+nonzero value sum or |S_1|^2 != p, and either rules out a flat profile,
+and |tau(f)|^2 = p when p does not divide n.  ``cor_1_3`` and ``remark_p_divides_n`` take
+``magnitude_screen``, which passes the tables whose image passes at some
+unit, so a table it leaves out fails at every twist and no dichotomy is
+assumed.  The candidate list holds the oracle side's survivors: most
+statements take ``modp.homomorphism_candidates`` (at n = 2 for
+``prop_1_1``), the characters in closed form from one primitive root,
+times each constant when f(1) is free, so a table left out is no
+character, nor a constant times one; ``lemma_2_1`` lists the n constant
+tables, and the pinned counterexample lists its one table, ``[0]``.
 
 Every verifier then runs through one loop, ``_run``, and hands it the
 screen's list and the candidate list end to end as the tables to judge.
@@ -195,7 +199,7 @@ def verify_prop_1_1(p: "int | None", n: "int | None" = 2,
         is_legendre = f.exps == legendre
         return hit, is_legendre, hit == is_legendre, (f.exps, p - 1) if hit else None
     return _run("prop_1_1", p, 2, judge, functions,
-                spectral.magnitude_screen(p, 2) + modp.homomorphism_candidates(p, 2))
+                spectral.bucket_screen(p, 2) + modp.homomorphism_candidates(p, 2))
 
 
 def verify_thm_1_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -208,10 +212,11 @@ def verify_thm_1_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
         hit = a is not None
         oracle_hit = _is_nontrivial_character(f)
         return hit, oracle_hit, hit == oracle_hit, (f.exps, a) if hit else None
-    # A table the screen rejects fails the magnitude image at every unit,
-    # so the witness test rejects it too.
+    # A table the screen rejects has S_1 off p or S_0 != 0, so it has no
+    # witness at a = 1, the one unit the witness test tries when p does not
+    # divide n.
     return _run("thm_1_2", p, n, judge, functions,
-                spectral.magnitude_screen(p, n) + modp.homomorphism_candidates(p, n))
+                spectral.bucket_screen(p, n) + modp.homomorphism_candidates(p, n))
 
 
 def verify_cor_1_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -257,7 +262,7 @@ def verify_prop_2_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verificatio
         oracle_hit = _is_nontrivial_character(f)
         return hit, oracle_hit, hit == oracle_hit, (f.exps, p - 1) if hit else None
     return _run("prop_2_2", p, n, judge, functions,
-                spectral.magnitude_screen(p, n) + modp.homomorphism_candidates(p, n))
+                spectral.bucket_screen(p, n) + modp.homomorphism_candidates(p, n))
 
 
 def verify_cor_2_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -269,7 +274,7 @@ def verify_cor_2_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
         factors = _is_nontrivial_character(f.normalized())
         hit = _gauss_norm_is_p(f)
         return hit, factors, hit == factors, (f.exps, p - 1) if hit else None
-    return _run("cor_2_3", p, n, judge, functions, spectral.magnitude_screen(p, n, fix_f1=False)
+    return _run("cor_2_3", p, n, judge, functions, spectral.bucket_screen(p, n, fix_f1=False)
                 + modp.homomorphism_candidates(p, n, fix_f1=False))
 
 
@@ -287,7 +292,7 @@ def verify_thm_1_7(p: int, n: int, budget: int = DEFAULT_BUDGET) -> Verification
         return (flat, oracle_hit, flat == (oracle_hit and not f.is_trivial),
                 (f.exps, None) if flat else None)
     return _run("thm_1_7", p, n, judge, functions,
-                spectral.flat_screen(p, n) + modp.homomorphism_candidates(p, n))
+                spectral.bucket_screen(p, n) + modp.homomorphism_candidates(p, n))
 
 
 def remark_counterexample(p: "int | None" = None, n: "int | None" = None,

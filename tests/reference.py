@@ -6,7 +6,8 @@ package's criteria and oracle pick out.  Beside them, plain integer
 polynomial arithmetic, the modular inverse, the Legendre symbol, the size of
 an enumeration, the Parseval total and the autocorrelation criterion over
 every shift: each restates a definition that the package itself never
-needs.  Then the dense verification loop, which judges every table where
+needs.  Then the value-sum screen that ``spectral.bucket_screen``
+replaced, the dense verification loop, which judges every table where
 the package's loop judges only those a verdict lists, and the subfield
 test at every k, where the package checks only generators.  Last, sympy's
 remainder mod Phi_N, the outside reference for every reduction; it imports
@@ -18,7 +19,7 @@ from math import gcd, lcm
 
 from gausschar.cyclo import CyclotomicElement, _Frozen, euler_phi
 from gausschar.modp import UnitFunction, check_odd_prime, find_primitive_root
-from gausschar.spectral import autocorrelation, fourier_norm
+from gausschar.spectral import _split_prime, _zero_sum_screen, autocorrelation, fourier_norm
 from gausschar.verify import VerificationReport
 
 
@@ -181,6 +182,15 @@ def kurlberg_all_shifts(f: UnitFunction) -> bool:
     autocorrelation is exactly -1 at every shift 1 <= h <= p - 1."""
     return f.exps[0] == 0 and all(
         autocorrelation(f, h).as_integer() == -1 for h in range(1, f.p))
+
+
+def flat_screen(p: int, n: int) -> list:
+    """The value-sum screen ``spectral.bucket_screen`` replaced for
+    ``thm_1_7``: the sorted indices of the tables f with f(1) = 1 whose
+    value sum S_0 = sum of f(x) has image 0 in the split prime field of n.
+    A flat profile forces S_0 = 0, so every flat table passes."""
+    ell, pw = _split_prime(n)
+    return _zero_sum_screen([pw[:1]] + [pw] * (p - 2), ell)
 
 
 # ---------------------------------------------------------------------------

@@ -115,15 +115,15 @@ def test_classify_table_non_character(capsys):
 
 def test_verify_table_lists_mismatches(capsys, monkeypatch):
     # A flatness test that passes every judged table disagrees with the
-    # oracle on the trivial character and on each non-character the flat
-    # screen passes; each disagreement is listed under the row.
+    # oracle on the trivial character, which the bucket screen rejects and
+    # the candidate list names; the disagreement is listed under the row.
     from gausschar import spectral
     monkeypatch.setattr(spectral, "kurlberg_test", lambda f: True)
     code, out, _ = run_cli(capsys, "verify", "--statement", "thm_1_7",
                            "--p", "5", "--n", "4")
     assert code == 1
     mismatches = [r for r in out.splitlines() if r.startswith("    mismatch exps=")]
-    assert len(mismatches) == 7
+    assert len(mismatches) == 1
     assert "    mismatch exps=0,0,0,0" in mismatches
 
 

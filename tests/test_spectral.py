@@ -21,6 +21,7 @@ from gausschar.modp import (
     is_character_oracle,
     is_prime,
     legendre_unit_function,
+    table_exps,
     table_index,
 )
 from gausschar.spectral import (
@@ -38,6 +39,7 @@ from gausschar.spectral import (
 from gausschar.verify import GRID_CELLS, GRID_CELLS_FREE, default_grid
 from reference import (
     enumerate_characters,
+    flat_screen,
     in_subfield_every_k,
     kurlberg_all_shifts,
     mod_inverse,
@@ -350,15 +352,14 @@ def test_cell_screens_align_with_per_function_images():
     # passes the split-prime test, computed from its exponents alone:
     # tau(omega) against its image under sigma_k, k = 1 (mod n) and a
     # primitive root mod p (f(1) free; k = 1 when p divides n), and the
-    # value sum (f(1) = 1).  The magnitude screen is checked by
-    # test_magnitude_screen_maps_the_a1_survivors_to_every_twist.
+    # value sum with the a = 1 magnitude (f(1) = 1).  The magnitude screen
+    # is checked by test_magnitude_screen_maps_the_a1_survivors_to_every_twist.
     cells = {(p, n) for _, p, n in default_grid()} | {(3, 6), (3, 12), (5, 10), (5, 8), (7, 5)}
     for p, n in sorted(cells):
         big = lcm(n, p)
         g = find_primitive_root(p)
         k = 1 if n % p == 0 else next(k for k in range(big) if k % n == 1 and k % p == g)
         ell, pw = _split_prime(big)
-        ell_n, pw_n = _split_prime(n)
         fixed = list(enumerate_unit_functions(p, n, fix_f1=True))
         free = list(enumerate_unit_functions(p, n, fix_f1=False))
         expected = []
@@ -366,8 +367,9 @@ def test_cell_screens_align_with_per_function_images():
             tau = [big // n * e + big // p * x for x, e in enumerate(f.exps, 1)]
             expected.append(sum(pw[t % big] - pw[k * t % big] for t in tau) % ell == 0)
         assert spectral.subfield_screen(p, n) == _true_indices(expected), (p, n)
-        expected = [sum(pw_n[e] for e in f.exps) % ell_n == 0 for f in fixed]
-        assert spectral.flat_screen(p, n) == _true_indices(expected), (p, n)
+        expected = [sum(pw[big // n * e] for e in f.exps) % ell == 0
+                    and spectral._magnitude_image_is_p(f, 1) for f in fixed]
+        assert spectral.bucket_screen(p, n) == _true_indices(expected), (p, n)
 
 
 def test_magnitude_screen_maps_the_a1_survivors_to_every_twist():
@@ -397,6 +399,42 @@ def test_magnitude_screen_passes_c_times_each_character():
         for fix_f1 in (True, False):
             expected = [i for i in homomorphism_candidates(p, n, fix_f1) if i not in constants]
             assert spectral.magnitude_screen(p, n, fix_f1) == expected, (p, n, fix_f1)
+
+
+def test_bucket_screen_passes_every_hit_and_the_magnitude_survivors():
+    # The bucket screen keeps a table when its value sum has image 0 and its
+    # S_1 the magnitude image p.  It must pass every canonical hit: each
+    # table with norm_squared(tau(f)) = p on the Gauss cells (p does not
+    # divide n), each flat table on the thm_1_7 cells.  Every such hit
+    # passes the magnitude image at some unit, so the canonical tests run
+    # on the magnitude screen's survivors.  Where p does not divide n the
+    # two screens pass the same tables, and on the thm_1_7 cells those are
+    # exactly the nontrivial characters, a few of the value-sum screen's
+    # survivors (2 of 11,550 at (13, 3)).  Every default-grid cell of the
+    # statements that take the screen, f(1) free on the cor_2_3 cells, and
+    # five larger cells: 75 hits in all.
+    bucket_statements = ("prop_1_1", "thm_1_2", "prop_2_2", "cor_2_3", "thm_1_7")
+    cells = {(statement == "thm_1_7", p, n, statement != "cor_2_3")
+             for statement, p, n in default_grid() if statement in bucket_statements}
+    cells |= {(flat, p, n, True) for flat in (False, True)
+              for p, n in ((11, 4), (13, 3), (11, 3), (7, 5), (7, 6))}
+    hits, characters = 0, {}
+    for flat, p, n, fix_f1 in sorted(cells):
+        survivors = spectral.bucket_screen(p, n, fix_f1)
+        magnitude = spectral.magnitude_screen(p, n, fix_f1)
+        tables = (UnitFunction(p, n, tuple(table_exps(i, p, n))) for i in magnitude)
+        hit = [table_index(f.exps, n) for f in tables
+               if (kurlberg_test(f) if flat else fourier_norm(f, p - 1).as_integer() == p)]
+        assert set(hit) <= set(survivors), (flat, p, n, fix_f1)
+        hits += len(hit)
+        if n % p:
+            assert survivors == magnitude, (p, n, fix_f1)
+        if flat:
+            assert survivors == homomorphism_candidates(p, n)[1:], (p, n)
+            assert set(survivors) <= set(flat_screen(p, n)), (p, n)
+            characters[p, n] = len(survivors)
+    assert hits == 75, hits
+    assert [characters[cell] for cell in ((13, 3), (7, 6), (11, 4), (5, 4))] == [2, 5, 1, 3]
 
 
 def test_subfield_screen_passes_exactly_the_subfield_members():
@@ -454,13 +492,14 @@ def test_in_subfield_checks_generators_only(monkeypatch):
 
 
 def test_flat_screen_passes_every_flat_table():
-    # A flat profile forces the value sum to 0 (see ``flat_screen``), so the
-    # screen passes every table ``kurlberg_test`` accepts: the gcd(n, p - 1)
-    # - 1 nontrivial characters, on every default-grid thm_1_7 cell and at
-    # (3, 6) and (5, 10), where p divides n.
+    # A flat profile forces the value sum to 0 and |S_1|^2 = p (see the
+    # ``spectral`` module docstring), so the bucket screen passes every
+    # table ``kurlberg_test`` accepts: the gcd(n, p - 1) - 1 nontrivial
+    # characters, on every default-grid thm_1_7 cell and at (3, 6) and
+    # (5, 10), where p divides n.
     cells = {(p, n) for statement, p, n in default_grid() if statement == "thm_1_7"}
     for p, n in sorted(cells | {(3, 6), (5, 10)}):
-        flat, survivors = 0, set(spectral.flat_screen(p, n))
+        flat, survivors = 0, set(spectral.bucket_screen(p, n))
         for index, f in enumerate(enumerate_unit_functions(p, n)):
             if kurlberg_test(f):
                 assert index in survivors, f
@@ -469,14 +508,15 @@ def test_flat_screen_passes_every_flat_table():
 
 
 def test_flat_screen_in_linear_memory():
-    # The screen holds one block of n value sums, no table per pair of
-    # digits (an n x n table of images would take over 8 MB here).  Its one
-    # pass at (3, 1000) is the Legendre table: 1 + zeta^500 = 0.
+    # The bucket screen holds one block of n value sums with their
+    # magnitude sums, no table per pair of digits (an n x n table of images
+    # would take over 8 MB here).  Its one pass at (3, 1000) is the
+    # Legendre table: 1 + zeta^500 = 0, and |S_1|^2 = 3.
     import tracemalloc
-    spectral._split_prime(1000)
+    spectral._split_prime(3000)
     tracemalloc.start()
     try:
-        survivors = spectral.flat_screen(3, 1000)
+        survivors = spectral.bucket_screen(3, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -485,23 +525,26 @@ def test_flat_screen_in_linear_memory():
 
 
 def test_cell_screen_in_bounded_memory():
-    # The screen sums the 4^9 = 262144 tables with f(1) = 1: a list of
-    # their verdicts alone would take 2 MB, the screen holds one tail
-    # block, one head's verdicts and the tables of its survivors.  Those
-    # are the Legendre table times each of the 4 constants, the tables
-    # c * chi with |S_a| = sqrt(11) at some unit a.
+    # Each screen sums the 4^9 = 262144 tables with f(1) = 1: a list of
+    # their verdicts alone would take 2 MB.  The magnitude screen holds one
+    # tail block, one head's verdicts and the tables of its survivors; the
+    # bucket screen holds one entry per offset of its tail block, whatever
+    # the number of tables.  The survivors of both are the Legendre table
+    # times each of the 4 constants, the tables c * chi with
+    # |S_a| = sqrt(11) at some unit a.
     import tracemalloc
     spectral._split_prime(44)
-    tracemalloc.start()
-    try:
-        survivors = spectral.magnitude_screen(11, 4, fix_f1=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     legendre = [2 * e for e in legendre_unit_function(11).exps]
-    assert survivors == sorted(int("".join(str((e + c) % 4) for e in legendre), 4)
-                               for c in range(4))
-    assert peak < 2 ** 20, peak
+    expected = sorted(int("".join(str((e + c) % 4) for e in legendre), 4) for c in range(4))
+    for screen in (spectral.magnitude_screen, spectral.bucket_screen):
+        tracemalloc.start()
+        try:
+            survivors = screen(11, 4, fix_f1=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert survivors == expected, screen.__name__
+        assert peak < 2 ** 20, (screen.__name__, peak)
 
 
 def test_zero_sum_screen_matches_brute_force():

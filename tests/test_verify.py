@@ -261,7 +261,7 @@ def test_every_judge_is_neutral_where_both_sides_reject(monkeypatch):
 
 
 def test_neutrality_check_catches_a_table_both_lists_drop(monkeypatch):
-    # The flat screen rejects the trivial character, which the oracle
+    # The bucket screen rejects the trivial character, which the oracle
     # accepts.  A candidate list without it leaves it skipped, and the full
     # judge, not neutral there, fails the cross-check.
     real = modp.homomorphism_candidates
@@ -353,7 +353,7 @@ def test_run_judges_exactly_the_tables_a_verdict_passes(monkeypatch):
             sources.append(indices)
             return indices
         return source
-    for module, name in ((spectral, "magnitude_screen"), (spectral, "flat_screen"),
+    for module, name in ((spectral, "magnitude_screen"), (spectral, "bucket_screen"),
                          (spectral, "subfield_screen"), (modp, "homomorphism_candidates")):
         monkeypatch.setattr(module, name, recording(getattr(module, name)))
 
@@ -374,9 +374,11 @@ def test_run_judges_exactly_the_tables_a_verdict_passes(monkeypatch):
 
     monkeypatch.setattr(verify, "_run", spy)
     reports = verify_grid(default_grid())
-    # 752: the (3, 6) search screen passes the tables that pass at any unit,
-    # one more than its Gauss-sum image alone passes.
-    assert judged == expected and len(judged) == 752
+    # 261: the bucket screen passes the nontrivial characters (times each
+    # constant when f(1) is free) and nothing else on the grid, and the
+    # (3, 6) search screen passes the tables that pass at any unit, one more
+    # than its Gauss-sum image alone passes.
+    assert judged == expected and len(judged) == 261
     for rep in reports:
         total = (1 if rep.statement == "remark_counterexample"
                  else count_unit_functions(rep.p, rep.n, rep.statement not in F1_FREE))
@@ -480,12 +482,12 @@ def test_a_cell_refuses_a_non_int_p_or_n():
 
 def test_elapsed_ms_covers_the_whole_verification(monkeypatch):
     # The clock runs around the verifier, so the time a screen takes shows.
-    real = spectral.magnitude_screen
+    real = spectral.bucket_screen
 
     def slow(*args, **kwargs):
         time.sleep(0.1)
         return real(*args, **kwargs)
-    monkeypatch.setattr(spectral, "magnitude_screen", slow)
+    monkeypatch.setattr(spectral, "bucket_screen", slow)
     assert run_statement("thm_1_2", 5, 4).elapsed_ms >= 100
 
 
