@@ -27,6 +27,7 @@ from gausschar.verify import (
     verify_thm_1_2,
     verify_thm_1_7,
 )
+from record_tier2_golden import TIER2_CELLS, TIER2_GOLDEN, golden_line
 from reference import count_unit_functions, dense_run
 
 #: Every default-grid cell, then five cells that fail to run, in file order.
@@ -540,3 +541,12 @@ def test_grid_matches_golden():
         record = rep.to_json_dict()
         record.pop("elapsed_ms")
         assert json.dumps(record, sort_keys=True) == line, cell
+
+
+def test_tier2_cells_match_golden():
+    """The larger cells of ``record_tier2_golden.py``, up to 4 * 10^6
+    tables each, match their recorded reports line by line."""
+    expected = TIER2_GOLDEN.read_text().splitlines()
+    assert len(expected) == len(TIER2_CELLS)
+    for cell, rep, line in zip(TIER2_CELLS, verify_grid(TIER2_CELLS), expected):
+        assert golden_line(rep) == line, cell
