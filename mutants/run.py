@@ -98,7 +98,7 @@ MUTANTS = (
      "minus_tau = const",
      (f"{TEST_VERIFY}::test_lemma_2_1_judge_reports_a_wrong_minus_tau",)),
     ("zero-sum lookup target +h instead of -h", SPECTRAL,
-     "offsets.get(-h % ell, ())", "offsets.get(h % ell, ())",
+     "buckets.get(-h % ell, ())", "buckets.get(h % ell, ())",
      (f"{TEST_SPECTRAL}::test_zero_sum_screen_matches_brute_force",)),
     ("zero-sum head stride off by one", SPECTRAL,
      "head * stride + offset for head, h in", "head * (stride + 1) + offset for head, h in",
@@ -107,9 +107,12 @@ MUTANTS = (
      "buckets.get(-h0 % ell, ())", "buckets.get(h0 % ell, ())",
      (f"{TEST_SPECTRAL}::test_flat_screen_passes_every_flat_table",)),
     ("bucket skipped for one head", SPECTRAL,
-     "for head, (h0, hs, ht) in enumerate(heads)",
-     "for head, (h0, hs, ht) in enumerate(heads) if head",
+     "for head, (h0, hs, ht) in enumerate(zip(*heads))",
+     "for head, (h0, hs, ht) in enumerate(zip(*heads)) if head",
      (f"{TEST_SPECTRAL}::test_flat_screen_passes_every_flat_table",)),
+    ("magnitude test drops the head's backward sum", SPECTRAL,
+     "(hs + s) * (ht + t) % ell == p", "(hs + s) * t % ell == p",
+     (f"{TEST_SPECTRAL}::test_zero_sum_screen_matches_brute_force",)),
     ("subfield_screen at the first k != 1 instead of the generator", SPECTRAL,
      "if k % p == g), 1)", "if k % p > 1), 1)",
      (f"{TEST_SPECTRAL}::test_subfield_screen_passes_exactly_the_subfield_members",)),

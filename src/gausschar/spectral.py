@@ -48,24 +48,25 @@ one in 2^29 tables, costs one canonical test.
 An exhaustive verification takes these images for a whole cell at once.
 Each image is a sum with one term per position x (S_a(omega) and
 S_a(omega^-1), tau(omega) - sigma_k(tau)(omega), and the value sum
-S_0(omega)), so over the tables of a cell it is a sumset.  Every cell
-screen sums only the n^(p-2) tables with f(1) = 1.  It splits the
-positions into a head and a tail, builds the tail's sums once as a block
-of at most _TAIL_TABLES values (or n, when the last position alone has
-more digits), and returns the sorted indices of the tables it passes
-(``modp.table_index``), in memory bounded by the block and the survivors.
-The magnitude screen compares each head with the whole block, at
-amortized O(1) work per table.  The subfield screen asks for a zero sum,
-so each head looks its one target up in a dict from block sums to tail
-offsets, at O(heads + block + survivors) work per cell.  The bucket screen
-keys that dict by the value sum and keeps each offset's magnitude sums
-beside it, so each head runs the magnitude test on the tail offsets that
-complete a zero value sum alone: a few per head, not the whole block.
-An L above MAX_ORDER (within the default budget, only p = 3 reaches one)
-has no split prime; there the bucket screen keeps the value-sum test
-alone, in the split prime field of n, so a ``thm_1_7`` cell is still
-decided whole, while a Gauss statement's judge refuses the order at the
-first table it judges.
+S_0(omega)), so over the tables of a cell it is a sumset.  The three cell
+screens run one engine, ``_sumset_screen``, over the n^(p-2) tables with
+f(1) = 1.  It passes the tables whose key sum is 0 and, when it is given
+S_1(omega) and S_1(omega^-1) too, whose magnitude image is p, and returns
+their sorted indices (``modp.table_index``).  It splits the positions into
+a head and a tail, builds the tail's sums once as a block of at most
+_TAIL_TABLES values (or n, when the last position alone has more digits),
+keys each tail offset in a dict by its key sum, and lets each head look up
+its one bucket at -h: O(heads + block + bucket entries) work per cell, in
+memory bounded by the block and the survivors.  The magnitude screen
+passes an all-zero key, so its one bucket holds the whole block; the
+subfield screen passes its sigma_k difference as the key, with no
+magnitude test; the bucket screen passes the value sum as the key, so
+each head runs the magnitude test on the few tail offsets that complete a
+zero value sum.  An L above MAX_ORDER (within the default budget, only
+p = 3 reaches one) has no split prime; there the bucket screen passes the
+value sum alone, in the split prime field of n, so a ``thm_1_7`` cell is
+still decided whole, while a Gauss statement's judge refuses the order at
+the first table it judges.
 
 Two substitutions move no verdict, so one sumset per cell serves every
 statement that takes a screen, f(1) fixed or free.  A constant c in mu_n leaves
@@ -97,7 +98,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterator
-from math import lcm, prod
+from math import lcm
 
 from .cyclo import (MAX_ORDER, CyclotomicElement, _check_order, _Frozen, factorize,
                     sum_of_zeta_powers)
@@ -290,6 +291,39 @@ def _lex_sums(rows: list, ell: int) -> Iterator[int]:
     return (sum(choice) % ell for choice in itertools.product(*rows))
 
 
+def _sumset_screen(row_sets: list, ell: int, p: "int | None" = None) -> list:
+    """The sorted indices, in lexicographic order of the choices (as
+    ``_lex_sums``), of the choices of one entry per position whose key
+    sum, over the first row set, is 0 mod ell and, when two magnitude row
+    sets follow, whose sums s and t over them have s * t = p (mod ell).
+    Every row set has one row per position, all of the same lengths.
+
+    The positions split at ``_tail_start``.  The tail's sums are built
+    once per row set, row by row, as a block; each tail offset is kept in
+    a dict keyed by its key sum, with its two magnitude sums beside it
+    (with key rows alone, the bare offset).  Each head, taken lazily,
+    looks up its bucket at -h alone and runs the magnitude test
+    (h_s + s)(h_t + t) = p on it."""
+    j = _tail_start([len(row) for row in row_sets[0]])
+    blocks = []
+    for rows in row_sets:
+        sums = [0]
+        for row in rows[j:]:
+            sums = [s + r for s in sums for r in row]
+        blocks.append([s % ell for s in sums])
+    heads = [_lex_sums(rows[:j], ell) for rows in row_sets]
+    stride, buckets = len(blocks[0]), {}
+    if len(row_sets) == 1:
+        for offset, s in enumerate(blocks[0]):
+            buckets.setdefault(s, []).append(offset)
+        return [head * stride + offset for head, h in enumerate(heads[0])
+                for offset in buckets.get(-h % ell, ())]
+    for offset, (key, s, t) in enumerate(zip(*blocks)):
+        buckets.setdefault(key, []).append((offset, s, t))
+    return [head * stride + offset for head, (h0, hs, ht) in enumerate(zip(*heads))
+            for offset, s, t in buckets.get(-h0 % ell, ()) if (hs + s) * (ht + t) % ell == p]
+
+
 def _position_rows(p: int, n: int, a: int, image) -> list:
     """For each position x = 1, ..., p - 1, the row of the contributions of
     digits 0, ..., n - 1 at x to a sum over x of a term of f(x) e(a*x/p),
@@ -301,6 +335,12 @@ def _position_rows(p: int, n: int, a: int, image) -> list:
     rows = [list(row) for row in zip(*columns)]
     rows[0] = rows[0][:1]
     return rows
+
+
+def _magnitude_rows(p: int, n: int, pw: list) -> list:
+    """The row sets of S_1(omega) and S_1(omega^-1) (``_position_rows``),
+    for the powers ``pw`` of ``_split_prime(lcm(n, p))``."""
+    return [_position_rows(p, n, p - 1, lambda e: _images(pw, e, k)) for k in (1, -1)]
 
 
 def _times_constants(tables, n: int, fix_f1: bool) -> list:
@@ -318,30 +358,23 @@ def magnitude_screen(p: int, n: int, fix_f1: bool = True) -> list:
     ``_magnitude_image_is_p(f, a)`` holds for some unit a; the cell must
     already be validated.
 
-    Only the tables with f(1) = 1 are summed, at a = 1 alone:
-    S_1(omega) and S_1(omega^-1) are sums of one contribution per
-    position, so over those tables each is a sumset, built head times tail
-    block, and the indices of its survivors are kept.  Two substitutions
-    reach the rest, and neither moves a verdict.  Scaling f by a constant
-    c in mu_n scales S_a by c, which leaves S_a(omega) * S_a(omega^-1)
-    unchanged, c(omega) * c(omega^-1) being 1.  With m_c(x) = c*x,
-    substituting y = a*x gives S_a(f) = S_1(f o m_(1/a)), an identity of
-    ring elements that holds for the images too, so f passes at a exactly
-    when f o m_(1/a) passes at 1.  The tables with f(1) = 1 that pass at
-    some unit are therefore the g o m_a, rescaled by conj(g(a)) to value 1
-    at 1, for the survivors g and every unit a; with f(1) free they are
-    those times each constant.
+    It passes ``_sumset_screen`` an all-zero key and the rows of S_1(omega)
+    and S_1(omega^-1), so every table with f(1) = 1 meets the magnitude
+    test at a = 1 alone.  Two substitutions reach the rest, and neither
+    moves a verdict.  Scaling f by a constant c in mu_n scales S_a by c,
+    which leaves S_a(omega) * S_a(omega^-1) unchanged, c(omega) *
+    c(omega^-1) being 1.  With m_c(x) = c*x, substituting y = a*x gives
+    S_a(f) = S_1(f o m_(1/a)), an identity of ring elements that holds for
+    the images too, so f passes at a exactly when f o m_(1/a) passes at 1.
+    The tables with f(1) = 1 that pass at some unit are therefore the
+    g o m_a, rescaled by conj(g(a)) to value 1 at 1, for the survivors g
+    and every unit a; with f(1) free they are those times each constant.
     """
     ell, pw = _split_prime(lcm(n, p))
-    fwd = _position_rows(p, n, p - 1, lambda e: _images(pw, e))
-    bwd = _position_rows(p, n, p - 1, lambda e: _images(pw, e, -1))
-    j = _tail_start([len(row) for row in fwd])
-    block = list(zip(_lex_sums(fwd[j:], ell), _lex_sums(bwd[j:], ell)))
-    heads = zip(_lex_sums(fwd[:j], ell), _lex_sums(bwd[:j], ell))
-    verdicts = itertools.chain.from_iterable(
-        [(hs + s) * (ht + t) % ell == p for s, t in block] for hs, ht in heads)
+    fwd, bwd = _magnitude_rows(p, n, pw)
+    zero = [[0] * len(row) for row in fwd]
     hits = set()
-    for index in itertools.compress(itertools.count(), verdicts):
+    for index in _sumset_screen([zero, fwd, bwd], ell, p):
         g = table_exps(index, p, n)
         for a in range(1, p):
             mapped = [g[a * x % p - 1] for x in range(1, p)]
@@ -349,25 +382,12 @@ def magnitude_screen(p: int, n: int, fix_f1: bool = True) -> list:
     return _times_constants(hits, n, fix_f1)
 
 
-def _zero_sum_screen(rows: list, ell: int) -> list:
-    """The sorted indices, in lexicographic order of the choices (as
-    ``_lex_sums``), of the choices of one entry per row whose sum is 0 mod
-    ell.  The tail block's sums map to the offsets where they occur, and
-    each head sum h looks up its one target -h there."""
-    j = _tail_start([len(row) for row in rows])
-    offsets = {}
-    for offset, s in enumerate(_lex_sums(rows[j:], ell)):
-        offsets.setdefault(s, []).append(offset)
-    stride = prod(map(len, rows[j:]))
-    return [head * stride + offset for head, h in enumerate(_lex_sums(rows[:j], ell))
-            for offset in offsets.get(-h % ell, ())]
-
-
 def subfield_screen(p: int, n: int) -> list:
     """The sorted indices of the tables f of the cell with f(1) free whose
     tau(f) and sigma_k(tau(f)) have equal images in the split prime field;
     a table it passes is still decided canonically by
-    ``CyclotomicElement.in_subfield``.  The rows sum the tables with
+    ``CyclotomicElement.in_subfield``.  Its rows of the differences, the
+    key of ``_sumset_screen`` with no magnitude rows, sum the tables with
     f(1) = 1, and each survivor h stands for every c * h: tau(c * h) -
     sigma_k(tau(c * h)) is c times that of h, as sigma_k fixes mu_n, and the
     image of c is a unit.
@@ -386,7 +406,7 @@ def subfield_screen(p: int, n: int) -> list:
     k = next((k for k in range(1, big, n) if k % p == g), 1)
     rows = _position_rows(p, n, 1, lambda e: [
         s - t for s, t in zip(_images(pw, e), _images(pw, e, k))])
-    return _times_constants((table_exps(i, p, n) for i in _zero_sum_screen(rows, ell)), n, False)
+    return _times_constants((table_exps(i, p, n) for i in _sumset_screen([rows], ell)), n, False)
 
 
 def bucket_screen(p: int, n: int, fix_f1: bool = True) -> list:
@@ -397,36 +417,21 @@ def bucket_screen(p: int, n: int, fix_f1: bool = True) -> list:
 
     Every table with S_0 = 0 and norm_squared(S_1) = p passes, and so does
     every table a Gauss statement with p not dividing n or a flatness
-    statement accepts (the module docstring proves S_0 = 0 for both).  Only
-    the tables with f(1) = 1 are summed.  The value-sum rows are one digit
-    row omega^((L/n)*d), the same at every position; each tail offset is
-    kept in a dict keyed by its value-sum image, with its S_1(omega) and
-    S_1(omega^-1) sums, so the dict holds one entry per offset of the
-    block.  Each head looks up only the bucket at -h_0 and tests
-    (h_s + s)(h_t + t) = p (mod ell) on it.  With f(1) free the survivors
-    are taken times each constant: c in mu_n scales S_0 by a unit and
-    leaves the magnitude image unchanged.
+    statement accepts (the module docstring proves S_0 = 0 for both).  It
+    passes ``_sumset_screen`` the value-sum rows as the key, one digit row
+    omega^((L/n)*d) at every position, and the rows of S_1(omega) and
+    S_1(omega^-1).  With f(1) free the survivors are taken times each
+    constant: c in mu_n scales S_0 by a unit and leaves the magnitude image
+    unchanged.
 
     When L exceeds MAX_ORDER no split prime of L is built, and the screen
-    keeps the value-sum test alone, in the split prime field of n.
+    passes the value-sum rows alone, in the split prime field of n.
     """
     big = lcm(n, p)
     ell, pw = _split_prime(n if big > MAX_ORDER else big)
     digits = pw[::len(pw) // n]
-    zero = [digits[:1]] + [digits] * (p - 2)
-    if big > MAX_ORDER:
-        hits = _zero_sum_screen(zero, ell)
-    else:
-        fwd = _position_rows(p, n, p - 1, lambda e: _images(pw, e))
-        bwd = _position_rows(p, n, p - 1, lambda e: _images(pw, e, -1))
-        j = _tail_start([len(row) for row in zero])
-        buckets = {}
-        for offset, (key, s, t) in enumerate(zip(*(_lex_sums(rows[j:], ell)
-                                                   for rows in (zero, fwd, bwd)))):
-            buckets.setdefault(key, []).append((offset, s, t))
-        stride = prod(map(len, zero[j:]))
-        heads = zip(*(_lex_sums(rows[:j], ell) for rows in (zero, fwd, bwd)))
-        hits = (head * stride + offset for head, (h0, hs, ht) in enumerate(heads)
-                for offset, s, t in buckets.get(-h0 % ell, ())
-                if (hs + s) * (ht + t) % ell == p)
-    return _times_constants((table_exps(i, p, n) for i in hits), n, fix_f1)
+    row_sets = [[digits[:1]] + [digits] * (p - 2)]
+    if big <= MAX_ORDER:
+        row_sets += _magnitude_rows(p, n, pw)
+    return _times_constants((table_exps(i, p, n) for i in _sumset_screen(row_sets, ell, p)),
+                            n, fix_f1)

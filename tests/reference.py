@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 from gausschar.cyclo import CyclotomicElement, _Frozen, euler_phi
 from gausschar.modp import UnitFunction, check_odd_prime, find_primitive_root
-from gausschar.spectral import _split_prime, _zero_sum_screen, autocorrelation, fourier_norm
+from gausschar.spectral import _split_prime, _sumset_screen, autocorrelation, fourier_norm
 from gausschar.verify import VerificationReport
 
 
@@ -190,7 +190,7 @@ def flat_screen(p: int, n: int) -> list:
     value sum S_0 = sum of f(x) has image 0 in the split prime field of n.
     A flat profile forces S_0 = 0, so every flat table passes."""
     ell, pw = _split_prime(n)
-    return _zero_sum_screen([pw[:1]] + [pw] * (p - 2), ell)
+    return _sumset_screen([[pw[:1]] + [pw] * (p - 2)], ell)
 
 
 # ---------------------------------------------------------------------------

@@ -548,18 +548,31 @@ def test_cell_screen_in_bounded_memory():
 
 
 def test_zero_sum_screen_matches_brute_force():
-    # The dict lookup against every choice of one entry per row, on seeded
+    # The sumset engine against every choice of one entry per row, on seeded
     # rows over a small field, so that tail sums repeat and one sum has
-    # several offsets, with heads of one to three positions.
+    # several offsets, with heads of one to three positions: first with key
+    # rows alone (a zero key sum), then with magnitude rows too (a zero key
+    # sum and s * t = p), the key rows all zero in every other case, as
+    # ``magnitude_screen`` passes them.
     rng = random.Random(20)
-    ell, survivors = 7, 0
-    for sizes in ((3, 4), (5, 2, 3), (2, 3, 300), (4, 4, 4, 4, 4, 4), (1, 6, 2, 1),
-                  (2, 2, 2, 4, 4, 4, 4)):
+    ell, p, survivors, magnitude_survivors = 7, 3, 0, 0
+    for case, sizes in enumerate(((3, 4), (5, 2, 3), (2, 3, 300), (4, 4, 4, 4, 4, 4),
+                                  (1, 6, 2, 1), (2, 2, 2, 4, 4, 4, 4))):
         rows = [[rng.randrange(ell) for _ in range(size)] for size in sizes]
         expected = _true_indices(sum(choice) % ell == 0 for choice in itertools.product(*rows))
-        assert spectral._zero_sum_screen(rows, ell) == expected, sizes
+        assert spectral._sumset_screen([rows], ell) == expected, sizes
         survivors += len(expected)
+        if case % 2:
+            rows = [[0] * size for size in sizes]
+        fwd, bwd = ([[rng.randrange(ell) for _ in range(size)] for size in sizes]
+                    for _ in range(2))
+        expected = _true_indices(
+            sum(key) % ell == 0 and sum(s) * sum(t) % ell == p
+            for key, s, t in zip(*(itertools.product(*r) for r in (rows, fwd, bwd))))
+        assert spectral._sumset_screen([rows, fwd, bwd], ell, p) == expected, sizes
+        magnitude_survivors += len(expected)
     assert survivors > 100, survivors
+    assert magnitude_survivors > 100, magnitude_survivors
 
 
 def test_autocorrelation_examples():
