@@ -553,8 +553,9 @@ def test_zero_sum_screen_matches_brute_force():
     # several offsets, with heads of one to three positions: first with key
     # rows alone (a zero key sum), then with magnitude rows too (a zero key
     # sum and s * t = p), the key rows all zero in every other case, as
-    # ``magnitude_screen`` passes them.
-    rng = random.Random(20)
+    # ``magnitude_screen`` passes them.  The magnitude rows draw from a
+    # generator of their own, so the key-only rows do not depend on them.
+    rng, magnitude_rng = random.Random(20), random.Random(21)
     ell, p, survivors, magnitude_survivors = 7, 3, 0, 0
     for case, sizes in enumerate(((3, 4), (5, 2, 3), (2, 3, 300), (4, 4, 4, 4, 4, 4),
                                   (1, 6, 2, 1), (2, 2, 2, 4, 4, 4, 4))):
@@ -564,7 +565,7 @@ def test_zero_sum_screen_matches_brute_force():
         survivors += len(expected)
         if case % 2:
             rows = [[0] * size for size in sizes]
-        fwd, bwd = ([[rng.randrange(ell) for _ in range(size)] for size in sizes]
+        fwd, bwd = ([[magnitude_rng.randrange(ell) for _ in range(size)] for size in sizes]
                     for _ in range(2))
         expected = _true_indices(
             sum(key) % ell == 0 and sum(s) * sum(t) % ell == p
