@@ -113,6 +113,13 @@ MUTANTS = (
     ("magnitude test drops the head's backward sum", SPECTRAL,
      "(hs + s) * (ht + t) % ell == p", "(hs + s) * t % ell == p",
      (f"{TEST_SPECTRAL}::test_zero_sum_screen_matches_brute_force",)),
+    ("head walk's inner block one row short", SPECTRAL,
+     "inner = _block(rows[j:], ell)", "inner = _block(rows[j + 1:], ell)",
+     (f"{TEST_SPECTRAL}::test_lex_sums_walk_blocks_in_lexicographic_order",)),
+    ("middle split ignores the _TAIL_TABLES cap", SPECTRAL,
+     " and tables * sizes[j - 1] <= _TAIL_TABLES:", ":",
+     (f"{TEST_SPECTRAL}::test_split_is_in_the_middle_under_the_cap",
+      f"{TEST_SPECTRAL}::test_cell_screen_head_walk_in_bounded_memory")),
     ("subfield_screen at the first k != 1 instead of the generator", SPECTRAL,
      "if k % p == g), 1)", "if k % p > 1), 1)",
      (f"{TEST_SPECTRAL}::test_subfield_screen_passes_exactly_the_subfield_members",)),
@@ -135,6 +142,10 @@ MUTANTS = (
     ("_split_prime without the exact-order check", SPECTRAL,
      "if all(pow(omega, order // q, ell) != 1 for q in primes):", "if True:",
      (f"{TEST_SPECTRAL}::test_split_prime_map_is_a_ring_homomorphism",)),
+    ("table stream drops the f(1) factor", MODP,
+     "itertools.product(range(1 if fix_f1 else n), *[range(n)] * (p - 2))",
+     "itertools.product(*[range(n)] * (p - 2))",
+     (f"{TEST_MODP}::test_enumeration_counts_and_order",)),
     ("is_prime accepts prime powers", MODP,
      "factorize(m) == [(m, 1)]", "len(factorize(m)) == 1",
      (f"{TEST_MODP}::test_is_prime",)),

@@ -293,10 +293,10 @@ def _trusted_unit_function(p: int, n: int, exps: tuple) -> UnitFunction:
 def _unit_function_stream(p: int, n: int, fix_f1: bool) -> Iterator[UnitFunction]:
     """The tables of a cell that ``enumerate_unit_functions`` has validated.
 
-    ``itertools.product`` over range(n) yields int exponents in [0, n), so
-    each table is trusted (``_trusted_unit_function``).
+    One ``map`` over ``itertools.product``, whose first factor is f(1)'s
+    exponents (range(1) when f(1) is fixed), so no Python frame runs per
+    table; the product yields tuples of int exponents in [0, n), so each
+    table is trusted (``_trusted_unit_function``).
     """
-    free = p - 2 if fix_f1 else p - 1
-    head = (0,) if fix_f1 else ()
-    for tail in itertools.product(range(n), repeat=free):
-        yield _trusted_unit_function(p, n, head + tail)
+    return map(functools.partial(_trusted_unit_function, p, n),
+               itertools.product(range(1 if fix_f1 else n), *[range(n)] * (p - 2)))

@@ -52,15 +52,17 @@ S_0(omega)), so over the tables of a cell it is a sumset.  The three cell
 screens run one engine, ``_sumset_screen``, over the n^(p-2) tables with
 f(1) = 1.  It passes the tables whose key sum is 0 and, when it is given
 S_1(omega) and S_1(omega^-1) too, whose magnitude image is p, and returns
-their sorted indices (``modp.table_index``).  It splits the positions into
-a head and a tail, builds the tail's sums once as a block of at most
-_TAIL_TABLES values (or n, when the last position alone has more digits),
-keys each tail offset in a dict by its key sum, and lets each head look up
-its one bucket at -h: O(heads + block + bucket entries) work per cell, in
-memory bounded by the block and the survivors.  The magnitude screen
-passes an all-zero key, so its one bucket holds the whole block; the
-subfield screen passes its sigma_k difference as the key, with no
-magnitude test; the bucket screen passes the value sum as the key, so
+their sorted indices (``modp.table_index``).  It splits the positions in
+the middle, as in the meet-in-the-middle of Horowitz and Sahni: the tail's
+sums, listed once as a block, reach the number of heads unless that would
+take more than _TAIL_TABLES values (or n, when the last position alone has
+more digits).  It keys each tail offset in a dict by its key sum and walks
+the heads block by block, one addition and one remainder per head, each
+looking up its one bucket at -h: O(heads + block + bucket entries) work
+per cell, in memory bounded by one block per level and the survivors.  The
+magnitude screen passes an all-zero key, so its one bucket holds the whole
+block; the subfield screen passes its sigma_k difference as the key, with
+no magnitude test; the bucket screen passes the value sum as the key, so
 each head runs the magnitude test on the few tail offsets that complete a
 zero value sum.  An L above MAX_ORDER (within the default budget, only
 p = 3 reaches one) has no split prime; there the bucket screen passes the
@@ -98,7 +100,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterator
-from math import lcm
+from math import lcm, prod
 
 from .cyclo import (MAX_ORDER, CyclotomicElement, _check_order, _Frozen, factorize,
                     sum_of_zeta_powers)
@@ -265,30 +267,53 @@ def kurlberg_test(f: UnitFunction) -> bool:
 # ---------------------------------------------------------------------------
 # Cell screens: the tables of a cell that pass a split-prime test, at once.
 
-#: Tables a screen's tail block covers at most.  The block is built once per
-#: cell and reused after every head, so a screen holds O(_TAIL_TABLES) sums
-#: however large its cell is; the per-head work it amortizes is a few
-#: additions per head position.
+#: Sums a listed block holds at most: the tail block, built once per cell
+#: and reused after every head, and each inner block of the head walk, one
+#: per level.  A block of one position lists that position's digits, however
+#: many.  A screen thus holds O(_TAIL_TABLES) sums per level however large
+#: its cell is, and each block amortizes the work of its positions over the
+#: sums it lists.
 _TAIL_TABLES = 256
 
 
 def _tail_start(sizes: list) -> int:
-    """The first tail position j >= 1 for positions with ``sizes`` digits
-    each: the tail j.. is the longest run of last positions, at least one,
-    whose digit combinations number at most _TAIL_TABLES (more only when the
-    last position alone has more digits), and the head keeps position 0."""
+    """The first tail position j for positions with ``sizes`` digits each,
+    the split in the middle (Horowitz-Sahni): the tail j.. is the shortest
+    run of last positions, at least one, whose digit combinations reach the
+    head's, unless a longer run would pass _TAIL_TABLES; only a tail of one
+    position lists more.  The head keeps position 0 when there are two or
+    more positions."""
     j, tables = len(sizes) - 1, sizes[-1]
-    while j > 1 and tables * sizes[j - 1] <= _TAIL_TABLES:
+    while j > 1 and tables < prod(sizes[:j]) and tables * sizes[j - 1] <= _TAIL_TABLES:
         j -= 1
         tables *= sizes[j]
     return j
 
 
+def _block(rows: list, ell: int) -> list:
+    """Every sum of one entry per row, mod ell, listed in lexicographic
+    order of the choices, built row by row: one addition per sum of each
+    prefix."""
+    sums = [0]
+    for row in rows:
+        sums = [s + r for s in sums for r in row]
+    return [s % ell for s in sums]
+
+
 def _lex_sums(rows: list, ell: int) -> Iterator[int]:
     """Every sum of one entry per row, mod ell, lazily, in lexicographic
     order of the choices: the last row varies fastest, as in
-    ``itertools.product``."""
-    return (sum(choice) % ell for choice in itertools.product(*rows))
+    ``itertools.product``.  The rows split at ``_tail_start`` into an outer
+    walk, taken by this same rule, and an inner ``_block`` of the last
+    positions; each outer sum h lists h plus the inner block, so every sum
+    costs one addition and one remainder, and the walk holds one block per
+    level."""
+    if len(rows) < 2:
+        return iter(_block(rows, ell))
+    j = _tail_start([len(row) for row in rows])
+    inner = _block(rows[j:], ell)
+    return itertools.chain.from_iterable(
+        [(h + s) % ell for s in inner] for h in _lex_sums(rows[:j], ell))
 
 
 def _sumset_screen(row_sets: list, ell: int, p: "int | None" = None) -> list:
@@ -298,19 +323,15 @@ def _sumset_screen(row_sets: list, ell: int, p: "int | None" = None) -> list:
     sets follow, whose sums s and t over them have s * t = p (mod ell).
     Every row set has one row per position, all of the same lengths.
 
-    The positions split at ``_tail_start``.  The tail's sums are built
-    once per row set, row by row, as a block; each tail offset is kept in
-    a dict keyed by its key sum, with its two magnitude sums beside it
-    (with key rows alone, the bare offset).  Each head, taken lazily,
-    looks up its bucket at -h alone and runs the magnitude test
-    (h_s + s)(h_t + t) = p on it."""
+    The positions split in the middle, at ``_tail_start``, as in the
+    meet-in-the-middle of Horowitz and Sahni.  Each row set's tail sums are
+    listed once as a ``_block``; each tail offset is kept in a dict keyed
+    by its key sum, with its two magnitude sums beside it (with key rows
+    alone, the bare offset).  The heads are walked block by block
+    (``_lex_sums``), and each looks up its bucket at -h alone and runs the
+    magnitude test (h_s + s)(h_t + t) = p on it."""
     j = _tail_start([len(row) for row in row_sets[0]])
-    blocks = []
-    for rows in row_sets:
-        sums = [0]
-        for row in rows[j:]:
-            sums = [s + r for s in sums for r in row]
-        blocks.append([s % ell for s in sums])
+    blocks = [_block(rows[j:], ell) for rows in row_sets]
     heads = [_lex_sums(rows[:j], ell) for rows in row_sets]
     stride, buckets = len(blocks[0]), {}
     if len(row_sets) == 1:

@@ -1,7 +1,7 @@
 import cmath
 import itertools
 import random
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -547,18 +547,89 @@ def test_cell_screen_in_bounded_memory():
         assert peak < 2 ** 20, (screen.__name__, peak)
 
 
-def test_zero_sum_screen_matches_brute_force():
+def test_cell_screen_head_walk_in_bounded_memory():
+    # At (5, 204) the tail is the last position's 204 digits and the 41,616
+    # heads span two positions: listed whole, the heads' sums of one row set
+    # alone would take over 1 MB.  The walk holds one block of 204 sums per
+    # level.  p does not divide n, so the tables with S_0 = 0 and
+    # |S_1|^2 = 5 are the 3 nontrivial characters, and they survive alone.
+    import tracemalloc
+    spectral._split_prime(1020)
+    characters = homomorphism_candidates(5, 204)[1:]
+    tracemalloc.start()
+    try:
+        survivors = spectral.bucket_screen(5, 204)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert survivors == characters
+    assert len(characters) == 3
+    assert peak < 2 ** 20, peak
+
+
+def test_split_is_in_the_middle_under_the_cap():
+    # The tail is the shortest run of last positions whose tables reach the
+    # head's, unless the cap stops it; it passes _TAIL_TABLES only when it is
+    # a single position, and the head keeps position 0.
+    cap = spectral._TAIL_TABLES
+    assert spectral._tail_start([1, 4, 4, 4]) == 2
+    assert spectral._tail_start([1, 6, 6, 6, 6, 6]) == 3
+    assert spectral._tail_start([1, 300]) == 1
+    for sizes in ((1, 4, 4, 4), (1, 6, 6, 6, 6, 6), (1, 300), (1,) + (6,) * 11, (1, 200, 200, 200),
+                  (1,) + (2,) * 17, (5, 2, 3), (3, 4), (1, 6, 2, 1), (300, 2, 2)):
+        j = spectral._tail_start(list(sizes))
+        head, tail = prod(sizes[:j]), prod(sizes[j:])
+        assert 1 <= j < len(sizes), sizes
+        assert tail <= cap or j == len(sizes) - 1, sizes
+        assert tail >= head or j == 1 or tail * sizes[j - 1] > cap, sizes
+        assert j == len(sizes) - 1 or prod(sizes[j + 1:]) < prod(sizes[:j + 1]), sizes
+
+
+def test_lex_sums_walk_blocks_in_lexicographic_order(monkeypatch):
+    # The head walk lists an inner block of the last positions after each
+    # sum of an outer walk.  Against itertools.product plus sum on seeded
+    # rows over a small field, for 0 to 6 positions, with the default cap and
+    # with blocks of at most 4 sums, where the walk spans two and three block
+    # levels; each level lists one block of at most the cap or of one
+    # position's digits.
+    rng, ell = random.Random(27), 7
+    build, levels, seen = spectral._block, [], set()
+
+    def block(rows, ell):
+        assert len(rows) <= 1 or prod(map(len, rows)) <= spectral._TAIL_TABLES, rows
+        levels.append(len(rows))
+        return build(rows, ell)
+
+    monkeypatch.setattr(spectral, "_block", block)
+    for cap in (spectral._TAIL_TABLES, 4):
+        monkeypatch.setattr(spectral, "_TAIL_TABLES", cap)
+        for count in range(7):
+            for _ in range(4):
+                rows = [[rng.randrange(ell) for _ in range(rng.randint(1, 5))] for _ in range(count)]
+                levels.clear()
+                expected = [sum(choice) % ell for choice in itertools.product(*rows)]
+                assert list(spectral._lex_sums(rows, ell)) == expected, rows
+                seen.add((cap, len(levels)))
+    assert {(4, 2), (4, 3)} <= seen, seen
+
+
+def test_zero_sum_screen_matches_brute_force(monkeypatch):
     # The sumset engine against every choice of one entry per row, on seeded
     # rows over a small field, so that tail sums repeat and one sum has
-    # several offsets, with heads of one to three positions: first with key
+    # several offsets, with heads of one to four positions: first with key
     # rows alone (a zero key sum), then with magnitude rows too (a zero key
     # sum and s * t = p), the key rows all zero in every other case, as
     # ``magnitude_screen`` passes them.  The magnitude rows draw from a
     # generator of their own, so the key-only rows do not depend on them.
+    # The last shape runs with blocks of at most 4 sums: a 2 x 2 tail and
+    # 36 heads walked through four block levels.
     rng, magnitude_rng = random.Random(20), random.Random(21)
     ell, p, survivors, magnitude_survivors = 7, 3, 0, 0
-    for case, sizes in enumerate(((3, 4), (5, 2, 3), (2, 3, 300), (4, 4, 4, 4, 4, 4),
-                                  (1, 6, 2, 1), (2, 2, 2, 4, 4, 4, 4))):
+    shapes = ((3, 4), (5, 2, 3), (2, 3, 300), (4, 4, 4, 4, 4, 4), (1, 6, 2, 1),
+              (2, 2, 2, 4, 4, 4, 4), (2, 3, 2, 3, 2, 2))
+    for case, sizes in enumerate(shapes):
+        if sizes == shapes[-1]:
+            monkeypatch.setattr(spectral, "_TAIL_TABLES", 4)
         rows = [[rng.randrange(ell) for _ in range(size)] for size in sizes]
         expected = _true_indices(sum(choice) % ell == 0 for choice in itertools.product(*rows))
         assert spectral._sumset_screen([rows], ell) == expected, sizes
