@@ -33,11 +33,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CYCLO, MODP, SPECTRAL, VERIFY = ("src/gausschar/cyclo.py", "src/gausschar/modp.py",
-                                 "src/gausschar/spectral.py", "src/gausschar/verify.py")
-TEST_CYCLO, TEST_MODP, TEST_SPECTRAL, TEST_VERIFY = (
-    "tests/test_cyclo.py", "tests/test_modp.py", "tests/test_spectral.py",
-    "tests/test_verify.py")
+CLI, CYCLO, MODP, SPECTRAL, VERIFY = (
+    "src/gausschar/cli.py", "src/gausschar/cyclo.py", "src/gausschar/modp.py",
+    "src/gausschar/spectral.py", "src/gausschar/verify.py")
+TEST_CLI, TEST_CYCLO, TEST_MODP, TEST_SPECTRAL, TEST_VERIFY = (
+    "tests/test_cli.py", "tests/test_cyclo.py", "tests/test_modp.py",
+    "tests/test_spectral.py", "tests/test_verify.py")
 
 # (name, file, old text, new text, killing tests)
 MUTANTS = (
@@ -164,6 +165,13 @@ MUTANTS = (
      "g = find_primitive_root(p)", "g = 2",
      (f"{TEST_MODP}::test_homomorphism_candidates_are_what_the_oracle_accepts",
       f"{TEST_MODP}::test_homomorphism_candidates_count_and_match_the_characters")),
+    ("parser skips the required-option check", CLI,
+     "if option[1] and name not in given]", "if False]",
+     (f"{TEST_CLI}::test_parsers_reject_the_same_argvs",)),
+    ("parser takes a budget below 1", CLI,
+     "    if value < 1:\n        raise ValueError(f\"must be positive",
+     "    if False:\n        raise ValueError(f\"must be positive",
+     (f"{TEST_CLI}::test_budget_flag_must_be_positive",)),
 )
 
 # Edits that change no answer, so no test can kill them; listed, not run.

@@ -4,13 +4,21 @@ Output is a plain table or JSON lines; every printed quantity is an integer
 or an integer coefficient vector, never a float.  Exit status: 0 success,
 1 verification failure or mismatch (for ``remark_p_divides_n``: no witness
 found), 2 usage or hypothesis errors.
+
+The command line is read against one table, ``_COMMANDS``, which gives each
+subcommand its handler, its help line and its options; the same table
+writes ``--help``.  Options are ``--opt value`` or ``--opt=value``, in any
+order, the last repeat winning, and long options are never abbreviated.
+Integers are an optional sign and ASCII digits.  argparse is not used: its
+import, with gettext, and the build of its parsers cost more than the
+package's own import and, in most commands, more than the arithmetic.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import modp, spectral, verify
 from .cyclo import CyclotomicElement
@@ -19,17 +27,6 @@ from .modp import DEFAULT_BUDGET, parse_unit_function
 _REPORT_HEADER = (f"{'statement':<22} {'p':>4} {'n':>4} {'functions':>10} "
                   f"{'spectral':>9} {'oracle':>7} {'mismatches':>11} "
                   f"{'elapsed_ms':>11}  status")
-
-
-def _positive_int(text: str) -> int:
-    """A positive decimal integer: the check on --budget."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a decimal integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
 
 
 def _emit_json(record: dict) -> None:
@@ -182,59 +179,142 @@ def _cmd_autocorr(args) -> int:
     return _emit_value(args, f, spectral.autocorrelation(f, args.h), [("h", args.h % f.p)])
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gausschar",
-        description="Exact Gauss sums, Fourier magnitude tests and exhaustive "
-                    "character verification over F_p.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _integer(text: str) -> int:
+    """A decimal integer: an optional sign, then ASCII digits and nothing else."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"must be a decimal integer, got {text!r}")
+    return int(text)
 
-    def add_output(sp):
-        sp.add_argument("--output", choices=("table", "json"), default="table",
-                        help="output format (default: table)")
 
-    sp = sub.add_parser("verify", help="run an exhaustive verification")
-    sp.add_argument("--statement", required=True,
-                    choices=verify.STATEMENTS + ("all",),
-                    help="statement identifier, or 'all' for the default grid")
-    sp.add_argument("--p", type=int, default=None, help="odd prime modulus")
-    sp.add_argument("--n", type=int, default=None, help="value order")
-    sp.add_argument("--witnesses", action="store_true",
-                    help="list per-function witnesses in table output")
-    sp.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                    help=f"enumeration budget, a positive integer (default: {DEFAULT_BUDGET})")
-    add_output(sp)
-    sp.set_defaults(handler=_cmd_verify)
+def _positive(text: str) -> int:
+    """A positive decimal integer: the check on --budget."""
+    value = _integer(text)
+    if value < 1:
+        raise ValueError(f"must be positive, got {value}")
+    return value
 
-    sp = sub.add_parser("classify", help="run both character tests on one function")
-    sp.add_argument("--fn", required=True,
-                    help="function text: 'p=<p> n=<n> exps=<k_1>,...,<k_{p-1}>'")
-    add_output(sp)
-    sp.set_defaults(handler=_cmd_classify)
 
-    sp = sub.add_parser("gauss-sum", help="exact Gauss sum of one function")
-    sp.add_argument("--fn", required=True, help="function text")
-    add_output(sp)
-    sp.set_defaults(handler=_cmd_gauss_sum)
+_DESCRIPTION = ("Exact Gauss sums, Fourier magnitude tests and exhaustive "
+                "character verification over F_p.")
+_HELP = ("-h", "--help")
 
-    sp = sub.add_parser("fourier", help="exact unnormalized Fourier coefficient")
-    sp.add_argument("--fn", required=True, help="function text")
-    sp.add_argument("--xi", required=True, type=int, help="frequency (reduced mod p)")
-    add_output(sp)
-    sp.set_defaults(handler=_cmd_fourier)
+# Each option maps to (kind, required, default, help).  The kind is a
+# function from the option's text to its value, a tuple of the words it
+# accepts, or None for a flag, which takes no value and sets True.
+_FN = {"--fn": (str, True, None, "function text")}
+_OUTPUT = {"--output": (("table", "json"), False, "table", "output format (default: table)")}
 
-    sp = sub.add_parser("autocorr", help="exact autocorrelation at one shift")
-    sp.add_argument("--fn", required=True, help="function text")
-    sp.add_argument("--h", required=True, type=int, help="shift (reduced mod p)")
-    add_output(sp)
-    sp.set_defaults(handler=_cmd_autocorr)
+# subcommand -> (handler, help, options)
+_COMMANDS = {
+    "verify": (_cmd_verify, "run an exhaustive verification", {
+        "--statement": (verify.STATEMENTS + ("all",), True, None,
+                        "statement identifier, or 'all' for the default grid"),
+        "--p": (_integer, False, None, "odd prime modulus"),
+        "--n": (_integer, False, None, "value order"),
+        "--witnesses": (None, False, False, "list per-function witnesses in table output"),
+        "--budget": (_positive, False, DEFAULT_BUDGET,
+                     f"enumeration budget, a positive integer (default: {DEFAULT_BUDGET})"),
+        **_OUTPUT}),
+    "classify": (_cmd_classify, "run both character tests on one function", {
+        "--fn": (str, True, None, "function text: 'p=<p> n=<n> exps=<k_1>,...,<k_{p-1}>'"),
+        **_OUTPUT}),
+    "gauss-sum": (_cmd_gauss_sum, "exact Gauss sum of one function", {**_FN, **_OUTPUT}),
+    "fourier": (_cmd_fourier, "exact unnormalized Fourier coefficient", {
+        **_FN, "--xi": (_integer, True, None, "frequency (reduced mod p)"), **_OUTPUT}),
+    "autocorr": (_cmd_autocorr, "exact autocorrelation at one shift", {
+        **_FN, "--h": (_integer, True, None, "shift (reduced mod p)"), **_OUTPUT}),
+}
 
-    return parser
+
+def _invocation(name: str, kind) -> str:
+    if kind is None:
+        return name
+    metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name[2:].upper()
+    return f"{name} {metavar}"
+
+
+def _usage(sub) -> str:
+    if sub is None:
+        return "usage: gausschar [-h] {" + ",".join(_COMMANDS) + "} ..."
+    parts = ["[-h]"]
+    for name, (kind, required, _, _) in _COMMANDS[sub][2].items():
+        part = _invocation(name, kind)
+        parts.append(part if required else f"[{part}]")
+    return f"usage: gausschar {sub} " + " ".join(parts)
+
+
+def _help(sub) -> str:
+    if sub is None:
+        heading, rows = "commands", [(name, text) for name, (_, text, _) in _COMMANDS.items()]
+        about = _DESCRIPTION
+    else:
+        heading, rows = "options", [(", ".join(_HELP), "show this help message and exit")]
+        rows += [(_invocation(name, kind), text)
+                 for name, (kind, _, _, text) in _COMMANDS[sub][2].items()]
+        about = _COMMANDS[sub][1]
+    lines = [_usage(sub), "", about, "", f"{heading}:"]
+    for left, text in rows:
+        # A long invocation (the statement list) puts its help on the next line.
+        lines += [f"  {left:<20}  {text}"] if len(left) <= 20 else [f"  {left}", " " * 24 + text]
+    return "\n".join(lines)
+
+
+def _fail(sub, message: str):
+    """Write the usage line and the error to stderr and exit 2."""
+    prog = "gausschar" if sub is None else f"gausschar {sub}"
+    sys.stderr.write(f"{_usage(sub)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _parse_args(argv) -> SimpleNamespace:
+    """The subcommand, its handler and every option's value, read from
+    ``argv`` against ``_COMMANDS``.  Options come as ``--opt value`` or
+    ``--opt=value``, in any order, the last repeat winning; ``-h`` or
+    ``--help`` prints help and exits 0, and anything else exits 2."""
+    if not argv or argv[0] not in _COMMANDS:
+        if argv and argv[0] in _HELP:
+            print(_help(None))
+            raise SystemExit(0)
+        _fail(None, f"invalid command {argv[0]!r}" if argv else "a command is required")
+    sub = argv[0]
+    handler, _, options = _COMMANDS[sub]
+    values = {name[2:]: default for name, (_, _, default, _) in options.items()}
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            print(_help(sub))
+            raise SystemExit(0)
+        name, inline, text = token.partition("=")
+        if name not in options:
+            _fail(sub, f"unrecognized argument {token!r}")
+        kind = options[name][0]
+        given.add(name)
+        if kind is None:
+            if inline:
+                _fail(sub, f"argument {name}: takes no value")
+            values[name[2:]] = True
+            continue
+        if not inline:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                _fail(sub, f"argument {name}: expected one value")
+        try:
+            if isinstance(kind, tuple) and text not in kind:
+                raise ValueError(f"invalid choice: {text!r} "
+                                 f"(choose from {', '.join(map(repr, kind))})")
+            values[name[2:]] = text if isinstance(kind, tuple) else kind(text)
+        except ValueError as exc:
+            _fail(sub, f"argument {name}: {exc}")
+    missing = [name for name, option in options.items() if option[1] and name not in given]
+    if missing:
+        _fail(sub, "the following arguments are required: " + ", ".join(missing))
+    return SimpleNamespace(subcommand=sub, handler=handler, **values)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.handler(args)
     except ValueError as exc:

@@ -9,16 +9,21 @@ every shift: each restates a definition that the package itself never
 needs.  Then the value-sum screen that ``spectral.bucket_screen``
 replaced, the dense verification loop, which judges every table where
 the package's loop judges only those a verdict lists, and the subfield
-test at every k, where the package checks only generators.  Last, sympy's
-remainder mod Phi_N, the outside reference for every reduction; it imports
-sympy only when called, so the tests that use it skip without sympy.
+test at every k, where the package checks only generators.  Then the
+argparse parser the CLI's table-driven one replaced, as the cross-check of
+what a command line means.  Last, sympy's remainder mod Phi_N, the outside
+reference for every reduction; it imports sympy only when called, so the
+tests that use it skip without sympy.
 """
 
+import argparse
 import functools
 from math import gcd, lcm
 
+from gausschar import verify
+from gausschar.cli import _cmd_autocorr, _cmd_classify, _cmd_fourier, _cmd_gauss_sum, _cmd_verify
 from gausschar.cyclo import CyclotomicElement, _Frozen, euler_phi
-from gausschar.modp import UnitFunction, check_odd_prime, find_primitive_root
+from gausschar.modp import DEFAULT_BUDGET, UnitFunction, check_odd_prime, find_primitive_root
 from gausschar.spectral import _split_prime, _sumset_screen, autocorrelation, fourier_norm
 from gausschar.verify import VerificationReport
 
@@ -228,6 +233,70 @@ def in_subfield_every_k(z: CyclotomicElement, d: int) -> bool:
         if gcd(k, n) == 1 and z.galois(k) != z:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The argparse parser of the CLI.
+
+def _positive_int(text: str) -> int:
+    """A positive decimal integer: the check on --budget."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a decimal integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gausschar",
+        description="Exact Gauss sums, Fourier magnitude tests and exhaustive "
+                    "character verification over F_p.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def add_output(sp):
+        sp.add_argument("--output", choices=("table", "json"), default="table",
+                        help="output format (default: table)")
+
+    sp = sub.add_parser("verify", help="run an exhaustive verification")
+    sp.add_argument("--statement", required=True,
+                    choices=verify.STATEMENTS + ("all",),
+                    help="statement identifier, or 'all' for the default grid")
+    sp.add_argument("--p", type=int, default=None, help="odd prime modulus")
+    sp.add_argument("--n", type=int, default=None, help="value order")
+    sp.add_argument("--witnesses", action="store_true",
+                    help="list per-function witnesses in table output")
+    sp.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                    help=f"enumeration budget, a positive integer (default: {DEFAULT_BUDGET})")
+    add_output(sp)
+    sp.set_defaults(handler=_cmd_verify)
+
+    sp = sub.add_parser("classify", help="run both character tests on one function")
+    sp.add_argument("--fn", required=True,
+                    help="function text: 'p=<p> n=<n> exps=<k_1>,...,<k_{p-1}>'")
+    add_output(sp)
+    sp.set_defaults(handler=_cmd_classify)
+
+    sp = sub.add_parser("gauss-sum", help="exact Gauss sum of one function")
+    sp.add_argument("--fn", required=True, help="function text")
+    add_output(sp)
+    sp.set_defaults(handler=_cmd_gauss_sum)
+
+    sp = sub.add_parser("fourier", help="exact unnormalized Fourier coefficient")
+    sp.add_argument("--fn", required=True, help="function text")
+    sp.add_argument("--xi", required=True, type=int, help="frequency (reduced mod p)")
+    add_output(sp)
+    sp.set_defaults(handler=_cmd_fourier)
+
+    sp = sub.add_parser("autocorr", help="exact autocorrelation at one shift")
+    sp.add_argument("--fn", required=True, help="function text")
+    sp.add_argument("--h", required=True, type=int, help="shift (reduced mod p)")
+    add_output(sp)
+    sp.set_defaults(handler=_cmd_autocorr)
+
+    return parser
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
+import ast
+import importlib.util
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import reference
 
-from gausschar.cli import main
+from gausschar.cli import _parse_args, main
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run_cli(capsys, *argv):
@@ -256,10 +261,153 @@ def test_unknown_statement_rejected_by_parser(capsys):
 def test_cli_import_stays_light():
     # -S: a site .pth file may preload typing, which would hide the package's
     # own imports.  The check is on the modules loaded, never on timing.
-    heavy = ("dataclasses", "typing", "inspect", "ast")
+    heavy = ("dataclasses", "typing", "inspect", "ast", "argparse", "gettext", "locale")
     code = f"import sys, gausschar.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+# ---------------------------------------------------------------------------
+# The table-driven parser against the argparse parser it replaced.
+
+SUBCOMMANDS = ("verify", "classify", "gauss-sum", "fourier", "autocorr")
+FN = "p=5 n=2 exps=0,1,1,0"
+
+# Rejected by both parsers.
+REJECTED = (
+    [],
+    ["search", "--p", "3", "--n", "6"],
+    ["verify", "--statement", "thm_9_9", "--p", "5", "--n", "2"],
+    ["verify", "--p", "5", "--n", "2"],
+    ["classify"],
+    ["gauss-sum", "--output", "json"],
+    ["fourier", "--fn", FN],
+    ["autocorr", "--fn", FN, "--output", "json"],
+    ["classify", "--fn", FN, "--output", "xml"],
+    ["verify", "--statement", "prop_1_1", "--p", "5", "--budget", "-3"],
+    ["verify", "--statement", "prop_1_1", "--p", "5", "--budget", "0"],
+    ["verify", "--statement", "prop_1_1", "--p", "5", "--budget", "ten"],
+    ["verify", "--statement", "all", "extra"],
+    ["verify", "--statement"],
+    ["fourier", "--fn", FN, "--xi", "x"],
+    ["verify", "--statement", "all", "--witnesses=yes"],
+)
+
+# Rejected by the table alone: argparse reads these integers with int(), which
+# also takes underscores, padding and non-ASCII digits, and it accepts a
+# unique prefix of a long option.
+REJECTED_BY_TABLE = (
+    ["verify", "--statement", "prop_1_1", "--p", "5", "--budget", "1_000"],
+    ["verify", "--statement", "prop_1_1", "--p", "5", "--budget", " 7"],
+    ["verify", "--statement", "prop_1_1", "--p", "5", "--budget", "7\n"],
+    ["verify", "--statement", "prop_1_1", "--p", "5", "--budget", "\u0667"],
+    ["verify", "--statement", "prop_1_1", "--p", "1_3"],
+    ["verify", "--statement", "thm_1_2", "--p", "5", "--n", "\uff12"],
+    ["fourier", "--fn", FN, "--xi", " 1"],
+    ["autocorr", "--fn", FN, "--h", "1_0"],
+    ["verify", "--stat", "all"],
+)
+
+
+def outcome(parse, argv):
+    """The values a parser reads from argv, or the status it exits with."""
+    try:
+        return vars(parse(list(argv)))
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_parsers_reject_the_same_argvs(capsys):
+    ref = reference._build_parser().parse_args
+    for argv in REJECTED + REJECTED_BY_TABLE:
+        if argv in REJECTED:
+            assert outcome(ref, argv) == 2, argv
+        else:
+            assert isinstance(outcome(ref, argv), dict), argv
+        capsys.readouterr()
+        assert outcome(_parse_args, argv) == 2, argv
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: gausschar"), argv
+        assert re.match(r"gausschar( [a-z-]+)?: error: ", error), argv
+        if argv in REJECTED_BY_TABLE:
+            assert "must be a decimal integer" in error or "unrecognized argument" in error
+
+
+def _argvs_in_this_file():
+    """Every literal command line of this file: run_cli calls and lists of
+    strings that start with a subcommand."""
+    argvs = []
+    for node in ast.walk(ast.parse(Path(__file__).read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_cli":
+            items = node.args[1:]
+        elif isinstance(node, ast.List) and node.elts:
+            items = node.elts
+        else:
+            continue
+        if all(isinstance(x, ast.Constant) and isinstance(x.value, str) for x in items):
+            argv = [x.value for x in items]
+            if argv[0] in SUBCOMMANDS + ("search",):
+                argvs.append(argv)
+    return argvs
+
+
+def _argvs_in_docs():
+    """The README's gausschar examples and the CLI calls of the CI workflow."""
+    argvs = []
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("gausschar "):
+            argvs.append(shlex.split(line)[1:])
+    for line in (ROOT / ".github/workflows/ci.yml").read_text().splitlines():
+        line = line.strip()
+        if line.startswith("refuses "):
+            argvs.append(shlex.split(line)[1:])
+        elif "-m gausschar.cli " in line:
+            rest = line.split("-m gausschar.cli ", 1)[1].split(" > ")[0]
+            if not rest.lstrip('"').startswith("$"):    # a shell function's or loop's argv
+                argvs.append(shlex.split(rest))
+    return argvs
+
+
+def _argvs_of_the_benchmark():
+    """The commands of perfbench's cli_cold workload for a few seeds."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [list(op) for seed in range(4) for op in workloads.CliCold(seed, False).ops]
+
+
+def test_parsers_agree_on_the_corpus(capsys):
+    ref = reference._build_parser().parse_args
+    corpora = {"tests": _argvs_in_this_file(), "docs": _argvs_in_docs(),
+               "benchmark": _argvs_of_the_benchmark()}
+    assert len(corpora["tests"]) > 30 and len(corpora["docs"]) > 20
+    assert len(corpora["benchmark"]) == 56
+    for name, argvs in corpora.items():
+        for argv in argvs:
+            if argv in REJECTED_BY_TABLE:   # where the two differ on purpose
+                continue
+            assert outcome(_parse_args, argv) == outcome(ref, argv), (name, argv)
+    capsys.readouterr()
+
+
+def test_help_lists_every_command_and_option(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert all(re.search(rf"^  {sub} ", out, re.M) for sub in SUBCOMMANDS), out
+    options = {"verify": ("--statement", "--p", "--n", "--witnesses", "--budget", "--output"),
+               "classify": ("--fn", "--output"), "gauss-sum": ("--fn", "--output"),
+               "fourier": ("--fn", "--xi", "--output"), "autocorr": ("--fn", "--h", "--output")}
+    for sub, names in options.items():
+        with pytest.raises(SystemExit) as excinfo:
+            main([sub, "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: gausschar {sub} ")
+        for name in ("-h, --help",) + names:
+            assert re.search(rf"^  {name}\b", out, re.M), (sub, name)
