@@ -172,6 +172,21 @@ MUTANTS = (
      "    if value < 1:\n        raise ValueError(f\"must be positive",
      "    if False:\n        raise ValueError(f\"must be positive",
      (f"{TEST_CLI}::test_budget_flag_must_be_positive",)),
+    ("the JSON writer prints True as 1", CLI,
+     "    if isinstance(value, bool):\n        return \"true\" if value else \"false\"\n"
+     "    if isinstance(value, int):\n        return int.__repr__(value)\n",
+     "    if isinstance(value, int):\n        return int.__repr__(value)\n"
+     "    if isinstance(value, bool):\n        return \"true\" if value else \"false\"\n",
+     (f"{TEST_CLI}::test_json_writer_matches_json_dumps",)),
+    ("the JSON writer leaves keys unsorted", CLI,
+     "for key, item in sorted(value.items())", "for key, item in value.items()",
+     (f"{TEST_CLI}::test_json_writer_matches_json_dumps",)),
+    ("the parser takes non-ASCII digits", MODP,
+     "return word.isascii() and word.isdigit()", "return word.isdigit()",
+     (f"{TEST_CLI}::test_function_text_parsers_agree_on_the_corpus",)),
+    ("the parser drops the exps field", MODP,
+     'or words[2][1:] != ["exps"]', "or len(words[2]) != 2",
+     (f"{TEST_CLI}::test_function_text_parsers_agree_on_the_corpus",)),
 )
 
 # Edits that change no answer, so no test can kill them; listed, not run.
@@ -181,6 +196,12 @@ EQUIVALENT = (
      "while powers[-1] not in fixed:", "while powers[-1] != 1:",
      "once k^m lies in the group fixed, k^(m+j) * fixed = k^j * fixed, so the "
      "further powers add no element."),
+    ("the split-prime search trusts Fermat and skips is_prime", SPECTRAL,
+     "while pow(2, ell - 1, ell) != 1 or not is_prime(ell):",
+     "while pow(2, ell - 1, ell) != 1:",
+     "a search over every order from 1 to MAX_ORDER found no base-2 pseudoprime "
+     "ahead of the split prime; the trial division stays so that exactness holds "
+     "by construction."),
 )
 
 

@@ -12,25 +12,50 @@ order, the last repeat winning, and long options are never abbreviated.
 Integers are an optional sign and ASCII digits.  argparse is not used: its
 import, with gettext, and the build of its parsers cost more than the
 package's own import and, in most commands, more than the arithmetic.
+Nor is json, whose import compiles regular expressions: ``_json_text``
+writes each record itself, byte for byte as ``json.dumps`` with sorted
+keys would, and imports json only for a string that needs escapes.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from types import SimpleNamespace
 
 from . import modp, spectral, verify
 from .cyclo import CyclotomicElement
-from .modp import DEFAULT_BUDGET, parse_unit_function
+from .modp import DEFAULT_BUDGET, _is_digits, parse_unit_function
 
 _REPORT_HEADER = (f"{'statement':<22} {'p':>4} {'n':>4} {'functions':>10} "
                   f"{'spectral':>9} {'oracle':>7} {'mismatches':>11} "
                   f"{'elapsed_ms':>11}  status")
 
 
+def _json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True)`` for the values a record holds:
+    None, bools, ints, strings, lists, tuples and dicts keyed by strings.
+    A string of printable ASCII with no quote or backslash is quoted as it
+    is; any other string, or any other value, goes to ``json.dumps``."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_json_text, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_json_text(key)}: {_json_text(item)}"
+                               for key, item in sorted(value.items())) + "}"
+    if (isinstance(value, str) and value.isascii() and value.isprintable()
+            and '"' not in value and "\\" not in value):
+        return f'"{value}"'
+    import json
+    return json.dumps(value, sort_keys=True)
+
+
 def _emit_json(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
+    print(_json_text(record))
 
 
 def _coeff_text(coeffs) -> str:
@@ -181,8 +206,7 @@ def _cmd_autocorr(args) -> int:
 
 def _integer(text: str) -> int:
     """A decimal integer: an optional sign, then ASCII digits and nothing else."""
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()):
+    if not _is_digits(text[1:] if text[:1] in ("+", "-") else text):
         raise ValueError(f"must be a decimal integer, got {text!r}")
     return int(text)
 

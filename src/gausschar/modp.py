@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import re
 from collections.abc import Iterator
 from math import gcd
 
@@ -86,10 +85,6 @@ def find_primitive_root(p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Function tables valued in roots of unity.
-
-_FUNCTION_RE = re.compile(
-    r"\s*p\s*=\s*(\d+)\s+n\s*=\s*(\d+)\s+exps\s*=\s*([0-9,\s]+?)\s*$")
-
 
 class UnitFunction(_Frozen):
     """A function f from the units mod p into the n-th roots of unity.
@@ -153,22 +148,34 @@ _set_p, _set_n, _set_exps = (UnitFunction.p.__set__, UnitFunction.n.__set__,
                              UnitFunction.exps.__set__)
 
 
+def _is_digits(word: str) -> bool:
+    """Whether word is one or more ASCII digits, the form of every integer
+    the CLI reads."""
+    return word.isascii() and word.isdigit()
+
+
 def parse_unit_function(text: str) -> UnitFunction:
     """Parse the textual format ``p=<p> n=<n> exps=<k_1>,...,<k_{p-1}>``.
 
-    Whitespace-tolerant; exponents are validated against [0, n).
+    Whitespace-tolerant: any whitespace may surround each ``=`` and comma,
+    and at least some separates ``<p>`` from ``n`` and ``<n>`` from
+    ``exps``.  The integers are ASCII digits; exponents are validated
+    against [0, n).  Read with ``str`` methods, not a regular expression,
+    whose compile would cost a one-function command more than the parse.
     """
-    m = _FUNCTION_RE.match(text)
-    if not m:
+    *heads, body = text.split("=")
+    words = [head.split() for head in heads]
+    if (len(words) != 3 or words[0] != ["p"] or words[1][1:] != ["n"]
+            or words[2][1:] != ["exps"] or not _is_digits(words[1][0])
+            or not _is_digits(words[2][0]) or not body
+            or not all(map(_is_digits, body.replace(",", " ").split()))):
         raise ValueError(
             "malformed function text; expected "
             "'p=<int> n=<int> exps=<comma-separated ints>'")
-    p, n = int(m.group(1)), int(m.group(2))
-    try:
-        exps = tuple(int(tok.strip()) for tok in m.group(3).split(","))
-    except ValueError:
-        raise ValueError("bad exponent list; expected comma-separated integers") from None
-    return UnitFunction(p, n, exps)
+    items = [item.strip() for item in body.split(",")]
+    if not all(map(_is_digits, items)):
+        raise ValueError("bad exponent list; expected comma-separated integers")
+    return UnitFunction(int(words[1][0]), int(words[2][0]), tuple(map(int, items)))
 
 
 def legendre_unit_function(p: int) -> UnitFunction:

@@ -11,13 +11,16 @@ replaced, the dense verification loop, which judges every table where
 the package's loop judges only those a verdict lists, and the subfield
 test at every k, where the package checks only generators.  Then the
 argparse parser the CLI's table-driven one replaced, as the cross-check of
-what a command line means.  Last, sympy's remainder mod Phi_N, the outside
-reference for every reduction; it imports sympy only when called, so the
-tests that use it skip without sympy.
+what a command line means, and the regular-expression parser of function
+text that ``modp.parse_unit_function``'s ``str`` methods replaced.  Last,
+sympy's remainder mod Phi_N, the outside reference for every reduction; it
+imports sympy only when called, so the tests that use it skip without
+sympy.
 """
 
 import argparse
 import functools
+import re
 from math import gcd, lcm
 
 from gausschar import verify
@@ -297,6 +300,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_autocorr)
 
     return parser
+
+
+# ---------------------------------------------------------------------------
+# The regular-expression parser of function text.
+
+_FUNCTION_RE = re.compile(
+    r"\s*p\s*=\s*(\d+)\s+n\s*=\s*(\d+)\s+exps\s*=\s*([0-9,\s]+?)\s*$")
+
+
+def parse_unit_function(text: str) -> UnitFunction:
+    """Parse the textual format ``p=<p> n=<n> exps=<k_1>,...,<k_{p-1}>``.
+
+    Whitespace-tolerant; exponents are validated against [0, n).
+    """
+    m = _FUNCTION_RE.match(text)
+    if not m:
+        raise ValueError(
+            "malformed function text; expected "
+            "'p=<int> n=<int> exps=<comma-separated ints>'")
+    p, n = int(m.group(1)), int(m.group(2))
+    try:
+        exps = tuple(int(tok.strip()) for tok in m.group(3).split(","))
+    except ValueError:
+        raise ValueError("bad exponent list; expected comma-separated integers") from None
+    return UnitFunction(p, n, exps)
 
 
 # ---------------------------------------------------------------------------

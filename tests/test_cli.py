@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 import reference
 
-from gausschar.cli import _parse_args, main
+from gausschar import cli, modp
+from gausschar.cli import _json_text, _parse_args, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -261,7 +262,8 @@ def test_unknown_statement_rejected_by_parser(capsys):
 def test_cli_import_stays_light():
     # -S: a site .pth file may preload typing, which would hide the package's
     # own imports.  The check is on the modules loaded, never on timing.
-    heavy = ("dataclasses", "typing", "inspect", "ast", "argparse", "gettext", "locale")
+    heavy = ("dataclasses", "typing", "inspect", "ast", "argparse", "gettext", "locale",
+             "json", "re", "enum")
     code = f"import sys, gausschar.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
@@ -411,3 +413,138 @@ def test_help_lists_every_command_and_option(capsys):
         assert out.startswith(f"usage: gausschar {sub} ")
         for name in ("-h, --help",) + names:
             assert re.search(rf"^  {name}\b", out, re.M), (sub, name)
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer against json.dumps.
+
+def _same_as_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True), value
+
+
+def test_json_writer_matches_json_dumps():
+    strings = ("", "ok", 'say "hi"', "back\\slash", "nul\x00", "line\nbreak", "tab\t",
+               "del\x7f", "caf\u00e9", "\U0001F600", " ", "~", "p divides n")
+    for text in strings:
+        _same_as_json_dumps(text)
+        _same_as_json_dumps({text: [text]})
+    values = (None, True, False, 1, 0, -1, [True, 1, False, 0], (0, True), (), [], [[]],
+              [[1, [2, []]], {}], 2 ** 64 + 1, -(2 ** 70), {"a": True, "b": 1, "c": False},
+              {"z": None, "b": [1, 2], "a": {"y": 0, "x": "t"}, "B": ()}, [{"k": 1}, None])
+    for value in values:
+        _same_as_json_dumps(value)
+
+
+def test_json_writer_matches_json_dumps_on_every_cli_record(capsys, monkeypatch):
+    # Every command line of this file, the docs and the benchmark, asked for
+    # JSON (the last --output wins), and every golden report.
+    records = []
+    monkeypatch.setattr(cli, "_emit_json", records.append)
+    for argv in _argvs_in_this_file() + _argvs_in_docs() + _argvs_of_the_benchmark():
+        try:
+            main(argv + ["--output", "json"])
+        except SystemExit:
+            pass
+    capsys.readouterr()
+    assert len(records) > 100
+    for name in ("grid_golden.jsonl", "tier2_golden.jsonl"):
+        lines = (ROOT / "tests" / "data" / name).read_text().splitlines()
+        records += [json.loads(line) for line in lines]
+    for record in records:
+        _same_as_json_dumps(record)
+
+
+# ---------------------------------------------------------------------------
+# The str-method parser of function text against the regular expression it
+# replaced.
+
+# Rejected by both parsers.
+MALFORMED_FN = (
+    "", "gibberish", "p=5 n=2", "p=5 exps=0,1,1,0", "n=2 exps=0,1,1,0",
+    "n=2 p=5 exps=0,1,1,0", "p=5 exps=0,1,1,0 n=2", "p=5n=2 exps=0,1,1,0",
+    "p=5 n=2exps=0,1,1,0", "p=5 n=2 exps=0,,1,1", "p=5 n=2 exps=0,1,1,",
+    "p=5 n=2 exps=0,,1", "p=5 n=2 exps=", "p=5 n=2 exps= ", "p=5 n=2 exps=0,1=1,0",
+    "p=5 n=2 exp=0,1,1,0", "p=5 n=2 n=0,1,1,0", "p=5 n=2 exps=0,1 1,0",
+    "p=5 n=2 exps=0;1;1;0", "p=5 n=2 exps=0,-1,1,0", "p=+5 n=2 exps=0,1,1,0",
+    "p=1_1 n=2 exps=0,1,1,0", "p=5 n=2 exps=0,1_0,1,0", "P=5 n=2 exps=0,1,1,0",
+    "p=5 n=2 exps=0,\u0661,1,0", "p=5 n=2 exps=0,1,2,0", "p=5 n=2 exps=0,1,1",
+    "p=4 n=2 exps=0,1,1", "p=5 n=0 exps=0,0,0,0", "p = = 5 n=2 exps=0,1,1,0",
+    "p=5 n=2 exps=0,1,1,0 x", "p=1000000000000000000000007 n=2 exps=0",
+)
+# Accepted by both.
+WELL_FORMED_FN = (
+    "p=5 n=2 exps=0,1,1,0", "  p = 5\tn =2\n exps= 0 , 1,1 ,0 \n", "p=05 n=2 exps=0,1,1,00",
+    "p=5\u00a0n=2\u2003exps=0,1,1,0\u3000", "p=3 n=6 exps=0,5\n",
+)
+# Rejected by the str methods alone: the regular expression's \d also took
+# non-ASCII decimal digits in p and n, which int() reads.
+REJECTED_BY_STR = (
+    "p=\u0665 n=2 exps=0,1,1,0", "p=5 n=\uff12 exps=0,1,1,0",
+    "p=\u0967\u0967 n=2 exps=0,0,0,0,0,0,0,0,0,0",
+)
+
+
+def parse_outcome(parse, text):
+    """The table a parser reads from text, or the message it refuses with."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _fn_literals_in_tests():
+    """The value after every "--fn" in a literal list or call of tests/, and
+    every literal parse_unit_function argument there."""
+    texts = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            items = node.elts if isinstance(node, ast.List) else (
+                node.args if isinstance(node, ast.Call) else [])
+            values = [x.value if isinstance(x, ast.Constant) else None for x in items]
+            texts += [v for k, v in zip(values, values[1:]) if k == "--fn" and isinstance(v, str)]
+            if getattr(getattr(node, "func", None), "id", None) == "parse_unit_function":
+                texts += [v for v in values if isinstance(v, str)]
+    return texts
+
+
+def _fn_texts_in_docs():
+    """The README's --fn values, and CI's, whose exps the workflow builds
+    with a python -c program that is run here the same way."""
+    texts = []
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("gausschar ") and "--fn" in line:
+            argv = shlex.split(line)
+            texts.append(argv[argv.index("--fn") + 1])
+    exps = None
+    for line in (ROOT / ".github/workflows/ci.yml").read_text().splitlines():
+        if "exps=$(python -c '" in line:
+            program = line.split("-c '", 1)[1].rsplit("')", 1)[0]
+            exps = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                                  text=True, check=True, timeout=60).stdout.strip()
+        elif '--fn "' in line:
+            texts.append(line.split('--fn "', 1)[1].split('"', 1)[0].replace("$exps", exps))
+    return texts
+
+
+def test_function_text_parsers_agree_on_the_corpus():
+    corpora = {"tests": _fn_literals_in_tests(), "docs": _fn_texts_in_docs(),
+               "benchmark": [argv[2] for argv in _argvs_of_the_benchmark() if argv[1] == "--fn"],
+               "malformed": MALFORMED_FN, "well-formed": WELL_FORMED_FN}
+    assert len(corpora["tests"]) > 15 and len(corpora["docs"]) == 6
+    assert len(corpora["benchmark"]) > 30
+    for name, texts in corpora.items():
+        for text in texts:
+            ours = parse_outcome(modp.parse_unit_function, text)
+            assert ours == parse_outcome(reference.parse_unit_function, text), (name, text)
+            if name in ("malformed", "well-formed"):
+                assert isinstance(ours, str) == (name == "malformed"), (name, text)
+    for text in REJECTED_BY_STR:
+        assert isinstance(reference.parse_unit_function(text), modp.UnitFunction), text
+        assert parse_outcome(modp.parse_unit_function, text).startswith("malformed"), text
+
+
+def test_non_ascii_digits_in_function_text_exit_2(capsys):
+    for text in REJECTED_BY_STR:
+        code, out, err = run_cli(capsys, "classify", "--fn", text)
+        assert code == 2 and out == "", text
+        assert err.startswith("error: malformed function text"), text
