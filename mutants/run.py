@@ -68,19 +68,25 @@ MUTANTS = (
      "self.row_bound = 1 + min(", "self.row_bound = min(",
      (f"{TEST_CYCLO}::test_row_bound_covers_every_power",)),
     ("thm_1_7 judges only its screen's tables", VERIFY,
-     'return _run("thm_1_7", p, n, judge, functions,\n'
-     "                spectral.bucket_screen(p, n) + modp.homomorphism_candidates(p, n))",
-     'return _run("thm_1_7", p, n, judge, functions,\n'
-     "                spectral.bucket_screen(p, n))",
+     '_Statement("thm_1_7", _thm_1_7, GRID_CELLS, p_divides_n=None)',
+     '_Statement("thm_1_7", _thm_1_7, GRID_CELLS, p_divides_n=None,\n'
+     "                            candidates=lambda p, n, fix_f1: [])",
      (f"{TEST_VERIFY}::test_thm_1_7_cells",)),
     ("remark_p_divides_n judges only its candidates", VERIFY,
-     "spectral.magnitude_screen(p, n) + modp.homomorphism_candidates(p, n))\n    rep.success",
-     "modp.homomorphism_candidates(p, n))\n    rep.success",
+     "screen=_magnitude, finds=True)", "screen=lambda p, n, fix_f1: [], finds=True)",
      (f"{TEST_VERIFY}::test_search_p_divides_n",)),
-    ("_run counts only the judged tables", VERIFY,
+    ("prop_2_2 admits p | n", VERIFY,
+     '_Statement("prop_2_2", _prop_2_2, GRID_CELLS)',
+     '_Statement("prop_2_2", _prop_2_2, GRID_CELLS, p_divides_n=None)',
+     (f"{TEST_VERIFY}::test_each_statement_keeps_its_f1_rule_and_hypothesis[prop_2_2]",)),
+    ("cor_2_3 fixes f(1)", VERIFY,
+     '_Statement("cor_2_3", _cor_2_3, GRID_CELLS_FREE, fix_f1=False)',
+     '_Statement("cor_2_3", _cor_2_3, GRID_CELLS_FREE)',
+     (f"{TEST_VERIFY}::test_each_statement_keeps_its_f1_rule_and_hypothesis[cor_2_3]",)),
+    ("_tally counts only the judged tables", VERIFY,
      "rep.total_functions = index + 1", "rep.total_functions = len(judged)",
      (f"{TEST_VERIFY}::test_run_judges_exactly_the_tables_a_verdict_passes",)),
-    ("_run without the index-past-the-cell guard", VERIFY,
+    ("_tally without the index-past-the-cell guard", VERIFY,
      "    if max(judged, default=-1) > index:\n        raise ValueError(",
      "    if False:\n        raise ValueError(",
      (f"{TEST_VERIFY}::test_run_refuses_a_screen_of_the_wrong_length",
@@ -95,7 +101,7 @@ MUTANTS = (
      "return full, oracle_hit, full or not hits,", "return full, oracle_hit, True,",
      (f"{TEST_VERIFY}::test_cor_1_3_judge_reports_a_broken_dichotomy",)),
     ("lemma_2_1 judge skips its -tau identity", VERIFY,
-     "minus_tau = const and zeta_pow(n, g.exps[0]).embed(big) == -tau",
+     "minus_tau = const and zeta_pow(n, g.exps[0]).embed(lcm(n, p)) == -tau",
      "minus_tau = const",
      (f"{TEST_VERIFY}::test_lemma_2_1_judge_reports_a_wrong_minus_tau",)),
     ("zero-sum lookup target +h instead of -h", SPECTRAL,

@@ -1,73 +1,78 @@
 """Exhaustive verification of the exact character criteria at small moduli.
 
-Each statement has one verifier, called as ``verifier(p, n, budget)``;
-the statement table ``_PARAMETRIC_VERIFIERS`` maps every statement name
-to it, in default-grid order, and ``STATEMENTS`` is that table's keys.
+Each statement is one record, a ``_Statement``, which is also its verifier:
+called as ``verifier(p, n, budget)`` it runs the one loop
+``_run(statement, p, n, budget)``.  The statement table
+``_PARAMETRIC_VERIFIERS`` maps every statement name to its record, in
+default-grid order, and ``STATEMENTS`` is that table's keys.
 ``run_statement`` looks a name up there and calls the verifier, and sets
-the report's ``elapsed_ms`` from the whole call (a verifier called
-directly leaves it 0); ``default_grid`` reads each statement's cells from
-``_DEFAULT_CELLS``.
+the report's ``elapsed_ms`` from the whole call (a verifier called directly
+leaves it 0); ``default_grid`` reads each record's default cells.
 
-A verifier first opens its (p, n) cell with ``_cell``, which refuses a
-missing p or n with a message naming the statement, validates the cell
-(through ``modp.enumerate_unit_functions``, cheapest check first, the
-budget before primality) and applies the statement's divisibility
-hypothesis; only then are per-cell constants built.  The two statements
-with a pinned parameter check their parameters themselves: ``prop_1_1``
-requires p and takes n = 2 or None, the counterexample takes (3, 6) or
-neither, and any other value is a ``HypothesisViolation``; a pinned value
-given as a float, such as 3.0 or 2.0, is refused as ``_cell`` refuses it.
+A record holds what sets its statement apart, and nothing else: its f(1)
+rule (``fix_f1``: the tables have f(1) = 1, or f(1) is free), its
+hypothesis that p divides n (True), does not (False) or either (None), its
+default cells, its screen and its candidate source, each a call on (p, n,
+fix_f1) that returns a sorted list of table indices (see
+``modp.table_index``), and its judge, ``judge(p, n, f)``, which a run binds
+to its cell's (p, n).  Two statements have a pinned parameter, checked by
+the record's ``pin`` before anything else: ``prop_1_1`` requires p and
+takes n = 2 or None, the counterexample takes (3, 6) or neither, and any
+other value is a ``HypothesisViolation``.  The counterexample also pins its
+tables, one in all, ``(0, 5)``; a pinned table list is the whole cell,
+every table of it is judged, and it fits any budget.  The existence search
+``remark_p_divides_n`` is the one record with ``finds`` set: its report
+succeeds when it lists a witness.
 
-Among the per-cell constants are two sorted lists of table indices (see
-``modp.table_index``), each naming the tables that a verdict source has
-not rejected.  The cell screen, from ``spectral``, holds the split-prime
-survivors (see the ``spectral`` module docstring): a table left out is
-proven to fail the statement's analytic test.  The Gauss-sum statements
-that assume p does not divide n (``prop_1_1``, ``thm_1_2``,
-``prop_2_2``, ``cor_2_3``) and ``thm_1_7`` take
-``spectral.bucket_screen(p, n)`` or, with f(1) free,
-``bucket_screen(p, n, fix_f1=False)``: a table it leaves out has a
-nonzero value sum or |S_1|^2 != p, and either rules out a flat profile,
-and |tau(f)|^2 = p when p does not divide n.  ``cor_1_3`` and ``remark_p_divides_n`` take
-``magnitude_screen``, which passes the tables whose image passes at some
-unit, so a table it leaves out fails at every twist and no dichotomy is
-assumed.  The candidate list holds the oracle side's survivors: most
-statements take ``modp.homomorphism_candidates`` (at n = 2 for
-``prop_1_1``), the characters in closed form from one primitive root,
-times each constant when f(1) is free, so a table left out is no
-character, nor a constant times one; ``lemma_2_1`` lists the n constant
-tables, and the pinned counterexample lists its one table, ``[0]``.
+``_run`` first opens the cell: it refuses a missing p or n with a message
+naming the statement, validates the cell (through
+``modp.enumerate_unit_functions``, cheapest check first, the budget before
+primality; a pinned table refuses a float p or n the same way, through
+``UnitFunction``) and applies the divisibility hypothesis; only then are
+the index lists and the judge built.  The screen's list holds the
+split-prime survivors (see the ``spectral`` module docstring): a table left
+out is proven to fail the statement's analytic test.  The Gauss-sum
+statements that assume p does not divide n (``prop_1_1``, ``thm_1_2``,
+``prop_2_2``, ``cor_2_3``) and ``thm_1_7`` take ``spectral.bucket_screen``:
+a table it leaves out has a nonzero value sum or |S_1|^2 != p, and either
+rules out a flat profile, and |tau(f)|^2 = p when p does not divide n.
+``cor_1_3`` and ``remark_p_divides_n`` take ``magnitude_screen``, which
+passes the tables whose image passes at some unit, so a table it leaves out
+fails at every twist and no dichotomy is assumed; ``lemma_2_1`` takes
+``subfield_screen``.  The candidate list holds the oracle side's survivors:
+most statements take ``modp.homomorphism_candidates`` (at n = 2 for
+``prop_1_1``), the characters in closed form from one primitive root, times
+each constant when f(1) is free, so a table left out is no character, nor a
+constant times one; ``lemma_2_1`` lists the n constant tables.
 
-Every verifier then runs through one loop, ``_run``, and hands it the
-screen's list and the candidate list end to end as the tables to judge.
-``_run`` walks the opened stream (or the pinned tables it is given) once,
-counts every table, calls the statement's judge as ``judge(f)`` on each
+``_run`` then hands the screen's list and the candidate list, end to end,
+to ``_tally``, the walk.  ``_tally`` walks the opened stream (or the pinned
+tables) once, counts every table, calls the judge as ``judge(f)`` on each
 table whose index is listed, and raises ValueError on an index at or past
-the cell's table count, so a list can never name a table the cell does
-not have.  A judge sees the table alone and decides both sides in full:
-the statement's analytic test (Gauss-sum magnitude, Fourier witness,
-subfield membership or autocorrelation profile, each "yes" decided by
-canonical equality) and its oracle side (the brute-force homomorphism
-oracle, with ``UnitFunction.normalized`` where f(1) is free; for
-``prop_1_1`` and ``lemma_2_1``, equality with the Legendre table or the
-constant test).  It returns ``(spectral_hit, oracle_hit, agrees,
-witness)``: whether each side holds, whether the two relate as the
-statement predicts, and the ``(exps, a)`` record to list as a witness, or
-None.  A table in neither list fails both sides, by the two proven
-rejections, so its judge returns ``(False, False, True, None)``, which
-adds only to the count; ``_run`` counts such a table without judging it,
-and the report is the one that judging every table gives.  The test
-``test_every_judge_is_neutral_where_both_sides_reject`` runs every judge
-on every default-grid table that ``_run`` skips and is what keeps that
-skip exact.  Functions whose sides disagree are listed as mismatches, and
-``_run``'s report succeeds exactly when there are none; the existence
-search ``remark_p_divides_n`` then sets its report to succeed when it
-lists at least one witness.
+the cell's table count, so a list can never name a table the cell does not
+have.  A judge sees the table alone and decides both sides in full: the
+statement's analytic test (Gauss-sum magnitude, Fourier witness, subfield
+membership or autocorrelation profile, each "yes" decided by canonical
+equality) and its oracle side (the brute-force homomorphism oracle, with
+``UnitFunction.normalized`` where f(1) is free; for ``prop_1_1`` and
+``lemma_2_1``, equality with the Legendre table or the constant test).  It
+returns ``(spectral_hit, oracle_hit, agrees, witness)``: whether each side
+holds, whether the two relate as the statement predicts, and the ``(exps,
+a)`` record to list as a witness, or None.  A table in neither list fails
+both sides, by the two proven rejections, so its judge returns ``(False,
+False, True, None)``, which adds only to the count; ``_tally`` counts such
+a table without judging it, and the report is the one that judging every
+table gives.  The test ``test_every_judge_is_neutral_where_both_sides_reject``
+runs every judge on every default-grid table that ``_tally`` skips and is
+what keeps that skip exact.  Functions whose sides disagree are listed as
+mismatches, and the report succeeds exactly when there are none, or, for a
+record with ``finds``, when it lists at least one witness.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from math import lcm
 
 from . import modp, spectral
@@ -134,21 +139,6 @@ class VerificationReport(_Value):
         return record
 
 
-def _cell(statement: str, p: "int | None", n: "int | None", budget: int,
-          fix_f1: bool = True, p_divides_n: "bool | None" = False):
-    """Open a cell of the statement: require p and n, validate them against
-    the budget, then hold the cell to the statement's hypothesis that p
-    divides n (True), does not (False), or either (None).  Returns the
-    unstarted enumeration of the cell."""
-    if p is None or n is None:
-        raise ValueError(f"{statement} requires p and n")
-    functions = modp.enumerate_unit_functions(p, n, fix_f1=fix_f1, budget=budget)
-    if p_divides_n is not None and (n % p == 0) != p_divides_n:
-        raise HypothesisViolation(
-            f"p {'does not divide' if p_divides_n else 'divides'} n (p={p}, n={n})")
-    return functions
-
-
 def _gauss_norm_is_p(f: UnitFunction) -> bool:
     return spectral.has_unit_fourier_magnitude(f, f.p - 1)
 
@@ -157,11 +147,198 @@ def _is_nontrivial_character(f: UnitFunction) -> bool:
     return modp.is_character_oracle(f) and not f.is_trivial
 
 
-def _run(statement: str, p: int, n: int, judge, functions, judged) -> VerificationReport:
+# ---------------------------------------------------------------------------
+# Screens and candidate sources, each a call on (p, n, fix_f1) that returns
+# sorted table indices.  They look their function up at call time, so a
+# stand-in bound on the module is the one a run calls.
+
+def _bucket(p: int, n: int, fix_f1: bool) -> list:
+    return spectral.bucket_screen(p, n, fix_f1)
+
+
+def _magnitude(p: int, n: int, fix_f1: bool) -> list:
+    return spectral.magnitude_screen(p, n, fix_f1)
+
+
+def _subfield(p: int, n: int, fix_f1: bool) -> list:
+    return spectral.subfield_screen(p, n)
+
+
+def _characters(p: int, n: int, fix_f1: bool) -> list:
+    return modp.homomorphism_candidates(p, n, fix_f1)
+
+
+def _constants(p: int, n: int, fix_f1: bool) -> list:
+    return [modp.table_index((d,) * (p - 1), n) for d in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# The judges, one per statement.  A run binds a judge to its cell's (p, n)
+# and calls it as judge(f) on one table.
+
+def _prop_1_1(p: int, n: int, f: UnitFunction) -> tuple:
+    """Sign functions with f(1) = 1: among all 2^(p-2) of them, exactly the
+    quadratic-residue table has norm_squared(tau(f)) = p."""
+    hit = _gauss_norm_is_p(f)
+    is_legendre = f.exps == modp.legendre_unit_function(p).exps
+    return hit, is_legendre, hit == is_legendre, (f.exps, p - 1) if hit else None
+
+
+def _thm_1_2(p: int, n: int, f: UnitFunction) -> tuple:
+    """Spectral witness test against the oracle, over all mu_n-valued f with
+    f(1) = 1: some |fhat(a)| = 1 iff f is a nontrivial character.  A table
+    the screen rejects has S_1 off p or S_0 != 0, so it has no witness at
+    a = 1, the one unit the witness test tries when p does not divide n."""
+    a = spectral.spectral_witness(f)
+    hit = a is not None
+    oracle_hit = _is_nontrivial_character(f)
+    return hit, oracle_hit, hit == oracle_hit, (f.exps, a) if hit else None
+
+
+def _cor_1_3(p: int, n: int, f: UnitFunction) -> tuple:
+    """Dichotomy check over all mu_n-valued f (f(1) free): the witness set
+    {a : |fhat(a)| = 1} is empty or all of the units, never in between.  A
+    table that the screen rejects at every unit has no witness at all."""
+    hits = sum(spectral.has_unit_fourier_magnitude(f, a) for a in range(1, p))
+    full = hits == p - 1
+    oracle_hit = _is_nontrivial_character(f.normalized())
+    return full, oracle_hit, full or not hits, (f.exps, 1) if full else None
+
+
+def _lemma_2_1(p: int, n: int, g: UnitFunction) -> tuple:
+    """Subfield filter over all mu_n-valued g: tau(g) lies in Q(zeta_n) for
+    exactly the n constant functions, and each such g is identically
+    -tau(g)."""
+    const = g.is_constant
+    tau = spectral.gauss_sum(g).value
+    if tau.in_subfield(n):
+        minus_tau = const and zeta_pow(n, g.exps[0]).embed(lcm(n, p)) == -tau
+        return True, const, minus_tau, (g.exps, None)
+    return False, const, not const, None
+
+
+def _prop_2_2(p: int, n: int, f: UnitFunction) -> tuple:
+    """Gauss-magnitude test against the oracle, over all mu_n-valued f with
+    f(1) = 1: norm_squared(tau(f)) = p iff f is a nontrivial character."""
+    hit = _gauss_norm_is_p(f)
+    oracle_hit = _is_nontrivial_character(f)
+    return hit, oracle_hit, hit == oracle_hit, (f.exps, p - 1) if hit else None
+
+
+def _cor_2_3(p: int, n: int, f: UnitFunction) -> tuple:
+    """Factorization form with f(1) free: norm_squared(tau(f)) = p iff f
+    splits as f(1) times a nontrivial character."""
+    factors = _is_nontrivial_character(f.normalized())
+    hit = _gauss_norm_is_p(f)
+    return hit, factors, hit == factors, (f.exps, p - 1) if hit else None
+
+
+def _thm_1_7(p: int, n: int, f: UnitFunction) -> tuple:
+    """Autocorrelation criterion against the oracle, over all mu_n-valued f
+    with f(1) = 1.  The flat profile (-1 at every nonzero shift) holds for
+    exactly the nontrivial characters: the trivial character autocorrelates
+    to p - 2 off zero, so it is counted on the oracle side only.  No
+    divisibility hypothesis here."""
+    flat = spectral.kurlberg_test(f)
+    oracle_hit = modp.is_character_oracle(f)
+    return (flat, oracle_hit, flat == (oracle_hit and not f.is_trivial),
+            (f.exps, None) if flat else None)
+
+
+def _counterexample(p: int, n: int, f: UnitFunction) -> tuple:
+    """The pinned counterexample p = 3, n = 6, f = (1, e(5/6)): Gauss sum of
+    magnitude sqrt(3) without being a character, showing that dropping the
+    p-not-dividing-n hypothesis breaks the magnitude criterion."""
+    hit = _gauss_norm_is_p(f)
+    oracle_hit = modp.is_character_oracle(f)
+    a = spectral.spectral_witness(f)
+    agrees = hit and not oracle_hit and f.n % f.p == 0 and a == 2
+    return hit, oracle_hit, agrees, None if a is None else (f.exps, a)
+
+
+def _search(p: int, n: int, f: UnitFunction) -> tuple:
+    """Hunt, over f with f(1) = 1, for non-homomorphisms whose Gauss sum
+    still has norm_squared = p; only possible because p divides n.  Hits
+    are returned as witnesses and no count formula is asserted."""
+    hit = _gauss_norm_is_p(f)
+    oracle_hit = modp.is_character_oracle(f)
+    found = hit and not oracle_hit
+    return hit, oracle_hit, True, (f.exps, spectral.spectral_witness(f)) if found else None
+
+
+def _sign_functions(p: "int | None", n: "int | None") -> tuple:
+    """prop_1_1's pinned parameter: p is required, and n is 2 or None,
+    which stands for it."""
+    if p is None:
+        raise ValueError("prop_1_1 requires p")
+    if n not in (None, 2):
+        raise HypothesisViolation("prop_1_1 is a statement about sign functions; n is fixed to 2")
+    return p, 2 if n is None else n
+
+
+def _pinned_counterexample(p: "int | None", n: "int | None") -> tuple:
+    """The counterexample's pinned cell: (3, 6), or neither parameter."""
+    if (p, n) not in ((None, None), (3, 6)):
+        raise HypothesisViolation("the counterexample is pinned to p=3, n=6")
+    return (3, 6) if p is None else (p, n)
+
+
+# ---------------------------------------------------------------------------
+# The records and the one loop.
+
+class _Statement(_Value):
+    """One statement as a record, and its verifier: ``statement(p, n,
+    budget)`` runs ``_run(statement, p, n, budget)``.  See the module
+    docstring for the fields."""
+
+    __slots__ = _fields = ("name", "judge", "cells", "fix_f1", "p_divides_n", "screen",
+                           "candidates", "pin", "pinned", "finds")
+
+    def __init__(self, name: str, judge, cells: tuple, fix_f1: bool = True,
+                 p_divides_n: "bool | None" = False, screen=_bucket, candidates=_characters,
+                 pin=None, pinned: "tuple | None" = None, finds: bool = False):
+        self.name = name
+        self.judge = judge
+        self.cells = cells
+        self.fix_f1 = fix_f1
+        self.p_divides_n = p_divides_n
+        self.screen = screen
+        self.candidates = candidates
+        self.pin = pin
+        self.pinned = pinned
+        self.finds = finds
+
+    def __call__(self, p: "int | None" = None, n: "int | None" = None,
+                 budget: int = DEFAULT_BUDGET) -> VerificationReport:
+        return _run(self, p, n, budget)
+
+
+def _run(st: _Statement, p: "int | None", n: "int | None", budget: int) -> VerificationReport:
+    """Open and validate the statement's cell, build its index lists and
+    its judge, and tally the report through ``_tally``."""
+    if st.pin is not None:
+        p, n = st.pin(p, n)
+    if p is None or n is None:
+        raise ValueError(f"{st.name} requires p and n")
+    if st.pinned is None:
+        functions = modp.enumerate_unit_functions(p, n, fix_f1=st.fix_f1, budget=budget)
+    else:  # the pinned tables are the cell: they fit any budget, and UnitFunction refuses a float
+        functions = [UnitFunction(p, n, exps) for exps in st.pinned]
+    if st.p_divides_n is not None and (n % p == 0) != st.p_divides_n:
+        raise HypothesisViolation(
+            f"p {'does not divide' if st.p_divides_n else 'divides'} n (p={p}, n={n})")
+    judged = (st.screen(p, n, st.fix_f1) + st.candidates(p, n, st.fix_f1) if st.pinned is None
+              else list(range(len(functions))))
+    rep = _tally(st.name, p, n, partial(st.judge, p, n), functions, judged)
+    if st.finds:
+        rep.success = bool(rep.witnesses)
+    return rep
+
+
+def _tally(statement: str, p: int, n: int, judge, functions, judged) -> VerificationReport:
     """Count every function of the opened cell, judge each one whose index
-    is in ``judged`` (a verifier lists its screen's survivors, then its
-    candidates), and tally the report; an index past the last function
-    raises ValueError."""
+    is in ``judged`` (the screen's survivors, then the candidates), and
+    tally the report; an index past the last function raises ValueError."""
     rep = VerificationReport(statement, p, n)
     judged = set(judged)
     index = -1
@@ -182,189 +359,37 @@ def _run(statement: str, p: int, n: int, judge, functions, judged) -> Verificati
     return rep
 
 
-def verify_prop_1_1(p: "int | None", n: "int | None" = 2,
-                    budget: int = DEFAULT_BUDGET) -> VerificationReport:
-    """Sign functions with f(1) = 1: among all 2^(p-2) of them, exactly the
-    quadratic-residue table has norm_squared(tau(f)) = p.  n is fixed to 2
-    (None stands for it)."""
-    if p is None:
-        raise ValueError("prop_1_1 requires p")
-    if n not in (None, 2):
-        raise HypothesisViolation("prop_1_1 is a statement about sign functions; n is fixed to 2")
-    functions = _cell("prop_1_1", p, 2 if n is None else n, budget)
-    legendre = modp.legendre_unit_function(p).exps
-
-    def judge(f):
-        hit = _gauss_norm_is_p(f)
-        is_legendre = f.exps == legendre
-        return hit, is_legendre, hit == is_legendre, (f.exps, p - 1) if hit else None
-    return _run("prop_1_1", p, 2, judge, functions,
-                spectral.bucket_screen(p, 2) + modp.homomorphism_candidates(p, 2))
-
-
-def verify_thm_1_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
-    """Spectral witness test against the oracle, over all mu_n-valued f with
-    f(1) = 1: some |fhat(a)| = 1 iff f is a nontrivial character."""
-    functions = _cell("thm_1_2", p, n, budget)
-
-    def judge(f):
-        a = spectral.spectral_witness(f)
-        hit = a is not None
-        oracle_hit = _is_nontrivial_character(f)
-        return hit, oracle_hit, hit == oracle_hit, (f.exps, a) if hit else None
-    # A table the screen rejects has S_1 off p or S_0 != 0, so it has no
-    # witness at a = 1, the one unit the witness test tries when p does not
-    # divide n.
-    return _run("thm_1_2", p, n, judge, functions,
-                spectral.bucket_screen(p, n) + modp.homomorphism_candidates(p, n))
-
-
-def verify_cor_1_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
-    """Dichotomy check over all mu_n-valued f (f(1) free): the witness set
-    {a : |fhat(a)| = 1} is empty or all of the units, never in between."""
-    functions = _cell("cor_1_3", p, n, budget, fix_f1=False)
-
-    def judge(f):
-        hits = sum(spectral.has_unit_fourier_magnitude(f, a) for a in range(1, p))
-        full = hits == p - 1
-        oracle_hit = _is_nontrivial_character(f.normalized())
-        return full, oracle_hit, full or not hits, (f.exps, 1) if full else None
-    # A table that the screen rejects at every unit has no witness at all.
-    return _run("cor_1_3", p, n, judge, functions, spectral.magnitude_screen(p, n, fix_f1=False)
-                + modp.homomorphism_candidates(p, n, fix_f1=False))
-
-
-def verify_lemma_2_1(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
-    """Subfield filter over all mu_n-valued g: tau(g) lies in Q(zeta_n) for
-    exactly the n constant functions, and each such g is identically
-    -tau(g)."""
-    functions = _cell("lemma_2_1", p, n, budget, fix_f1=False)
-    big = lcm(n, p)
-
-    def judge(g):
-        const = g.is_constant
-        tau = spectral.gauss_sum(g).value
-        if tau.in_subfield(n):
-            minus_tau = const and zeta_pow(n, g.exps[0]).embed(big) == -tau
-            return True, const, minus_tau, (g.exps, None)
-        return False, const, not const, None
-    constants = [modp.table_index((d,) * (p - 1), n) for d in range(n)]
-    return _run("lemma_2_1", p, n, judge, functions, spectral.subfield_screen(p, n) + constants)
-
-
-def verify_prop_2_2(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
-    """Gauss-magnitude test against the oracle, over all mu_n-valued f with
-    f(1) = 1: norm_squared(tau(f)) = p iff f is a nontrivial character."""
-    functions = _cell("prop_2_2", p, n, budget)
-
-    def judge(f):
-        hit = _gauss_norm_is_p(f)
-        oracle_hit = _is_nontrivial_character(f)
-        return hit, oracle_hit, hit == oracle_hit, (f.exps, p - 1) if hit else None
-    return _run("prop_2_2", p, n, judge, functions,
-                spectral.bucket_screen(p, n) + modp.homomorphism_candidates(p, n))
-
-
-def verify_cor_2_3(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
-    """Factorization form with f(1) free: norm_squared(tau(f)) = p iff f
-    splits as f(1) times a nontrivial character."""
-    functions = _cell("cor_2_3", p, n, budget, fix_f1=False)
-
-    def judge(f):
-        factors = _is_nontrivial_character(f.normalized())
-        hit = _gauss_norm_is_p(f)
-        return hit, factors, hit == factors, (f.exps, p - 1) if hit else None
-    return _run("cor_2_3", p, n, judge, functions, spectral.bucket_screen(p, n, fix_f1=False)
-                + modp.homomorphism_candidates(p, n, fix_f1=False))
-
-
-def verify_thm_1_7(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
-    """Autocorrelation criterion against the oracle, over all mu_n-valued f
-    with f(1) = 1.  The flat profile (-1 at every nonzero shift) holds for
-    exactly the nontrivial characters: the trivial character autocorrelates
-    to p - 2 off zero, so it is counted on the oracle side only.  No
-    divisibility hypothesis here."""
-    functions = _cell("thm_1_7", p, n, budget, p_divides_n=None)
-
-    def judge(f):
-        flat = spectral.kurlberg_test(f)
-        oracle_hit = modp.is_character_oracle(f)
-        return (flat, oracle_hit, flat == (oracle_hit and not f.is_trivial),
-                (f.exps, None) if flat else None)
-    return _run("thm_1_7", p, n, judge, functions,
-                spectral.bucket_screen(p, n) + modp.homomorphism_candidates(p, n))
-
-
-def remark_counterexample(p: "int | None" = None, n: "int | None" = None,
-                          budget: int = DEFAULT_BUDGET) -> VerificationReport:
-    """The pinned counterexample p = 3, n = 6, f = (1, e(5/6)): Gauss sum of
-    magnitude sqrt(3) without being a character, showing that dropping the
-    p-not-dividing-n hypothesis breaks the magnitude criterion.  Any other
-    p or n than (3, 6), or neither, is refused; one table fits any budget."""
-    if (p, n) not in ((None, None), (3, 6)):
-        raise HypothesisViolation("the counterexample is pinned to p=3, n=6")
-
-    def judge(f):
-        hit = _gauss_norm_is_p(f)
-        oracle_hit = modp.is_character_oracle(f)
-        a = spectral.spectral_witness(f)
-        agrees = hit and not oracle_hit and f.n % f.p == 0 and a == 2
-        return hit, oracle_hit, agrees, None if a is None else (f.exps, a)
-    # UnitFunction refuses a float p or n, such as 3.0, that == lets through.
-    table = UnitFunction(3 if p is None else p, 6 if n is None else n, (0, 5))
-    return _run("remark_counterexample", 3, 6, judge, (table,), [0])
-
-
-def search_p_divides_n(p: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
-    """Hunt, over f with f(1) = 1, for non-homomorphisms whose Gauss sum
-    still has norm_squared = p; only possible because p divides n.  The
-    report succeeds when at least one such function is found; hits are
-    returned as witnesses and no count formula is asserted."""
-    functions = _cell("remark_p_divides_n", p, n, budget, p_divides_n=True)
-
-    def judge(f):
-        hit = _gauss_norm_is_p(f)
-        oracle_hit = modp.is_character_oracle(f)
-        found = hit and not oracle_hit
-        return hit, oracle_hit, True, (f.exps, spectral.spectral_witness(f)) if found else None
-    rep = _run("remark_p_divides_n", p, n, judge, functions,
-               spectral.magnitude_screen(p, n) + modp.homomorphism_candidates(p, n))
-    rep.success = bool(rep.witnesses)
-    return rep
-
-
 # ---------------------------------------------------------------------------
-# The statement table, dispatch and the default grid.
+# The statement table, dispatch and the default grid.  Each record's cells
+# stay at or below GRID_CELL_CAP functions, so the whole grid runs in
+# seconds.
 
-#: Every statement's verifier, ``verifier(p, n, budget)``, in grid order.
-_PARAMETRIC_VERIFIERS = {
-    "prop_1_1": verify_prop_1_1,
-    "thm_1_2": verify_thm_1_2,
-    "cor_1_3": verify_cor_1_3,
-    "lemma_2_1": verify_lemma_2_1,
-    "prop_2_2": verify_prop_2_2,
-    "cor_2_3": verify_cor_2_3,
-    "thm_1_7": verify_thm_1_7,
-    "remark_counterexample": remark_counterexample,
-    "remark_p_divides_n": search_p_divides_n,
-}
+verify_prop_1_1 = _Statement("prop_1_1", _prop_1_1, tuple((p, 2) for p in GRID_PRIMES_QUADRATIC),
+                             pin=_sign_functions)
+verify_thm_1_2 = _Statement("thm_1_2", _thm_1_2, GRID_CELLS)
+verify_cor_1_3 = _Statement("cor_1_3", _cor_1_3, GRID_CELLS_FREE, fix_f1=False, screen=_magnitude)
+verify_lemma_2_1 = _Statement("lemma_2_1", _lemma_2_1, GRID_CELLS_FREE, fix_f1=False,
+                              screen=_subfield, candidates=_constants)
+verify_prop_2_2 = _Statement("prop_2_2", _prop_2_2, GRID_CELLS)
+verify_cor_2_3 = _Statement("cor_2_3", _cor_2_3, GRID_CELLS_FREE, fix_f1=False)
+verify_thm_1_7 = _Statement("thm_1_7", _thm_1_7, GRID_CELLS, p_divides_n=None)
+remark_counterexample = _Statement("remark_counterexample", _counterexample, ((3, 6),),
+                                   p_divides_n=True, pin=_pinned_counterexample, pinned=((0, 5),))
+search_p_divides_n = _Statement("remark_p_divides_n", _search, ((3, 6),), p_divides_n=True,
+                                screen=_magnitude, finds=True)
+
+#: Every statement's verifier, its record, in grid order.
+_PARAMETRIC_VERIFIERS = {st.name: st for st in (
+    verify_prop_1_1, verify_thm_1_2, verify_cor_1_3, verify_lemma_2_1, verify_prop_2_2,
+    verify_cor_2_3, verify_thm_1_7, remark_counterexample, search_p_divides_n)}
 
 #: Statement identifiers accepted by ``run_statement`` and the CLI.
 STATEMENTS = tuple(_PARAMETRIC_VERIFIERS)
 
-#: Each statement's (p, n) cells in the default grid.  Cell sizes stay at
-#: or below GRID_CELL_CAP functions so the whole grid runs in seconds.
-_DEFAULT_CELLS = {
-    "prop_1_1": tuple((p, 2) for p in GRID_PRIMES_QUADRATIC),
-    "thm_1_2": GRID_CELLS,
-    "cor_1_3": GRID_CELLS_FREE,
-    "lemma_2_1": GRID_CELLS_FREE,
-    "prop_2_2": GRID_CELLS,
-    "cor_2_3": GRID_CELLS_FREE,
-    "thm_1_7": GRID_CELLS,
-    "remark_counterexample": ((3, 6),),
-    "remark_p_divides_n": ((3, 6),),
-}
+#: The default grid, read from the records once: a tracer may later wrap
+#: the table's entries.
+_DEFAULT_GRID = tuple((st.name, p, n) for st in _PARAMETRIC_VERIFIERS.values()
+                      for p, n in st.cells)
 
 
 def run_statement(statement: str, p: "int | None" = None, n: "int | None" = None,
@@ -386,8 +411,7 @@ def run_statement(statement: str, p: "int | None" = None, n: "int | None" = None
 def default_grid() -> list:
     """The default verification grid: every statement over its cells, as
     (statement, p, n) triples in statement-table order."""
-    return [(statement, p, n) for statement, cells in _DEFAULT_CELLS.items()
-            for p, n in cells]
+    return list(_DEFAULT_GRID)
 
 
 def verify_grid(config: list, budget: int = DEFAULT_BUDGET) -> list:

@@ -205,7 +205,7 @@ def flat_screen(p: int, n: int) -> list:
 # The dense verification loop.
 
 def dense_run(statement: str, p: int, n: int, judge, functions, judged) -> VerificationReport:
-    """``verify._run`` as it was before it skipped the tables that neither
+    """``verify._tally`` as it was before it skipped the tables that neither
     verdict lists: call the judge on every function of the opened cell,
     whatever ``judged`` lists, and tally the report."""
     rep = VerificationReport(statement, p, n)

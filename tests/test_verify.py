@@ -140,6 +140,35 @@ def test_search_p_divides_n():
         search_p_divides_n(3, 2)
 
 
+#: Each statement that opens a cell of the table stream: whether f(1) is
+#: free, the cells its p | n hypothesis admits, and the cell it refuses
+#: (None: it takes either).
+RECORD_FIELDS = [
+    ("thm_1_2", False, [(3, 4)], (3, 6)),
+    ("cor_1_3", True, [(3, 4)], (3, 6)),
+    ("lemma_2_1", True, [(3, 4)], (3, 6)),
+    ("prop_2_2", False, [(3, 4)], (3, 6)),
+    ("cor_2_3", True, [(3, 4)], (3, 6)),
+    ("thm_1_7", False, [(3, 4), (3, 6)], None),
+    ("remark_p_divides_n", False, [(3, 6)], (3, 4)),
+]
+
+
+@pytest.mark.parametrize("statement, f1_free, admitted, refused", RECORD_FIELDS,
+                         ids=[fields[0] for fields in RECORD_FIELDS])
+def test_each_statement_keeps_its_f1_rule_and_hypothesis(statement, f1_free, admitted, refused):
+    # A cell has n^(p-1) tables with f(1) free and n^(p-2) with f(1) = 1;
+    # a refused cell names the divisibility that fails, before any work.
+    for p, n in admitted:
+        rep = run_statement(statement, p, n)
+        assert rep.error is None and rep.total_functions == n ** (p - 1 if f1_free else p - 2)
+    if refused is not None:
+        p, n = refused
+        relation = "does not divide" if n % p else "divides"
+        with pytest.raises(HypothesisViolation, match=rf"^p {relation} n \(p={p}, n={n}\)$"):
+            run_statement(statement, p, n)
+
+
 def test_budget_propagates():
     with pytest.raises(BudgetExceededError):
         verify_thm_1_2(13, 10)
@@ -230,10 +259,11 @@ def test_missing_parameters_name_the_statement():
 
 
 def _neutrality_check(exercised):
-    """A stand-in for ``_run`` that calls the full judge on every table of
-    the cell, through ``dense_run``, and asserts that each table ``_run``
-    would skip, one that no index list names, adds only to the count; it
-    records each statement where it saw such a table in ``exercised``."""
+    """A stand-in for ``_tally``, the walk of ``_run``, that calls the full
+    judge on every table of the cell, through ``dense_run``, and asserts
+    that each table ``_tally`` would skip, one that no index list names,
+    adds only to the count; it records each statement where it saw such a
+    table in ``exercised``."""
     def check(statement, p, n, judge, functions, judged):
         functions, judged = list(functions), set(judged)
         skipped = {f.exps for index, f in enumerate(functions) if index not in judged}
@@ -252,11 +282,11 @@ def test_every_judge_is_neutral_where_both_sides_reject(monkeypatch):
     """Every judge runs its statement's full analytic test and its oracle
     side on whatever table it is given.  On every default-grid table that
     neither the screen nor the candidate list names, it must find both
-    sides false and in agreement, so _run may count such a table without
+    sides false and in agreement, so _tally may count such a table without
     judging it: this cross-checks every screen and candidate list against
     the canonical tests on the whole grid."""
     exercised = set()
-    monkeypatch.setattr(verify, "_run", _neutrality_check(exercised))
+    monkeypatch.setattr(verify, "_tally", _neutrality_check(exercised))
     verify_grid(default_grid())
     assert exercised == set(STATEMENTS) - {"remark_counterexample"}
 
@@ -272,7 +302,7 @@ def test_neutrality_check_catches_a_table_both_lists_drop(monkeypatch):
         assert indices[0] == 0  # the trivial character's table comes first
         return indices[1:]
     monkeypatch.setattr(modp, "homomorphism_candidates", dropping)
-    monkeypatch.setattr(verify, "_run", _neutrality_check(set()))
+    monkeypatch.setattr(verify, "_tally", _neutrality_check(set()))
     with pytest.raises(AssertionError, match=r"'thm_1_7', 5, 4, \(0, 0, 0, 0\)"):
         verify_thm_1_7(5, 4)
 
@@ -292,7 +322,7 @@ def test_sparse_run_equals_dense_run(monkeypatch):
     # default-grid cell, and four cells past it.
     config = default_grid() + SECOND_TIER
     sparse = _masked(verify_grid(config))
-    monkeypatch.setattr(verify, "_run", dense_run)
+    monkeypatch.setattr(verify, "_tally", dense_run)
     assert sparse == _masked(verify_grid(config))
 
 
@@ -340,11 +370,11 @@ F1_FREE = {"cor_1_3", "lemma_2_1", "cor_2_3"}
 
 def test_run_judges_exactly_the_tables_a_verdict_passes(monkeypatch):
     # Every verdict source returns a sorted list of distinct table indices,
-    # and a verifier hands _run its sources' lists end to end; lemma_2_1's
+    # and _run hands _tally a record's lists end to end; lemma_2_1's
     # constants, listed inline, are what follows its screen.  In one
     # default-grid pass a judge is called on each table whose index is
     # listed, in order, and on no other; every table is still counted.
-    run = verify._run
+    run = verify._tally
     sources, judged, expected = [], [], []
 
     def recording(real):
@@ -373,7 +403,7 @@ def test_run_judges_exactly_the_tables_a_verdict_passes(monkeypatch):
             return judge(f)
         return run(statement, p, n, recorded, functions, indices)
 
-    monkeypatch.setattr(verify, "_run", spy)
+    monkeypatch.setattr(verify, "_tally", spy)
     reports = verify_grid(default_grid())
     # 261: the bucket screen passes the nontrivial characters (times each
     # constant when f(1) is free) and nothing else on the grid, and the
@@ -423,11 +453,11 @@ def _neutral_judge(f):
 def test_run_refuses_a_screen_of_the_wrong_length():
     # The list is of table indices, a screen's and then a candidate list's:
     # a screen index equal to the table count names no table of the cell,
-    # so _run raises instead of dropping it.
+    # so _tally raises instead of dropping it.
     for judged in ([8, 3], [0, 8, 3], [2, 9, 3]):
         with pytest.raises(ValueError, match="past the 8 tables"):
-            verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2), judged)
-    rep = verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2), [7])
+            verify._tally("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2), judged)
+    rep = verify._tally("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2), [7])
     assert rep.total_functions == 8 and rep.success
 
 
@@ -435,8 +465,8 @@ def test_run_refuses_a_candidate_stream_of_the_wrong_length():
     # The same past-the-cell index, from the candidate list after a screen's.
     for judged in ([2, 8], [2, 0, 8], [2, 5, 9]):
         with pytest.raises(ValueError, match="past the 8 tables"):
-            verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2), judged)
-    rep = verify._run("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2), [0, 7])
+            verify._tally("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2), judged)
+    rep = verify._tally("thm_1_2", 5, 2, _neutral_judge, enumerate_unit_functions(5, 2), [0, 7])
     assert rep.total_functions == 8 and rep.success
 
 
