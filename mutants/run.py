@@ -76,12 +76,12 @@ MUTANTS = (
      "screen=_magnitude, finds=True)", "screen=lambda p, n, fix_f1: [], finds=True)",
      (f"{TEST_VERIFY}::test_search_p_divides_n",)),
     ("prop_2_2 admits p | n", VERIFY,
-     '_Statement("prop_2_2", _prop_2_2, GRID_CELLS)',
-     '_Statement("prop_2_2", _prop_2_2, GRID_CELLS, p_divides_n=None)',
+     '_Statement("prop_2_2", _gauss_magnitude, GRID_CELLS)',
+     '_Statement("prop_2_2", _gauss_magnitude, GRID_CELLS, p_divides_n=None)',
      (f"{TEST_VERIFY}::test_each_statement_keeps_its_f1_rule_and_hypothesis[prop_2_2]",)),
     ("cor_2_3 fixes f(1)", VERIFY,
-     '_Statement("cor_2_3", _cor_2_3, GRID_CELLS_FREE, fix_f1=False)',
-     '_Statement("cor_2_3", _cor_2_3, GRID_CELLS_FREE)',
+     '_Statement("cor_2_3", _gauss_magnitude, GRID_CELLS_FREE, fix_f1=False)',
+     '_Statement("cor_2_3", _gauss_magnitude, GRID_CELLS_FREE)',
      (f"{TEST_VERIFY}::test_each_statement_keeps_its_f1_rule_and_hypothesis[cor_2_3]",)),
     ("_tally counts only the judged tables", VERIFY,
      "rep.total_functions = index + 1", "rep.total_functions = len(judged)",

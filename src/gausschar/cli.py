@@ -3,7 +3,8 @@
 Output is a plain table or JSON lines; every printed quantity is an integer
 or an integer coefficient vector, never a float.  Exit status: 0 success,
 1 verification failure or mismatch (for ``remark_p_divides_n``: no witness
-found), 2 usage or hypothesis errors.
+found), or a reader that closed the output early, 2 usage or hypothesis
+errors.
 
 The command line is read against one table, ``_COMMANDS``, which gives each
 subcommand its handler, its help line and its options; the same table
@@ -19,11 +20,12 @@ keys would, and imports json only for a string that needs escapes.
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
 from . import modp, spectral, verify
-from .cyclo import CyclotomicElement
+from .cyclo import MAX_ORDER, CyclotomicElement
 from .modp import DEFAULT_BUDGET, _is_digits, parse_unit_function
 
 _REPORT_HEADER = (f"{'statement':<22} {'p':>4} {'n':>4} {'functions':>10} "
@@ -112,8 +114,11 @@ def _cmd_classify(args) -> int:
     if f.exps[0] != 0:
         warnings.append("f(1) != 1")
     applicable = not warnings
-    # The spectral side goes first: it refuses an order above MAX_ORDER at
-    # once, while the oracle is quadratic in p.
+    # The oracle is quadratic in p, so an order above MAX_ORDER is refused
+    # before it runs: by the spectral side, which goes first, or here, where
+    # that side is skipped.
+    if not applicable and f.p > MAX_ORDER:
+        raise ValueError(f"modulus {f.p} exceeds MAX_ORDER = {MAX_ORDER}")
     witness = spectral.spectral_witness(f) if applicable else None
     spectral_hit = (witness is not None) if applicable else None
     oracle_hit = modp.is_character_oracle(f)
@@ -284,6 +289,14 @@ def _help(sub) -> str:
     return "\n".join(lines)
 
 
+def _print_help(sub):
+    """Print the help and exit 0; the flush makes a closed pipe fail here,
+    inside ``main``'s handler, and not at exit."""
+    print(_help(sub))
+    sys.stdout.flush()
+    raise SystemExit(0)
+
+
 def _fail(sub, message: str):
     """Write the usage line and the error to stderr and exit 2."""
     prog = "gausschar" if sub is None else f"gausschar {sub}"
@@ -298,8 +311,7 @@ def _parse_args(argv) -> SimpleNamespace:
     ``--help`` prints help and exits 0, and anything else exits 2."""
     if not argv or argv[0] not in _COMMANDS:
         if argv and argv[0] in _HELP:
-            print(_help(None))
-            raise SystemExit(0)
+            _print_help(None)
         _fail(None, f"invalid command {argv[0]!r}" if argv else "a command is required")
     sub = argv[0]
     handler, _, options = _COMMANDS[sub]
@@ -308,8 +320,7 @@ def _parse_args(argv) -> SimpleNamespace:
     tokens = iter(argv[1:])
     for token in tokens:
         if token in _HELP:
-            print(_help(sub))
-            raise SystemExit(0)
+            _print_help(sub)
         name, inline, text = token.partition("=")
         if name not in options:
             _fail(sub, f"unrecognized argument {token!r}")
@@ -338,12 +349,19 @@ def _parse_args(argv) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.handler(args)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so the exit flush
+        # cannot fail again, and fail, since the output was cut short.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,10 +15,14 @@ hypothesis that p divides n (True), does not (False) or either (None), its
 default cells, its screen and its candidate source, each a call on (p, n,
 fix_f1) that returns a sorted list of table indices (see
 ``modp.table_index``), and its judge, ``judge(p, n, f)``, which a run binds
-to its cell's (p, n).  Two statements have a pinned parameter, checked by
-the record's ``pin`` before anything else: ``prop_1_1`` requires p and
-takes n = 2 or None, the counterexample takes (3, 6) or neither, and any
-other value is a ``HypothesisViolation``.  The counterexample also pins its
+to its cell's (p, n).  ``prop_2_2`` and ``cor_2_3`` share one judge,
+``_gauss_magnitude``: Prop 2.2 is Cor 2.3 on the tables with f(1) = 1,
+where ``UnitFunction.normalized`` returns the table itself, and the two
+records differ only in their f(1) rule and default cells.  Two statements
+have a pinned parameter, checked by the record's ``pin`` before anything
+else: ``prop_1_1`` requires p and takes n = 2 or None, the counterexample
+takes (3, 6) or neither, and any other value is a
+``HypothesisViolation``.  The counterexample also pins its
 tables, one in all, ``(0, 5)``; a pinned table list is the whole cell,
 every table of it is judged, and it fits any budget.  The existence search
 ``remark_p_divides_n`` is the one record with ``finds`` set: its report
@@ -173,8 +177,10 @@ def _constants(p: int, n: int, fix_f1: bool) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The judges, one per statement.  A run binds a judge to its cell's (p, n)
-# and calls it as judge(f) on one table.
+# The judges, one per statement except that prop_2_2 and cor_2_3 share
+# _gauss_magnitude.  A run binds a judge to its cell's (p, n) and calls it
+# as judge(f) on one table; a judge does not re-test what its record fixes
+# (the f(1) rule, the p | n hypothesis, a pinned cell).
 
 def _prop_1_1(p: int, n: int, f: UnitFunction) -> tuple:
     """Sign functions with f(1) = 1: among all 2^(p-2) of them, exactly the
@@ -217,17 +223,13 @@ def _lemma_2_1(p: int, n: int, g: UnitFunction) -> tuple:
     return False, const, not const, None
 
 
-def _prop_2_2(p: int, n: int, f: UnitFunction) -> tuple:
-    """Gauss-magnitude test against the oracle, over all mu_n-valued f with
-    f(1) = 1: norm_squared(tau(f)) = p iff f is a nontrivial character."""
-    hit = _gauss_norm_is_p(f)
-    oracle_hit = _is_nontrivial_character(f)
-    return hit, oracle_hit, hit == oracle_hit, (f.exps, p - 1) if hit else None
-
-
-def _cor_2_3(p: int, n: int, f: UnitFunction) -> tuple:
-    """Factorization form with f(1) free: norm_squared(tau(f)) = p iff f
-    splits as f(1) times a nontrivial character."""
+def _gauss_magnitude(p: int, n: int, f: UnitFunction) -> tuple:
+    """Gauss-magnitude test against the oracle, the judge of both prop_2_2
+    and cor_2_3.  Cor 2.3, over all mu_n-valued f with f(1) free:
+    norm_squared(tau(f)) = p iff f splits as f(1) times a nontrivial
+    character.  Prop 2.2, over the f with f(1) = 1: norm_squared(tau(f)) =
+    p iff f is a nontrivial character.  On a table with f(1) = 1,
+    ``normalized()`` returns the table itself, so the two tests are one."""
     factors = _is_nontrivial_character(f.normalized())
     hit = _gauss_norm_is_p(f)
     return hit, factors, hit == factors, (f.exps, p - 1) if hit else None
@@ -248,11 +250,12 @@ def _thm_1_7(p: int, n: int, f: UnitFunction) -> tuple:
 def _counterexample(p: int, n: int, f: UnitFunction) -> tuple:
     """The pinned counterexample p = 3, n = 6, f = (1, e(5/6)): Gauss sum of
     magnitude sqrt(3) without being a character, showing that dropping the
-    p-not-dividing-n hypothesis breaks the magnitude criterion."""
+    p-not-dividing-n hypothesis breaks the magnitude criterion.  That p
+    divides n is the record's hypothesis, checked before any judge runs."""
     hit = _gauss_norm_is_p(f)
     oracle_hit = modp.is_character_oracle(f)
     a = spectral.spectral_witness(f)
-    agrees = hit and not oracle_hit and f.n % f.p == 0 and a == 2
+    agrees = hit and not oracle_hit and a == 2
     return hit, oracle_hit, agrees, None if a is None else (f.exps, a)
 
 
@@ -370,8 +373,8 @@ verify_thm_1_2 = _Statement("thm_1_2", _thm_1_2, GRID_CELLS)
 verify_cor_1_3 = _Statement("cor_1_3", _cor_1_3, GRID_CELLS_FREE, fix_f1=False, screen=_magnitude)
 verify_lemma_2_1 = _Statement("lemma_2_1", _lemma_2_1, GRID_CELLS_FREE, fix_f1=False,
                               screen=_subfield, candidates=_constants)
-verify_prop_2_2 = _Statement("prop_2_2", _prop_2_2, GRID_CELLS)
-verify_cor_2_3 = _Statement("cor_2_3", _cor_2_3, GRID_CELLS_FREE, fix_f1=False)
+verify_prop_2_2 = _Statement("prop_2_2", _gauss_magnitude, GRID_CELLS)
+verify_cor_2_3 = _Statement("cor_2_3", _gauss_magnitude, GRID_CELLS_FREE, fix_f1=False)
 verify_thm_1_7 = _Statement("thm_1_7", _thm_1_7, GRID_CELLS, p_divides_n=None)
 remark_counterexample = _Statement("remark_counterexample", _counterexample, ((3, 6),),
                                    p_divides_n=True, pin=_pinned_counterexample, pinned=((0, 5),))

@@ -151,6 +151,18 @@ def test_classify_f1_warning(capsys):
     assert record["oracle"] is False
 
 
+@pytest.mark.parametrize("fn", [
+    "p=10007 n=20014 exps=" + ",".join(["0"] * 10006),       # p | n
+    "p=10007 n=2 exps=" + ",".join(["1"] + ["0"] * 10005),   # f(1) != 1
+], ids=["p_divides_n", "f1_not_1"])
+def test_classify_refuses_what_no_side_can_bound(capsys, fn):
+    # The spectral side is skipped on these tables and the oracle is
+    # quadratic in p, so above MAX_ORDER the command refuses at once.
+    code, out, err = run_cli(capsys, "classify", "--fn", fn)
+    assert (code, out) == (2, "")
+    assert err == "error: modulus 10007 exceeds MAX_ORDER = 10000\n"
+
+
 def test_classify_parse_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "classify", "--fn", "gibberish")
     assert code == 2
@@ -251,6 +263,25 @@ def test_no_floats_anywhere(capsys):
         main(argv)
         out = capsys.readouterr().out
         assert not float_pattern.search(out), (argv, out)
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--statement", "all", "--output", "json"),
+    ("--help",),
+], ids=["verify_all_json", "help"])
+def test_a_closed_pipe_ends_quietly(args):
+    # The reader is gone before the first write: the command stops with
+    # status 1 and no traceback, and the exit flush does not fail again.
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "gausschar.cli", *args],
+                              stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")   # no traceback, nor any other line
 
 
 def test_unknown_statement_rejected_by_parser(capsys):
@@ -530,7 +561,7 @@ def test_function_text_parsers_agree_on_the_corpus():
     corpora = {"tests": _fn_literals_in_tests(), "docs": _fn_texts_in_docs(),
                "benchmark": [argv[2] for argv in _argvs_of_the_benchmark() if argv[1] == "--fn"],
                "malformed": MALFORMED_FN, "well-formed": WELL_FORMED_FN}
-    assert len(corpora["tests"]) > 15 and len(corpora["docs"]) == 6
+    assert len(corpora["tests"]) > 15 and len(corpora["docs"]) == 7
     assert len(corpora["benchmark"]) > 30
     for name, texts in corpora.items():
         for text in texts:
