@@ -70,10 +70,10 @@ MUTANTS = (
     ("thm_1_7 judges only its screen's tables", VERIFY,
      '_Statement("thm_1_7", _thm_1_7, GRID_CELLS, p_divides_n=None)',
      '_Statement("thm_1_7", _thm_1_7, GRID_CELLS, p_divides_n=None,\n'
-     "                            candidates=lambda p, n, fix_f1: [])",
+     "                            candidates=lambda p, n: [])",
      (f"{TEST_VERIFY}::test_thm_1_7_cells",)),
     ("remark_p_divides_n judges only its candidates", VERIFY,
-     "screen=_magnitude, finds=True)", "screen=lambda p, n, fix_f1: [], finds=True)",
+     "screen=spectral.magnitude_screen, finds=True)", "screen=lambda p, n: [], finds=True)",
      (f"{TEST_VERIFY}::test_search_p_divides_n",)),
     ("prop_2_2 admits p | n", VERIFY,
      '_Statement("prop_2_2", _gauss_magnitude, GRID_CELLS)',
@@ -83,6 +83,10 @@ MUTANTS = (
      '_Statement("cor_2_3", _gauss_magnitude, GRID_CELLS_FREE, fix_f1=False)',
      '_Statement("cor_2_3", _gauss_magnitude, GRID_CELLS_FREE)',
      (f"{TEST_VERIFY}::test_each_statement_keeps_its_f1_rule_and_hypothesis[cor_2_3]",)),
+    ("an f(1)-free record skips the lift", VERIFY,
+     "        if not st.fix_f1:\n            judged = modp.times_constants(",
+     "        if False:\n            judged = modp.times_constants(",
+     (f"{TEST_VERIFY}::test_an_f1_free_run_judges_each_constant_times_its_lists",)),
     ("_tally counts only the judged tables", VERIFY,
      "rep.total_functions = index + 1", "rep.total_functions = len(judged)",
      (f"{TEST_VERIFY}::test_run_judges_exactly_the_tables_a_verdict_passes",)),
@@ -137,11 +141,6 @@ MUTANTS = (
      "    for a in range(1, f.p):\n        if has_unit_fourier_magnitude(f, a):",
      "    for a in range(1, f.p - 1):\n        if has_unit_fourier_magnitude(f, a):",
      (f"{TEST_VERIFY}::test_remark_counterexample_report",)),
-    ("screens drop the constants when f(1) is free", SPECTRAL,
-     "for h in tables for c in range(1 if fix_f1 else n))",
-     "for h in tables for c in range(1))",
-     (f"{TEST_SPECTRAL}::test_magnitude_screen_passes_c_times_each_character",
-      f"{TEST_SPECTRAL}::test_subfield_screen_passes_exactly_the_subfield_members")),
     ("magnitude twist remap not rescaled to f(1) = 1", SPECTRAL,
      "hits.add(tuple((e - mapped[0]) % n for e in mapped))",
      "hits.add(tuple(e % n for e in mapped))",
@@ -163,10 +162,11 @@ MUTANTS = (
      "j * log[x] * (n // m)", "j * log[x]",
      (f"{TEST_MODP}::test_homomorphism_candidates_are_what_the_oracle_accepts",
       f"{TEST_MODP}::test_homomorphism_candidates_count_and_match_the_characters")),
-    ("homomorphism_candidates drops the constants when f(1) is free", MODP,
-     "for c in range(1 if fix_f1 else n)", "for c in range(1)",
+    ("the lift drops the constants", MODP,
+     "for h in tables for c in range(n))", "for h in tables for c in range(1))",
      (f"{TEST_MODP}::test_homomorphism_candidates_are_what_the_oracle_accepts",
-      f"{TEST_MODP}::test_homomorphism_candidates_count_and_match_the_characters")),
+      f"{TEST_SPECTRAL}::test_magnitude_screen_passes_c_times_each_character",
+      f"{TEST_SPECTRAL}::test_subfield_screen_passes_exactly_the_subfield_members")),
     ("homomorphism_candidates at g = 2 instead of a primitive root", MODP,
      "g = find_primitive_root(p)", "g = 2",
      (f"{TEST_MODP}::test_homomorphism_candidates_are_what_the_oracle_accepts",

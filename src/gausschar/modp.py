@@ -8,21 +8,24 @@ at once above.
 
 A table of a cell is named by its index, its place in the enumeration:
 its exponents at x = 1, ..., p - 1 read as base-n digits.  ``table_index``
-and ``table_exps`` are the one codec for that format; every verdict source
-returns a sorted list of such indices, and a verifier hands the
-verification loop its screen's and its candidates' lists end to end.
+and ``table_exps`` are the one codec for that format.  Every verdict source
+returns the sorted indices of the tables with f(1) = 1 it passes, and a
+verifier hands the verification loop its screen's and its candidates' lists
+end to end; where its statement leaves f(1) free, the loop first lifts the
+joined list to every constant times each table (``times_constants``, whose
+docstring proves that the lift moves no verdict).
 
 An exhaustive verification asks the oracle only about the tables those lists
 name, never about one that both the screen and the candidates leave out.
 ``homomorphism_candidates`` lists the candidates in closed form: F_p^x is
 cyclic, so a character is fixed by its value at a primitive root g, and that
 value is an n-th root of unity whose (p - 1)-th power is 1, i.e. one of the
-m = gcd(n, p - 1) elements of mu_m.  The m tables f(g^t) = zeta_n^(j t n/m),
-times each constant when f(1) is free, are therefore every candidate, and
-the oracle still confirms each one pair by pair.  Per statement the list
-shares no code with the cell screen: the one screen that calls
-``find_primitive_root``, ``spectral.subfield_screen``, is ``lemma_2_1``'s,
-which lists its n constant tables instead.
+m = gcd(n, p - 1) elements of mu_m.  The m tables f(g^t) = zeta_n^(j t n/m)
+are therefore every candidate, and the oracle still confirms each one pair
+by pair.  The candidates and the cell screens share the codec and the lift
+and nothing else; the test
+``test_every_judge_is_neutral_where_both_sides_reject`` cross-checks the
+two lists against the canonical tests on the default grid.
 """
 
 from __future__ import annotations
@@ -241,30 +244,25 @@ def enumerate_unit_functions(p: int, n: int, fix_f1: bool = True,
     return _unit_function_stream(p, n, fix_f1)
 
 
-def homomorphism_candidates(p: int, n: int, fix_f1: bool = True) -> list:
-    """The sorted enumeration indices of the tables of a validated cell that
-    are a character, times a constant when f(1) is free.
+def homomorphism_candidates(p: int, n: int) -> list:
+    """The sorted enumeration indices of the characters among the tables of
+    a validated cell.
 
-    The index of a table is its place in ``enumerate_unit_functions(p, n,
-    fix_f1)`` (``table_index``).  With g = ``find_primitive_root(p)`` and
-    m = gcd(n, p - 1), the tables are f(g^t) = zeta_n^(c + j t n/m) for
-    j < m and each constant c (only c = 0 when f(1) is fixed), read off
-    along the powers of g: n m tables with f(1) free, m with it fixed.
-
-    They are all: a character chi is fixed by chi(g), and chi(g)^n =
-    chi(g)^(p-1) = 1 puts chi(g) in mu_m, so chi(g) = zeta_n^(j n/m) for
-    some j < m; a table with f(1) free is f(1) times the character
-    f / f(1).  Each listed table is such a product, so the indices are
-    exactly the tables that ``is_character_oracle`` accepts, after
-    ``UnitFunction.normalized`` when f(1) is free.
+    The index of a table is its place in ``enumerate_unit_functions(p, n)``
+    (``table_index``).  With g = ``find_primitive_root(p)`` and m =
+    gcd(n, p - 1), the tables are f(g^t) = zeta_n^(j t n/m) for j < m, read
+    off along the powers of g.  They are all: a character chi is fixed by
+    chi(g), and chi(g)^n = chi(g)^(p-1) = 1 puts chi(g) in mu_m, so chi(g) =
+    zeta_n^(j n/m) for some j < m.  The indices are therefore exactly the
+    tables that ``is_character_oracle`` accepts.
     """
     m = gcd(n, p - 1)
     g = find_primitive_root(p)
     log, x = [0] * p, 1  # log[g^t mod p] = t, along the powers of g
     for t in range(p - 1):
         log[x], x = t, x * g % p
-    return sorted(table_index([(c + j * log[x] * (n // m)) % n for x in range(1, p)], n)
-                  for c in range(1 if fix_f1 else n) for j in range(m))
+    return sorted(table_index([j * log[x] * (n // m) % n for x in range(1, p)], n)
+                  for j in range(m))
 
 
 def table_index(exps, n: int) -> int:
@@ -281,6 +279,30 @@ def table_exps(index: int, p: int, n: int) -> list:
     for x in range(p - 2, -1, -1):
         index, exps[x] = divmod(index, n)
     return exps
+
+
+def times_constants(indices, p: int, n: int) -> list:
+    """The sorted indices, among the tables with f(1) free, of c * h for
+    each table h with f(1) = 1 named in ``indices`` and each constant c in
+    mu_n.  Distinct (c, h) give distinct tables, c being the value at 1.
+
+    A verifier whose statement leaves f(1) free lifts its joined screen and
+    candidate lists through this once, and the lift moves no verdict: every
+    table f is f(1) * (f / f(1)), a constant times a table with f(1) = 1,
+    and c * h passes each test exactly when h does.
+    - A unit c scales every split-prime image or leaves it unchanged:
+      S_a(c * h) = c * S_a(h), so the value sum's image is scaled by the
+      unit c(omega) and S_a(omega) * S_a(omega^-1) is unchanged, c(omega) *
+      c(omega^-1) being 1.
+    - sigma_k fixes mu_n when k = 1 (mod n), so tau - sigma_k(tau) of c * h
+      is c times that of h, and its image is zero exactly when h's is.
+    - f(1) * (f / f(1)) is a character times a constant exactly when
+      f / f(1) is a character, so the candidates with f(1) free are the
+      characters times each constant, and the constants are the trivial
+      character times each constant.
+    """
+    tables = [table_exps(index, p, n) for index in indices]
+    return sorted(table_index([(e + c) % n for e in h], n) for h in tables for c in range(n))
 
 
 def _trusted_unit_function(p: int, n: int, exps: tuple) -> UnitFunction:

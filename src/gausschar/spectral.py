@@ -72,16 +72,16 @@ value sum alone, in the split prime field of n, so a ``thm_1_7`` cell is
 still decided whole, while a Gauss statement's judge refuses the order at
 the first table it judges.
 
-Two substitutions move no verdict, so one sumset per cell serves every
-statement that takes a screen, f(1) fixed or free.  A constant c in mu_n leaves
-S_a(omega) * S_a(omega^-1) unchanged and scales tau - sigma_k(tau) by c,
-because sigma_k fixes mu_n when k = 1 (mod n); so the tables with f(1)
-free that a screen passes are the c * h for the h with f(1) = 1 it
-passes.  The change of variables x -> a*x maps the a = 1 survivors onto
-the survivors at a (see ``magnitude_screen``), so the magnitude screen
-sums at a = 1 alone and passes the tables whose image passes at some
-unit.  That relates different tables at one twist, never one table at
-different twists, so the dichotomy ``cor_1_3`` verifies is not assumed.
+Every screen is a call on (p, n) that returns the sorted indices of the
+tables with f(1) = 1 it passes.  A statement that leaves f(1) free has its
+joined lists lifted to every constant times each table by the verification
+loop, through ``modp.times_constants``, whose docstring proves that the
+lift moves no verdict.  The change of variables x -> a*x maps the a = 1
+survivors onto the survivors at a (see ``magnitude_screen``), so the
+magnitude screen sums at a = 1 alone and passes the tables whose image
+passes at some unit.  That relates different tables at one twist, never
+one table at different twists, so the dichotomy ``cor_1_3`` verifies is
+not assumed.
 
 A screen only makes a proven rejection: a table the magnitude screen
 rejects fails the per-function filter at every unit, the subfield screen's
@@ -373,32 +373,21 @@ def _magnitude_rows(p: int, n: int, pw: list) -> list:
     return [_position_rows(p, n, p - 1, lambda e: _images(pw, e, k)) for k in (1, -1)]
 
 
-def _times_constants(tables, n: int, fix_f1: bool) -> list:
-    """The sorted indices of the tables c * h, for each exponent list h
-    with f(1) = 1 in ``tables`` and each constant c in mu_n (c = 1 alone
-    with ``fix_f1``).  Distinct (c, h) give distinct tables, c being the
-    value at 1."""
-    return sorted(table_index([(e + c) % n for e in h], n)
-                  for h in tables for c in range(1 if fix_f1 else n))
-
-
-def magnitude_screen(p: int, n: int, fix_f1: bool = True) -> list:
-    """The sorted indices of the tables f of the cell, in
-    ``enumerate_unit_functions(p, n, fix_f1)``, for which
+def magnitude_screen(p: int, n: int) -> list:
+    """The sorted indices of the tables f with f(1) = 1 of the cell, in
+    ``enumerate_unit_functions(p, n)``, for which
     ``_magnitude_image_is_p(f, a)`` holds for some unit a; the cell must
     already be validated.
 
     It passes ``_sumset_screen`` an all-zero key and the rows of S_1(omega)
-    and S_1(omega^-1), so every table with f(1) = 1 meets the magnitude
-    test at a = 1 alone.  Two substitutions reach the rest, and neither
-    moves a verdict.  Scaling f by a constant c in mu_n scales S_a by c,
-    which leaves S_a(omega) * S_a(omega^-1) unchanged, c(omega) *
-    c(omega^-1) being 1.  With m_c(x) = c*x, substituting y = a*x gives
-    S_a(f) = S_1(f o m_(1/a)), an identity of ring elements that holds for
-    the images too, so f passes at a exactly when f o m_(1/a) passes at 1.
-    The tables with f(1) = 1 that pass at some unit are therefore the
-    g o m_a, rescaled by conj(g(a)) to value 1 at 1, for the survivors g
-    and every unit a; with f(1) free they are those times each constant.
+    and S_1(omega^-1), so every table meets the magnitude test at a = 1
+    alone.  With m_c(x) = c*x, substituting y = a*x gives S_a(f) =
+    S_1(f o m_(1/a)), an identity of ring elements that holds for the
+    images too, so f passes at a exactly when f o m_(1/a) passes at 1.
+    Scaling a table by a constant c in mu_n leaves S_a(omega) *
+    S_a(omega^-1) unchanged, c(omega) * c(omega^-1) being 1.  The tables
+    that pass at some unit are therefore the g o m_a, rescaled by
+    conj(g(a)) to value 1 at 1, for the survivors g and every unit a.
     """
     ell, pw = _split_prime(lcm(n, p))
     fwd, bwd = _magnitude_rows(p, n, pw)
@@ -409,18 +398,15 @@ def magnitude_screen(p: int, n: int, fix_f1: bool = True) -> list:
         for a in range(1, p):
             mapped = [g[a * x % p - 1] for x in range(1, p)]
             hits.add(tuple((e - mapped[0]) % n for e in mapped))
-    return _times_constants(hits, n, fix_f1)
+    return sorted(table_index(h, n) for h in hits)
 
 
 def subfield_screen(p: int, n: int) -> list:
-    """The sorted indices of the tables f of the cell with f(1) free whose
+    """The sorted indices of the tables f with f(1) = 1 of the cell whose
     tau(f) and sigma_k(tau(f)) have equal images in the split prime field;
     a table it passes is still decided canonically by
-    ``CyclotomicElement.in_subfield``.  Its rows of the differences, the
-    key of ``_sumset_screen`` with no magnitude rows, sum the tables with
-    f(1) = 1, and each survivor h stands for every c * h: tau(c * h) -
-    sigma_k(tau(c * h)) is c times that of h, as sigma_k fixes mu_n, and the
-    image of c is a unit.
+    ``CyclotomicElement.in_subfield``.  Its rows of the differences are the
+    key of ``_sumset_screen``, with no magnitude rows.
 
     k = 1 (mod n), so sigma_k fixes Q(zeta_n) and every table with tau(f)
     in Q(zeta_n) passes.  When p does not divide n, k is also the primitive
@@ -436,12 +422,12 @@ def subfield_screen(p: int, n: int) -> list:
     k = next((k for k in range(1, big, n) if k % p == g), 1)
     rows = _position_rows(p, n, 1, lambda e: [
         s - t for s, t in zip(_images(pw, e), _images(pw, e, k))])
-    return _times_constants((table_exps(i, p, n) for i in _sumset_screen([rows], ell)), n, False)
+    return _sumset_screen([rows], ell)
 
 
-def bucket_screen(p: int, n: int, fix_f1: bool = True) -> list:
-    """The sorted indices of the tables f of the cell, in
-    ``enumerate_unit_functions(p, n, fix_f1)``, whose value sum S_0 has
+def bucket_screen(p: int, n: int) -> list:
+    """The sorted indices of the tables f with f(1) = 1 of the cell, in
+    ``enumerate_unit_functions(p, n)``, whose value sum S_0 has
     image 0 and whose S_1 has S_1(omega) * S_1(omega^-1) = p in the split
     prime field of L = lcm(n, p); the cell must already be validated.
 
@@ -450,9 +436,7 @@ def bucket_screen(p: int, n: int, fix_f1: bool = True) -> list:
     statement accepts (the module docstring proves S_0 = 0 for both).  It
     passes ``_sumset_screen`` the value-sum rows as the key, one digit row
     omega^((L/n)*d) at every position, and the rows of S_1(omega) and
-    S_1(omega^-1).  With f(1) free the survivors are taken times each
-    constant: c in mu_n scales S_0 by a unit and leaves the magnitude image
-    unchanged.
+    S_1(omega^-1).
 
     When L exceeds MAX_ORDER no split prime of L is built, and the screen
     passes the value-sum rows alone, in the split prime field of n.
@@ -463,5 +447,4 @@ def bucket_screen(p: int, n: int, fix_f1: bool = True) -> list:
     row_sets = [[digits[:1]] + [digits] * (p - 2)]
     if big <= MAX_ORDER:
         row_sets += _magnitude_rows(p, n, pw)
-    return _times_constants((table_exps(i, p, n) for i in _sumset_screen(row_sets, ell, p)),
-                            n, fix_f1)
+    return _sumset_screen(row_sets, ell, p)

@@ -12,8 +12,8 @@ leaves it 0); ``default_grid`` reads each record's default cells.
 A record holds what sets its statement apart, and nothing else: its f(1)
 rule (``fix_f1``: the tables have f(1) = 1, or f(1) is free), its
 hypothesis that p divides n (True), does not (False) or either (None), its
-default cells, its screen and its candidate source, each a call on (p, n,
-fix_f1) that returns a sorted list of table indices (see
+default cells, its screen and its candidate source, each a call on (p, n)
+that returns the sorted indices of the tables with f(1) = 1 it passes (see
 ``modp.table_index``), and its judge, ``judge(p, n, f)``, which a run binds
 to its cell's (p, n).  ``prop_2_2`` and ``cor_2_3`` share one judge,
 ``_gauss_magnitude``: Prop 2.2 is Cor 2.3 on the tables with f(1) = 1,
@@ -45,32 +45,37 @@ passes the tables whose image passes at some unit, so a table it leaves out
 fails at every twist and no dichotomy is assumed; ``lemma_2_1`` takes
 ``subfield_screen``.  The candidate list holds the oracle side's survivors:
 most statements take ``modp.homomorphism_candidates`` (at n = 2 for
-``prop_1_1``), the characters in closed form from one primitive root, times
-each constant when f(1) is free, so a table left out is no character, nor a
-constant times one; ``lemma_2_1`` lists the n constant tables.
+``prop_1_1``), the characters in closed form from one primitive root, so a
+table left out is no character; ``lemma_2_1`` lists the trivial table alone.
+Where the record leaves f(1) free, ``_run`` lifts the joined lists once to
+every constant times each listed table (``modp.times_constants``, whose
+docstring proves that the lift moves no verdict): ``lemma_2_1``'s trivial
+table becomes its n constants, and a table left out is then no constant
+times a character.
 
-``_run`` then hands the screen's list and the candidate list, end to end,
-to ``_tally``, the walk.  ``_tally`` walks the opened stream (or the pinned
-tables) once, counts every table, calls the judge as ``judge(f)`` on each
-table whose index is listed, and raises ValueError on an index at or past
-the cell's table count, so a list can never name a table the cell does not
-have.  A judge sees the table alone and decides both sides in full: the
-statement's analytic test (Gauss-sum magnitude, Fourier witness, subfield
-membership or autocorrelation profile, each "yes" decided by canonical
-equality) and its oracle side (the brute-force homomorphism oracle, with
-``UnitFunction.normalized`` where f(1) is free; for ``prop_1_1`` and
-``lemma_2_1``, equality with the Legendre table or the constant test).  It
-returns ``(spectral_hit, oracle_hit, agrees, witness)``: whether each side
-holds, whether the two relate as the statement predicts, and the ``(exps,
-a)`` record to list as a witness, or None.  A table in neither list fails
-both sides, by the two proven rejections, so its judge returns ``(False,
-False, True, None)``, which adds only to the count; ``_tally`` counts such
-a table without judging it, and the report is the one that judging every
-table gives.  The test ``test_every_judge_is_neutral_where_both_sides_reject``
-runs every judge on every default-grid table that ``_tally`` skips and is
-what keeps that skip exact.  Functions whose sides disagree are listed as
-mismatches, and the report succeeds exactly when there are none, or, for a
-record with ``finds``, when it lists at least one witness.
+``_run`` then hands the screen's list and the candidate list, end to end
+and lifted where f(1) is free, to ``_tally``, the walk.  ``_tally`` walks
+the opened stream (or the pinned tables) once, counts every table, calls
+the judge as ``judge(f)`` on each table whose index is listed, and raises
+ValueError on an index at or past the cell's table count, so a list can
+never name a table the cell does not have.  A judge sees the table alone
+and decides both sides in full: the statement's analytic test (Gauss-sum
+magnitude, Fourier witness, subfield membership or autocorrelation profile,
+each "yes" decided by canonical equality) and its oracle side (the
+brute-force homomorphism oracle, with ``UnitFunction.normalized`` where
+f(1) is free; for ``prop_1_1`` and ``lemma_2_1``, equality with the
+Legendre table or the constant test).  It returns ``(spectral_hit,
+oracle_hit, agrees, witness)``: whether each side holds, whether the two
+relate as the statement predicts, and the ``(exps, a)`` record to list as a
+witness, or None.  A table in neither list fails both sides, by the two
+proven rejections, so its judge returns ``(False, False, True, None)``,
+which adds only to the count; ``_tally`` counts such a table without
+judging it, and the report is the one that judging every table gives.  The
+test ``test_every_judge_is_neutral_where_both_sides_reject`` runs every
+judge on every default-grid table that ``_tally`` skips and is what keeps
+that skip exact.  Functions whose sides disagree are listed as mismatches,
+and the report succeeds exactly when there are none, or, for a record with
+``finds``, when it lists at least one witness.
 """
 
 from __future__ import annotations
@@ -149,31 +154,6 @@ def _gauss_norm_is_p(f: UnitFunction) -> bool:
 
 def _is_nontrivial_character(f: UnitFunction) -> bool:
     return modp.is_character_oracle(f) and not f.is_trivial
-
-
-# ---------------------------------------------------------------------------
-# Screens and candidate sources, each a call on (p, n, fix_f1) that returns
-# sorted table indices.  They look their function up at call time, so a
-# stand-in bound on the module is the one a run calls.
-
-def _bucket(p: int, n: int, fix_f1: bool) -> list:
-    return spectral.bucket_screen(p, n, fix_f1)
-
-
-def _magnitude(p: int, n: int, fix_f1: bool) -> list:
-    return spectral.magnitude_screen(p, n, fix_f1)
-
-
-def _subfield(p: int, n: int, fix_f1: bool) -> list:
-    return spectral.subfield_screen(p, n)
-
-
-def _characters(p: int, n: int, fix_f1: bool) -> list:
-    return modp.homomorphism_candidates(p, n, fix_f1)
-
-
-def _constants(p: int, n: int, fix_f1: bool) -> list:
-    return [modp.table_index((d,) * (p - 1), n) for d in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +278,9 @@ class _Statement(_Value):
                            "candidates", "pin", "pinned", "finds")
 
     def __init__(self, name: str, judge, cells: tuple, fix_f1: bool = True,
-                 p_divides_n: "bool | None" = False, screen=_bucket, candidates=_characters,
-                 pin=None, pinned: "tuple | None" = None, finds: bool = False):
+                 p_divides_n: "bool | None" = False, screen=spectral.bucket_screen,
+                 candidates=modp.homomorphism_candidates, pin=None,
+                 pinned: "tuple | None" = None, finds: bool = False):
         self.name = name
         self.judge = judge
         self.cells = cells
@@ -330,8 +311,12 @@ def _run(st: _Statement, p: "int | None", n: "int | None", budget: int) -> Verif
     if st.p_divides_n is not None and (n % p == 0) != st.p_divides_n:
         raise HypothesisViolation(
             f"p {'does not divide' if st.p_divides_n else 'divides'} n (p={p}, n={n})")
-    judged = (st.screen(p, n, st.fix_f1) + st.candidates(p, n, st.fix_f1) if st.pinned is None
-              else list(range(len(functions))))
+    if st.pinned is not None:
+        judged = list(range(len(functions)))
+    else:
+        judged = st.screen(p, n) + st.candidates(p, n)
+        if not st.fix_f1:
+            judged = modp.times_constants(judged, p, n)
     rep = _tally(st.name, p, n, partial(st.judge, p, n), functions, judged)
     if st.finds:
         rep.success = bool(rep.witnesses)
@@ -370,16 +355,17 @@ def _tally(statement: str, p: int, n: int, judge, functions, judged) -> Verifica
 verify_prop_1_1 = _Statement("prop_1_1", _prop_1_1, tuple((p, 2) for p in GRID_PRIMES_QUADRATIC),
                              pin=_sign_functions)
 verify_thm_1_2 = _Statement("thm_1_2", _thm_1_2, GRID_CELLS)
-verify_cor_1_3 = _Statement("cor_1_3", _cor_1_3, GRID_CELLS_FREE, fix_f1=False, screen=_magnitude)
+verify_cor_1_3 = _Statement("cor_1_3", _cor_1_3, GRID_CELLS_FREE, fix_f1=False,
+                            screen=spectral.magnitude_screen)
 verify_lemma_2_1 = _Statement("lemma_2_1", _lemma_2_1, GRID_CELLS_FREE, fix_f1=False,
-                              screen=_subfield, candidates=_constants)
+                              screen=spectral.subfield_screen, candidates=lambda p, n: [0])
 verify_prop_2_2 = _Statement("prop_2_2", _gauss_magnitude, GRID_CELLS)
 verify_cor_2_3 = _Statement("cor_2_3", _gauss_magnitude, GRID_CELLS_FREE, fix_f1=False)
 verify_thm_1_7 = _Statement("thm_1_7", _thm_1_7, GRID_CELLS, p_divides_n=None)
 remark_counterexample = _Statement("remark_counterexample", _counterexample, ((3, 6),),
                                    p_divides_n=True, pin=_pinned_counterexample, pinned=((0, 5),))
 search_p_divides_n = _Statement("remark_p_divides_n", _search, ((3, 6),), p_divides_n=True,
-                                screen=_magnitude, finds=True)
+                                screen=spectral.magnitude_screen, finds=True)
 
 #: Every statement's verifier, its record, in grid order.
 _PARAMETRIC_VERIFIERS = {st.name: st for st in (

@@ -17,6 +17,7 @@ from gausschar.modp import (
     parse_unit_function,
     table_exps,
     table_index,
+    times_constants,
 )
 from gausschar.verify import GRID_CELLS
 from reference import (
@@ -390,18 +391,20 @@ def _oracle_indices(p, n, fix_f1):
 
 
 def test_homomorphism_candidates_are_what_the_oracle_accepts():
+    # With f(1) free the candidates are lifted to each constant times them.
     for p, n in GRID_CELLS + ((3, 6), (5, 10)):
-        for fix_f1 in (True, False):
-            assert homomorphism_candidates(p, n, fix_f1) == _oracle_indices(p, n, fix_f1)
+        fixed = homomorphism_candidates(p, n)
+        assert fixed == _oracle_indices(p, n, True)
+        assert times_constants(fixed, p, n) == _oracle_indices(p, n, False)
     # At (11, 4) and (13, 3) the f(1)-free cells are too large to enumerate
     # here.  f -> (f(1), f.normalized()) is a bijection onto the constants
     # times the f(1) = 1 tables, so the oracle accepts exactly n times as
-    # many free tables as fixed ones; the free candidates are that many, and
-    # the oracle accepts each one.
+    # many free tables as fixed ones; the lifted candidates are that many,
+    # and the oracle accepts each one.
     for p, n in ((11, 4), (13, 3)):
         fixed = homomorphism_candidates(p, n)
         assert fixed == _oracle_indices(p, n, True)
-        free = homomorphism_candidates(p, n, fix_f1=False)
+        free = times_constants(fixed, p, n)
         assert free == sorted(set(free)) and len(free) == n * len(fixed)
         for index in free:
             exps = [(index // n ** (p - 1 - x)) % n for x in range(1, p)]
@@ -409,14 +412,14 @@ def test_homomorphism_candidates_are_what_the_oracle_accepts():
 
 
 def test_homomorphism_candidates_count_and_match_the_characters():
-    # gcd(n, p - 1) characters with f(1) fixed, n times as many tables with
-    # f(1) free; the indices are those of the character tables, times each
-    # constant when f(1) is free.
+    # gcd(n, p - 1) characters with f(1) fixed, n times as many tables once
+    # lifted to f(1) free; the indices are those of the character tables,
+    # times each constant when lifted.
     cells = [(p, n) for p in SMALL_PRIMES[:6] for n in range(1, 13)]
     for p, n in cells + [(11, 4), (13, 3), (3, 6), (5, 10)]:
         chars = [c.unit_function(n).exps for c in enumerate_characters(p, n)]
         fixed = homomorphism_candidates(p, n)
-        free = homomorphism_candidates(p, n, fix_f1=False)
+        free = times_constants(fixed, p, n)
         assert len(fixed) == gcd(n, p - 1) and len(free) == n * gcd(n, p - 1)
         assert fixed == sorted(_index(n, exps) for exps in chars)
         assert free == sorted(_index(n, [(e + c) % n for e in exps])
@@ -425,9 +428,9 @@ def test_homomorphism_candidates_count_and_match_the_characters():
 
 def test_homomorphism_candidates_at_n_one_are_the_one_table():
     # The one table at n = 1 is the trivial character, with f(1) fixed or
-    # free, also at a large p.
+    # lifted to f(1) free, also at a large p.
     assert homomorphism_candidates(1009, 1) == [0]
-    assert homomorphism_candidates(9973, 1, fix_f1=False) == [0]
+    assert times_constants(homomorphism_candidates(9973, 1), 9973, 1) == [0]
 
 
 def test_table_index_is_the_enumeration_position():

@@ -23,6 +23,7 @@ from gausschar.modp import (
     legendre_unit_function,
     table_exps,
     table_index,
+    times_constants,
 )
 from gausschar.spectral import (
     SpectralValue,
@@ -348,13 +349,21 @@ def _true_indices(verdicts):
     return [i for i, ok in enumerate(verdicts) if ok]
 
 
+def _screened(source, p, n, fix_f1):
+    """A verdict source's f(1) = 1 list, lifted to f(1) free as a
+    verification lifts it when ``fix_f1`` is false."""
+    indices = source(p, n)
+    return indices if fix_f1 else times_constants(indices, p, n)
+
+
 def test_cell_screens_align_with_per_function_images():
     # A cell screen lists index i exactly when table i of the enumeration
     # passes the split-prime test, computed from its exponents alone:
     # tau(omega) against its image under sigma_k, k = 1 (mod n) and a
-    # primitive root mod p (f(1) free; k = 1 when p divides n), and the
-    # value sum with the a = 1 magnitude (f(1) = 1).  The magnitude screen
-    # is checked by test_magnitude_screen_maps_the_a1_survivors_to_every_twist.
+    # primitive root mod p (f(1) free, the screen's list lifted to it; k = 1
+    # when p divides n), and the value sum with the a = 1 magnitude
+    # (f(1) = 1).  The magnitude screen is checked by
+    # test_magnitude_screen_maps_the_a1_survivors_to_every_twist.
     cells = {(p, n) for _, p, n in default_grid()} | {(3, 6), (3, 12), (5, 10), (5, 8), (7, 5)}
     for p, n in sorted(cells):
         big = lcm(n, p)
@@ -367,7 +376,8 @@ def test_cell_screens_align_with_per_function_images():
         for f in free:
             tau = [big // n * e + big // p * x for x, e in enumerate(f.exps, 1)]
             expected.append(sum(pw[t % big] - pw[k * t % big] for t in tau) % ell == 0)
-        assert spectral.subfield_screen(p, n) == _true_indices(expected), (p, n)
+        lifted = times_constants(spectral.subfield_screen(p, n), p, n)
+        assert lifted == _true_indices(expected), (p, n)
         expected = [sum(pw[big // n * e] for e in f.exps) % ell == 0
                     and spectral._magnitude_image_is_p(f, 1) for f in fixed]
         assert spectral.bucket_screen(p, n) == _true_indices(expected), (p, n)
@@ -375,45 +385,46 @@ def test_cell_screens_align_with_per_function_images():
 
 def test_magnitude_screen_maps_the_a1_survivors_to_every_twist():
     # The screen sums the f(1) = 1 tables at a = 1 alone and reaches every
-    # other twist by x -> a*x, rescaled to f(1) = 1, and every f(1) by the
-    # constants.  Against the per-function images, table by table, as the
-    # any over the units: every default-grid cell, f(1) fixed and free, the
-    # p | n cells (3, 6), (3, 12) and (5, 10), where the witness sets differ
-    # from twist to twist, and (5, 8) and (7, 5).
+    # other twist by x -> a*x, rescaled to f(1) = 1, and every f(1) once
+    # lifted to the constants.  Against the per-function images, table by
+    # table, as the any over the units: every default-grid cell, f(1) fixed
+    # and free, the p | n cells (3, 6), (3, 12) and (5, 10), where the
+    # witness sets differ from twist to twist, and (5, 8) and (7, 5).
     cells = {(p, n) for _, p, n in default_grid()} | {(3, 6), (3, 12), (5, 10), (5, 8), (7, 5)}
     for p, n in sorted(cells):
         for fix_f1 in (True, False):
             functions = enumerate_unit_functions(p, n, fix_f1=fix_f1)
             images = (any(spectral._magnitude_image_is_p(f, a) for a in range(1, p))
                       for f in functions)
-            assert (spectral.magnitude_screen(p, n, fix_f1)
+            assert (_screened(spectral.magnitude_screen, p, n, fix_f1)
                     == _true_indices(images)), (p, n, fix_f1)
 
 
 def test_magnitude_screen_passes_c_times_each_character():
     # At (5, 4) and (7, 3) the tables that pass are the nontrivial
-    # characters chi, with |S_a| = sqrt(p) at every unit a, and with f(1)
-    # free each c * chi.  Each chi o m_a is chi(a) * chi, so the twist
+    # characters chi, with |S_a| = sqrt(p) at every unit a, and once lifted
+    # to f(1) free each c * chi.  Each chi o m_a is chi(a) * chi, so the twist
     # remap lands on chi again only once it is rescaled to f(1) = 1.
     for p, n in ((5, 4), (7, 3)):
         constants = {table_index((c,) * (p - 1), n) for c in range(n)}
         for fix_f1 in (True, False):
-            expected = [i for i in homomorphism_candidates(p, n, fix_f1) if i not in constants]
-            assert spectral.magnitude_screen(p, n, fix_f1) == expected, (p, n, fix_f1)
+            expected = [i for i in _screened(homomorphism_candidates, p, n, fix_f1)
+                        if i not in constants]
+            assert _screened(spectral.magnitude_screen, p, n, fix_f1) == expected, (p, n, fix_f1)
 
 
 def test_bucket_screen_passes_every_hit_and_the_magnitude_survivors():
     # The bucket screen keeps a table when its value sum has image 0 and its
     # S_1 the magnitude image p.  It must pass every canonical hit: each
     # table with norm_squared(tau(f)) = p on the Gauss cells (p does not
-    # divide n), each flat table on the thm_1_7 cells.  Every such hit
-    # passes the magnitude image at some unit, so the canonical tests run
-    # on the magnitude screen's survivors.  Where p does not divide n the
-    # two screens pass the same tables, and on the thm_1_7 cells those are
+    # divide n), each flat table on the thm_1_7 cells.  Every such hit passes
+    # the magnitude image at some unit, so the canonical tests run on the
+    # magnitude screen's survivors.  Where p does not divide n the two
+    # screens pass the same tables, and on the thm_1_7 cells those are
     # exactly the nontrivial characters, a few of the value-sum screen's
     # survivors (2 of 11,550 at (13, 3)).  Every default-grid cell of the
-    # statements that take the screen, f(1) free on the cor_2_3 cells, and
-    # five larger cells: 75 hits in all.
+    # statements that take the screen, lifted to f(1) free on the cor_2_3
+    # cells, and five larger cells: 75 hits in all.
     bucket_statements = ("prop_1_1", "thm_1_2", "prop_2_2", "cor_2_3", "thm_1_7")
     cells = {(statement == "thm_1_7", p, n, statement != "cor_2_3")
              for statement, p, n in default_grid() if statement in bucket_statements}
@@ -421,8 +432,8 @@ def test_bucket_screen_passes_every_hit_and_the_magnitude_survivors():
               for p, n in ((11, 4), (13, 3), (11, 3), (7, 5), (7, 6))}
     hits, characters = 0, {}
     for flat, p, n, fix_f1 in sorted(cells):
-        survivors = spectral.bucket_screen(p, n, fix_f1)
-        magnitude = spectral.magnitude_screen(p, n, fix_f1)
+        survivors = _screened(spectral.bucket_screen, p, n, fix_f1)
+        magnitude = _screened(spectral.magnitude_screen, p, n, fix_f1)
         tables = (UnitFunction(p, n, tuple(table_exps(i, p, n))) for i in magnitude)
         hit = [table_index(f.exps, n) for f in tables
                if (kurlberg_test(f) if flat else fourier_norm(f, p - 1).as_integer() == p)]
@@ -439,17 +450,17 @@ def test_bucket_screen_passes_every_hit_and_the_magnitude_survivors():
 
 
 def test_subfield_screen_passes_exactly_the_subfield_members():
-    # Its sigma_k generates the automorphisms fixing Q(zeta_n), so the screen
-    # passes exactly the tables with tau(f) in Q(zeta_n): the n constants,
-    # on every default-grid lemma_2_1 cell and at (7, 5) and (5, 8).  A k
-    # that generates a proper subgroup passes more: k = 6, of order 2 mod 7,
-    # passes 125 tables at (7, 5).  Where p divides n, Q(zeta_L) is
-    # Q(zeta_n) and every table passes.
+    # Its sigma_k generates the automorphisms fixing Q(zeta_n), so the
+    # screen, lifted to f(1) free, passes exactly the tables with tau(f) in
+    # Q(zeta_n): the n constants, on every default-grid lemma_2_1 cell and
+    # at (7, 5) and (5, 8).  A k that generates a proper subgroup passes
+    # more: k = 6, of order 2 mod 7, passes 125 tables at (7, 5).  Where p
+    # divides n, Q(zeta_L) is Q(zeta_n) and every table passes.
     cells = {(p, n) for statement, p, n in default_grid() if statement == "lemma_2_1"}
     for p, n in sorted(cells | {(7, 5), (5, 8), (3, 6)}):
         functions = list(enumerate_unit_functions(p, n, fix_f1=False))
         members = _true_indices(gauss_sum(f).value.in_subfield(n) for f in functions)
-        assert spectral.subfield_screen(p, n) == members, (p, n)
+        assert times_constants(spectral.subfield_screen(p, n), p, n) == members, (p, n)
         passed = [functions[i] for i in members]
         if n % p:
             assert [f.exps for f in passed] == [(d,) * (p - 1) for d in range(n)], (p, n)
@@ -459,14 +470,14 @@ def test_subfield_screen_passes_exactly_the_subfield_members():
 
 def test_in_subfield_matches_every_k_on_the_screen_survivors():
     # Generators only against every k, for tau of each table the subfield
-    # screen passes on a default-grid lemma_2_1 cell, at every divisor of
-    # its order.
+    # screen passes, lifted to f(1) free, on a default-grid lemma_2_1 cell,
+    # at every divisor of its order.
     cells = {(p, n) for statement, p, n in default_grid() if statement == "lemma_2_1"}
     answers = set()
     for p, n in sorted(cells):
         order = lcm(n, p)
         functions = list(enumerate_unit_functions(p, n, fix_f1=False))
-        for f in (functions[i] for i in spectral.subfield_screen(p, n)):
+        for f in (functions[i] for i in times_constants(spectral.subfield_screen(p, n), p, n)):
             tau = gauss_sum(f).value
             for d in (d for d in range(1, order + 1) if order % d == 0):
                 answer = tau.in_subfield(d)
@@ -530,9 +541,9 @@ def test_cell_screen_in_bounded_memory():
     # their verdicts alone would take 2 MB.  The magnitude screen holds one
     # tail block, one head's verdicts and the tables of its survivors; the
     # bucket screen holds one entry per offset of its tail block, whatever
-    # the number of tables.  The survivors of both are the Legendre table
-    # times each of the 4 constants, the tables c * chi with
-    # |S_a| = sqrt(11) at some unit a.
+    # the number of tables.  Lifted to f(1) free, inside the measurement,
+    # the survivors of both are the Legendre table times each of the 4
+    # constants, the tables c * chi with |S_a| = sqrt(11) at some unit a.
     import tracemalloc
     spectral._split_prime(44)
     legendre = [2 * e for e in legendre_unit_function(11).exps]
@@ -540,7 +551,7 @@ def test_cell_screen_in_bounded_memory():
     for screen in (spectral.magnitude_screen, spectral.bucket_screen):
         tracemalloc.start()
         try:
-            survivors = screen(11, 4, fix_f1=False)
+            survivors = times_constants(screen(11, 4), 11, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

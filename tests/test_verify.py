@@ -295,16 +295,18 @@ def test_neutrality_check_catches_a_table_both_lists_drop(monkeypatch):
     # The bucket screen rejects the trivial character, which the oracle
     # accepts.  A candidate list without it leaves it skipped, and the full
     # judge, not neutral there, fails the cross-check.
-    real = modp.homomorphism_candidates
+    real, calls = verify_thm_1_7.candidates, []
 
-    def dropping(p, n, fix_f1=True):
-        indices = real(p, n, fix_f1)
+    def dropping(p, n):
+        calls.append((p, n))
+        indices = real(p, n)
         assert indices[0] == 0  # the trivial character's table comes first
         return indices[1:]
-    monkeypatch.setattr(modp, "homomorphism_candidates", dropping)
+    monkeypatch.setattr(verify_thm_1_7, "candidates", dropping)
     monkeypatch.setattr(verify, "_tally", _neutrality_check(set()))
     with pytest.raises(AssertionError, match=r"'thm_1_7', 5, 4, \(0, 0, 0, 0\)"):
         verify_thm_1_7(5, 4)
+    assert calls == [(5, 4)]
 
 
 def _masked(reports):
@@ -369,31 +371,37 @@ F1_FREE = {"cor_1_3", "lemma_2_1", "cor_2_3"}
 
 
 def test_run_judges_exactly_the_tables_a_verdict_passes(monkeypatch):
-    # Every verdict source returns a sorted list of distinct table indices,
-    # and _run hands _tally a record's lists end to end; lemma_2_1's
-    # constants, listed inline, are what follows its screen.  In one
-    # default-grid pass a judge is called on each table whose index is
-    # listed, in order, and on no other; every table is still counted.
+    # Every verdict source, bound on its record, returns a sorted list of
+    # distinct table indices, and _run hands _tally a record's lists end to
+    # end, lifted to each constant times them where f(1) is free; only the
+    # counterexample's pinned [0] is listed inline.  In one default-grid pass
+    # a judge is called on each table whose index is listed, in order, and on
+    # no other; every table is still counted.
     run = verify._tally
-    sources, judged, expected = [], [], []
+    sources, cells, judged, expected = [], [], [], []
 
     def recording(real):
-        def source(*args, **kwargs):
-            indices = real(*args, **kwargs)
-            assert indices == sorted(set(indices)), (real.__name__, args, kwargs)
+        def source(p, n):
+            indices = real(p, n)
+            assert indices == sorted(set(indices)), (real, p, n)
             sources.append(indices)
             return indices
         return source
-    for module, name in ((spectral, "magnitude_screen"), (spectral, "bucket_screen"),
-                         (spectral, "subfield_screen"), (modp, "homomorphism_candidates")):
-        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    for st in verify._PARAMETRIC_VERIFIERS.values():
+        monkeypatch.setattr(st, "screen", recording(st.screen))
+        monkeypatch.setattr(st, "candidates", recording(st.candidates))
 
     def spy(statement, p, n, judge, functions, indices):
+        # Both recorded sources ran for this cell, the pinned one's excepted.
+        assert len(sources) == (0 if statement == "remark_counterexample" else 2), statement
+        cells.append((statement, p, n))
         listed = [i for source in sources for i in source]
+        if statement in F1_FREE:
+            listed = modp.times_constants(listed, p, n)
         assert indices[:len(listed)] == listed, (statement, p, n)
-        inline = indices[len(listed):]  # lemma_2_1's constants, the counterexample's [0]
+        inline = indices[len(listed):]  # the counterexample's pinned [0]
         assert inline == sorted(set(inline)), (statement, p, n)
-        assert bool(inline) == (statement in ("lemma_2_1", "remark_counterexample")), statement
+        assert bool(inline) == (statement == "remark_counterexample"), statement
         sources.clear()
         functions = list(functions)
         expected.extend((statement, p, n, functions[i].exps) for i in sorted(set(indices)))
@@ -405,6 +413,7 @@ def test_run_judges_exactly_the_tables_a_verdict_passes(monkeypatch):
 
     monkeypatch.setattr(verify, "_tally", spy)
     reports = verify_grid(default_grid())
+    assert cells == default_grid()
     # 261: the bucket screen passes the nontrivial characters (times each
     # constant when f(1) is free) and nothing else on the grid, and the
     # (3, 6) search screen passes the tables that pass at any unit, one more
@@ -414,6 +423,21 @@ def test_run_judges_exactly_the_tables_a_verdict_passes(monkeypatch):
         total = (1 if rep.statement == "remark_counterexample"
                  else count_unit_functions(rep.p, rep.n, rep.statement not in F1_FREE))
         assert rep.total_functions == total, (rep.statement, rep.p, rep.n)
+
+
+def test_an_f1_free_run_judges_each_constant_times_its_lists():
+    # The lists name tables with f(1) = 1; an f(1)-free run lifts them once,
+    # so each constant times a listed table is judged.  At (5, 4) that is the
+    # 4 constants times each of the 3 nontrivial characters, which pass both
+    # sides of cor_1_3 and cor_2_3; at (5, 3) lemma_2_1's trivial table
+    # lifts to the 3 constants, each in Q(zeta_3).  Unlifted, each run would
+    # judge only its f(1) = 1 tables and still succeed, on 3, 3 and 1 hits.
+    for verifier, p, n, hits in ((verify_cor_1_3, 5, 4, 12), (verify_cor_2_3, 5, 4, 12),
+                                 (verify_lemma_2_1, 5, 3, 3)):
+        rep = verifier(p, n)
+        assert rep.success and rep.total_functions == n ** (p - 1), rep.statement
+        counts = (rep.passing_spectral, rep.passing_oracle, len(rep.witnesses))
+        assert counts == (hits,) * 3, rep.statement
 
 
 def test_cor_1_3_judge_reports_a_broken_dichotomy(monkeypatch):
@@ -477,14 +501,16 @@ def test_thm_1_2_reports_a_character_the_generator_drops(monkeypatch):
     target = (0, 1, 3, 2)  # the character of order 4 mod 5 with chi(2) = i
     dropped = modp.table_index(target, 4)
     expected = _masked([verify_thm_1_2(5, 4)])
-    real = modp.homomorphism_candidates
+    real, calls = verify_thm_1_2.candidates, []
 
-    def dropping(p, n, fix_f1=True):
-        indices = real(p, n, fix_f1)
+    def dropping(p, n):
+        calls.append((p, n))
+        indices = real(p, n)
         assert dropped in indices
         return [i for i in indices if i != dropped]
-    monkeypatch.setattr(modp, "homomorphism_candidates", dropping)
+    monkeypatch.setattr(verify_thm_1_2, "candidates", dropping)
     rep = verify_thm_1_2(5, 4)
+    assert calls == [(5, 4)]
     assert _masked([rep]) == expected
     assert rep.success and rep.passing_oracle == 3 and (target, 1) in rep.witnesses
 
@@ -513,13 +539,15 @@ def test_a_cell_refuses_a_non_int_p_or_n():
 
 def test_elapsed_ms_covers_the_whole_verification(monkeypatch):
     # The clock runs around the verifier, so the time a screen takes shows.
-    real = spectral.bucket_screen
+    real, calls = verify_thm_1_2.screen, []
 
-    def slow(*args, **kwargs):
+    def slow(p, n):
+        calls.append((p, n))
         time.sleep(0.1)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(spectral, "bucket_screen", slow)
+        return real(p, n)
+    monkeypatch.setattr(verify_thm_1_2, "screen", slow)
     assert run_statement("thm_1_2", 5, 4).elapsed_ms >= 100
+    assert calls == [(5, 4)]
 
 
 def test_verify_grid_captures_cell_errors():
