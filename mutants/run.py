@@ -75,6 +75,9 @@ MUTANTS = (
     ("remark_p_divides_n judges only its candidates", VERIFY,
      "screen=spectral.magnitude_screen, finds=True)", "screen=lambda p, n: [], finds=True)",
      (f"{TEST_VERIFY}::test_search_p_divides_n",)),
+    ("prop_1_1 judged at the twist a = 1", VERIFY,
+     '_Statement("prop_1_1", _gauss_magnitude,', '_Statement("prop_1_1", _thm_1_2,',
+     (f"{TEST_VERIFY}::test_prop_1_1_small_primes",)),
     ("prop_2_2 admits p | n", VERIFY,
      '_Statement("prop_2_2", _gauss_magnitude, GRID_CELLS)',
      '_Statement("prop_2_2", _gauss_magnitude, GRID_CELLS, p_divides_n=None)',

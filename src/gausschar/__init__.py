@@ -24,7 +24,6 @@ from .modp import (
     enumerate_unit_functions,
     find_primitive_root,
     is_character_oracle,
-    legendre_unit_function,
     parse_unit_function,
 )
 from .spectral import (

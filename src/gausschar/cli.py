@@ -231,7 +231,7 @@ _HELP = ("-h", "--help")
 # Each option maps to (kind, required, default, help).  The kind is a
 # function from the option's text to its value, a tuple of the words it
 # accepts, or None for a flag, which takes no value and sets True.
-_FN = {"--fn": (str, True, None, "function text")}
+_FN = {"--fn": (str, True, None, "function text: 'p=<p> n=<n> exps=<k_1>,...,<k_{p-1}>'")}
 _OUTPUT = {"--output": (("table", "json"), False, "table", "output format (default: table)")}
 
 # subcommand -> (handler, help, options)
@@ -245,9 +245,7 @@ _COMMANDS = {
         "--budget": (_positive, False, DEFAULT_BUDGET,
                      f"enumeration budget, a positive integer (default: {DEFAULT_BUDGET})"),
         **_OUTPUT}),
-    "classify": (_cmd_classify, "run both character tests on one function", {
-        "--fn": (str, True, None, "function text: 'p=<p> n=<n> exps=<k_1>,...,<k_{p-1}>'"),
-        **_OUTPUT}),
+    "classify": (_cmd_classify, "run both character tests on one function", {**_FN, **_OUTPUT}),
     "gauss-sum": (_cmd_gauss_sum, "exact Gauss sum of one function", {**_FN, **_OUTPUT}),
     "fourier": (_cmd_fourier, "exact unnormalized Fourier coefficient", {
         **_FN, "--xi": (_integer, True, None, "frequency (reduced mod p)"), **_OUTPUT}),

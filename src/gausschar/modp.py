@@ -1,10 +1,9 @@
 """Multiplicative structure of F_p at desk scale.
 
-Primitive roots, the quadratic-residue indicator, mu_n-valued function tables,
-the exhaustive function enumerators, and the brute-force homomorphism
-oracle that every analytic test is checked against.  Primality is decided
-by trial division through ``cyclo.factorize``, exact below 2^32 and refused
-at once above.
+Primitive roots, mu_n-valued function tables, the exhaustive function
+enumerators, and the brute-force homomorphism oracle that every analytic
+test is checked against.  Primality is decided by trial division through
+``cyclo.factorize``, exact below 2^32 and refused at once above.
 
 A table of a cell is named by its index, its place in the enumeration:
 its exponents at x = 1, ..., p - 1 read as base-n digits.  ``table_index``
@@ -179,14 +178,6 @@ def parse_unit_function(text: str) -> UnitFunction:
     if not all(map(_is_digits, items)):
         raise ValueError("bad exponent list; expected comma-separated integers")
     return UnitFunction(int(words[1][0]), int(words[2][0]), tuple(map(int, items)))
-
-
-def legendre_unit_function(p: int) -> UnitFunction:
-    """The quadratic-residue indicator as a mu_2-valued table."""
-    check_odd_prime(p)
-    squares = {x * x % p for x in range(1, p)}
-    exps = tuple(0 if x in squares else 1 for x in range(1, p))
-    return UnitFunction(p, 2, exps)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,13 @@ rule (``fix_f1``: the tables have f(1) = 1, or f(1) is free), its
 hypothesis that p divides n (True), does not (False) or either (None), its
 default cells, its screen and its candidate source, each a call on (p, n)
 that returns the sorted indices of the tables with f(1) = 1 it passes (see
-``modp.table_index``), and its judge, ``judge(p, n, f)``, which a run binds
-to its cell's (p, n).  ``prop_2_2`` and ``cor_2_3`` share one judge,
-``_gauss_magnitude``: Prop 2.2 is Cor 2.3 on the tables with f(1) = 1,
-where ``UnitFunction.normalized`` returns the table itself, and the two
-records differ only in their f(1) rule and default cells.  Two statements
+``modp.table_index``), and its judge, ``judge(f)``, which reads p and n
+from the table.  ``prop_1_1``, ``prop_2_2`` and ``cor_2_3`` share one
+judge, ``_gauss_magnitude``: Prop 2.2 is Cor 2.3 on the tables with f(1) =
+1, where ``UnitFunction.normalized`` returns the table itself, and Prop 1.1
+is Prop 2.2 at n = 2, since F_p^x is cyclic and its one nontrivial
+quadratic character is the Legendre symbol.  The three records differ only
+in their f(1) rule, their pinned n and their default cells.  Two statements
 have a pinned parameter, checked by the record's ``pin`` before anything
 else: ``prop_1_1`` requires p and takes n = 2 or None, the counterexample
 takes (3, 6) or neither, and any other value is a
@@ -33,11 +35,11 @@ naming the statement, validates the cell (through
 ``modp.enumerate_unit_functions``, cheapest check first, the budget before
 primality; a pinned table refuses a float p or n the same way, through
 ``UnitFunction``) and applies the divisibility hypothesis; only then are
-the index lists and the judge built.  The screen's list holds the
-split-prime survivors (see the ``spectral`` module docstring): a table left
-out is proven to fail the statement's analytic test.  The Gauss-sum
-statements that assume p does not divide n (``prop_1_1``, ``thm_1_2``,
-``prop_2_2``, ``cor_2_3``) and ``thm_1_7`` take ``spectral.bucket_screen``:
+the index lists built.  The screen's list holds the split-prime survivors
+(see the ``spectral`` module docstring): a table left out is proven to fail
+the statement's analytic test.  The Gauss-sum statements that assume p
+does not divide n (``prop_1_1``, ``thm_1_2``, ``prop_2_2``, ``cor_2_3``)
+and ``thm_1_7`` take ``spectral.bucket_screen``:
 a table it leaves out has a nonzero value sum or |S_1|^2 != p, and either
 rules out a flat profile, and |tau(f)|^2 = p when p does not divide n.
 ``cor_1_3`` and ``remark_p_divides_n`` take ``magnitude_screen``, which
@@ -63,25 +65,24 @@ and decides both sides in full: the statement's analytic test (Gauss-sum
 magnitude, Fourier witness, subfield membership or autocorrelation profile,
 each "yes" decided by canonical equality) and its oracle side (the
 brute-force homomorphism oracle, with ``UnitFunction.normalized`` where
-f(1) is free; for ``prop_1_1`` and ``lemma_2_1``, equality with the
-Legendre table or the constant test).  It returns ``(spectral_hit,
-oracle_hit, agrees, witness)``: whether each side holds, whether the two
-relate as the statement predicts, and the ``(exps, a)`` record to list as a
-witness, or None.  A table in neither list fails both sides, by the two
-proven rejections, so its judge returns ``(False, False, True, None)``,
-which adds only to the count; ``_tally`` counts such a table without
-judging it, and the report is the one that judging every table gives.  The
-test ``test_every_judge_is_neutral_where_both_sides_reject`` runs every
-judge on every default-grid table that ``_tally`` skips and is what keeps
-that skip exact.  Functions whose sides disagree are listed as mismatches,
-and the report succeeds exactly when there are none, or, for a record with
+f(1) is free; for ``lemma_2_1``, the constant test).  It returns
+``(spectral_hit, oracle_hit, agrees, witness)``: whether each side holds,
+whether the two relate as the statement predicts, and the ``(exps, a)``
+record to list as a witness, or None.  A table in neither list fails both
+sides, by the two proven rejections, so its judge returns ``(False, False,
+True, None)``, which adds only to the count; ``_tally`` counts such a
+table without judging it, and the report is the one that judging every
+table gives.  The test
+``test_every_judge_is_neutral_where_both_sides_reject`` runs every judge on
+every default-grid table that ``_tally`` skips and is what keeps that skip
+exact.  Functions whose sides disagree are listed as mismatches, and the
+report succeeds exactly when there are none, or, for a record with
 ``finds``, when it lists at least one witness.
 """
 
 from __future__ import annotations
 
 import time
-from functools import partial
 from math import lcm
 
 from . import modp, spectral
@@ -157,20 +158,12 @@ def _is_nontrivial_character(f: UnitFunction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The judges, one per statement except that prop_2_2 and cor_2_3 share
-# _gauss_magnitude.  A run binds a judge to its cell's (p, n) and calls it
-# as judge(f) on one table; a judge does not re-test what its record fixes
-# (the f(1) rule, the p | n hypothesis, a pinned cell).
+# The judges, one per statement except that prop_1_1, prop_2_2 and cor_2_3
+# share _gauss_magnitude.  A judge is called as judge(f) on one table and
+# reads p and n from it; it does not re-test what its record fixes (the
+# f(1) rule, the p | n hypothesis, a pinned cell).
 
-def _prop_1_1(p: int, n: int, f: UnitFunction) -> tuple:
-    """Sign functions with f(1) = 1: among all 2^(p-2) of them, exactly the
-    quadratic-residue table has norm_squared(tau(f)) = p."""
-    hit = _gauss_norm_is_p(f)
-    is_legendre = f.exps == modp.legendre_unit_function(p).exps
-    return hit, is_legendre, hit == is_legendre, (f.exps, p - 1) if hit else None
-
-
-def _thm_1_2(p: int, n: int, f: UnitFunction) -> tuple:
+def _thm_1_2(f: UnitFunction) -> tuple:
     """Spectral witness test against the oracle, over all mu_n-valued f with
     f(1) = 1: some |fhat(a)| = 1 iff f is a nontrivial character.  A table
     the screen rejects has S_1 off p or S_0 != 0, so it has no witness at
@@ -181,20 +174,21 @@ def _thm_1_2(p: int, n: int, f: UnitFunction) -> tuple:
     return hit, oracle_hit, hit == oracle_hit, (f.exps, a) if hit else None
 
 
-def _cor_1_3(p: int, n: int, f: UnitFunction) -> tuple:
+def _cor_1_3(f: UnitFunction) -> tuple:
     """Dichotomy check over all mu_n-valued f (f(1) free): the witness set
     {a : |fhat(a)| = 1} is empty or all of the units, never in between.  A
     table that the screen rejects at every unit has no witness at all."""
-    hits = sum(spectral.has_unit_fourier_magnitude(f, a) for a in range(1, p))
-    full = hits == p - 1
+    hits = sum(spectral.has_unit_fourier_magnitude(f, a) for a in range(1, f.p))
+    full = hits == f.p - 1
     oracle_hit = _is_nontrivial_character(f.normalized())
     return full, oracle_hit, full or not hits, (f.exps, 1) if full else None
 
 
-def _lemma_2_1(p: int, n: int, g: UnitFunction) -> tuple:
+def _lemma_2_1(g: UnitFunction) -> tuple:
     """Subfield filter over all mu_n-valued g: tau(g) lies in Q(zeta_n) for
     exactly the n constant functions, and each such g is identically
     -tau(g)."""
+    p, n = g.p, g.n
     const = g.is_constant
     tau = spectral.gauss_sum(g).value
     if tau.in_subfield(n):
@@ -203,19 +197,23 @@ def _lemma_2_1(p: int, n: int, g: UnitFunction) -> tuple:
     return False, const, not const, None
 
 
-def _gauss_magnitude(p: int, n: int, f: UnitFunction) -> tuple:
-    """Gauss-magnitude test against the oracle, the judge of both prop_2_2
-    and cor_2_3.  Cor 2.3, over all mu_n-valued f with f(1) free:
+def _gauss_magnitude(f: UnitFunction) -> tuple:
+    """Gauss-magnitude test against the oracle, the judge of prop_1_1,
+    prop_2_2 and cor_2_3.  Cor 2.3, over all mu_n-valued f with f(1) free:
     norm_squared(tau(f)) = p iff f splits as f(1) times a nontrivial
     character.  Prop 2.2, over the f with f(1) = 1: norm_squared(tau(f)) =
     p iff f is a nontrivial character.  On a table with f(1) = 1,
-    ``normalized()`` returns the table itself, so the two tests are one."""
+    ``normalized()`` returns the table itself, so the two tests are one.
+    Prop 1.1 is Prop 2.2 at n = 2: F_p^x is cyclic, so its one nontrivial
+    mu_2-valued character is the Legendre symbol, and exactly the
+    quadratic-residue table among the sign functions with f(1) = 1 has
+    norm_squared(tau(f)) = p."""
     factors = _is_nontrivial_character(f.normalized())
     hit = _gauss_norm_is_p(f)
-    return hit, factors, hit == factors, (f.exps, p - 1) if hit else None
+    return hit, factors, hit == factors, (f.exps, f.p - 1) if hit else None
 
 
-def _thm_1_7(p: int, n: int, f: UnitFunction) -> tuple:
+def _thm_1_7(f: UnitFunction) -> tuple:
     """Autocorrelation criterion against the oracle, over all mu_n-valued f
     with f(1) = 1.  The flat profile (-1 at every nonzero shift) holds for
     exactly the nontrivial characters: the trivial character autocorrelates
@@ -227,7 +225,7 @@ def _thm_1_7(p: int, n: int, f: UnitFunction) -> tuple:
             (f.exps, None) if flat else None)
 
 
-def _counterexample(p: int, n: int, f: UnitFunction) -> tuple:
+def _counterexample(f: UnitFunction) -> tuple:
     """The pinned counterexample p = 3, n = 6, f = (1, e(5/6)): Gauss sum of
     magnitude sqrt(3) without being a character, showing that dropping the
     p-not-dividing-n hypothesis breaks the magnitude criterion.  That p
@@ -239,7 +237,7 @@ def _counterexample(p: int, n: int, f: UnitFunction) -> tuple:
     return hit, oracle_hit, agrees, None if a is None else (f.exps, a)
 
 
-def _search(p: int, n: int, f: UnitFunction) -> tuple:
+def _search(f: UnitFunction) -> tuple:
     """Hunt, over f with f(1) = 1, for non-homomorphisms whose Gauss sum
     still has norm_squared = p; only possible because p divides n.  Hits
     are returned as witnesses and no count formula is asserted."""
@@ -298,8 +296,8 @@ class _Statement(_Value):
 
 
 def _run(st: _Statement, p: "int | None", n: "int | None", budget: int) -> VerificationReport:
-    """Open and validate the statement's cell, build its index lists and
-    its judge, and tally the report through ``_tally``."""
+    """Open and validate the statement's cell, build its index lists,
+    and tally the report through ``_tally``."""
     if st.pin is not None:
         p, n = st.pin(p, n)
     if p is None or n is None:
@@ -317,7 +315,7 @@ def _run(st: _Statement, p: "int | None", n: "int | None", budget: int) -> Verif
         judged = st.screen(p, n) + st.candidates(p, n)
         if not st.fix_f1:
             judged = modp.times_constants(judged, p, n)
-    rep = _tally(st.name, p, n, partial(st.judge, p, n), functions, judged)
+    rep = _tally(st.name, p, n, st.judge, functions, judged)
     if st.finds:
         rep.success = bool(rep.witnesses)
     return rep
@@ -352,8 +350,8 @@ def _tally(statement: str, p: int, n: int, judge, functions, judged) -> Verifica
 # stay at or below GRID_CELL_CAP functions, so the whole grid runs in
 # seconds.
 
-verify_prop_1_1 = _Statement("prop_1_1", _prop_1_1, tuple((p, 2) for p in GRID_PRIMES_QUADRATIC),
-                             pin=_sign_functions)
+verify_prop_1_1 = _Statement("prop_1_1", _gauss_magnitude,
+                             tuple((p, 2) for p in GRID_PRIMES_QUADRATIC), pin=_sign_functions)
 verify_thm_1_2 = _Statement("thm_1_2", _thm_1_2, GRID_CELLS)
 verify_cor_1_3 = _Statement("cor_1_3", _cor_1_3, GRID_CELLS_FREE, fix_f1=False,
                             screen=spectral.magnitude_screen)

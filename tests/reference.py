@@ -3,13 +3,14 @@
 Multiplicative characters mod p, built directly from a primitive root; the
 tests use these to produce known characters and compare them with what the
 package's criteria and oracle pick out.  Beside them, plain integer
-polynomial arithmetic, the modular inverse, the Legendre symbol, the size of
-an enumeration, the Parseval total and the autocorrelation criterion over
-every shift: each restates a definition that the package itself never
-needs.  Then the value-sum screen that ``spectral.bucket_screen``
-replaced, the dense verification loop, which judges every table where
-the package's loop judges only those a verdict lists, and the subfield
-test at every k, where the package checks only generators.  Then the
+polynomial arithmetic, the modular inverse, the Legendre symbol, the
+quadratic-residue table, the size of an enumeration, the Parseval total and
+the autocorrelation criterion over every shift: each restates a definition
+that the package itself never needs.  Then the value-sum screen that
+``spectral.bucket_screen`` replaced, the dense verification loop, which
+judges every table where the package's loop judges only those a verdict
+lists, and the subfield test at every k, where the package checks only
+generators.  Then the
 argparse parser the CLI's table-driven one replaced, as the cross-check of
 what a command line means, and the regular-expression parser of function
 text that ``modp.parse_unit_function``'s ``str`` methods replaced.  Last,
@@ -153,6 +154,16 @@ def legendre_symbol(a: int, p: int) -> int:
     if a == 0:
         return 0
     return 1 if a in {x * x % p for x in range(1, p)} else -1
+
+
+def legendre_unit_function(p: int) -> UnitFunction:
+    """The quadratic-residue indicator as a mu_2-valued table, built from the
+    explicit square set with no character or primitive root: the tests
+    compare prop_1_1's one witness and the quadratic character with it."""
+    check_odd_prime(p)
+    squares = {x * x % p for x in range(1, p)}
+    exps = tuple(0 if x in squares else 1 for x in range(1, p))
+    return UnitFunction(p, 2, exps)
 
 
 def count_unit_functions(p: int, n: int, fix_f1: bool) -> int:

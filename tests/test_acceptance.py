@@ -19,7 +19,6 @@ from gausschar.modp import (
     UnitFunction,
     enumerate_unit_functions,
     is_character_oracle,
-    legendre_unit_function,
 )
 from gausschar.spectral import autocorrelation, gauss_sum
 from gausschar.verify import (
@@ -34,7 +33,7 @@ from gausschar.verify import (
     verify_thm_1_2,
     verify_thm_1_7,
 )
-from reference import evaluate_poly, parseval_sum, poly_mul, poly_trim
+from reference import evaluate_poly, legendre_unit_function, parseval_sum, poly_mul, poly_trim
 
 
 def announce(capsys, number: int, label: str, ok: bool, detail: str = "") -> None:

@@ -13,7 +13,6 @@ from gausschar.modp import (
     homomorphism_candidates,
     is_character_oracle,
     is_prime,
-    legendre_unit_function,
     parse_unit_function,
     table_exps,
     table_index,
@@ -25,6 +24,7 @@ from reference import (
     count_unit_functions,
     enumerate_characters,
     legendre_symbol,
+    legendre_unit_function,
     mod_inverse,
 )
 

@@ -20,7 +20,6 @@ from gausschar.modp import (
     homomorphism_candidates,
     is_character_oracle,
     is_prime,
-    legendre_unit_function,
     table_exps,
     table_index,
     times_constants,
@@ -43,6 +42,7 @@ from reference import (
     flat_screen,
     in_subfield_every_k,
     kurlberg_all_shifts,
+    legendre_unit_function,
     mod_inverse,
     parseval_sum,
     sympy_remainder,

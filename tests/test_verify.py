@@ -8,7 +8,7 @@ import pytest
 
 from gausschar import modp, spectral, verify
 from gausschar.cyclo import MAX_ORDER, factorize
-from gausschar.modp import BudgetExceededError, enumerate_unit_functions, legendre_unit_function
+from gausschar.modp import BudgetExceededError, enumerate_unit_functions
 from gausschar.verify import (
     GRID_CELLS,
     GRID_CELLS_FREE,
@@ -28,7 +28,7 @@ from gausschar.verify import (
     verify_thm_1_7,
 )
 from record_tier2_golden import TIER2_CELLS, TIER2_GOLDEN, golden_line
-from reference import count_unit_functions, dense_run
+from reference import count_unit_functions, dense_run, legendre_unit_function
 
 #: Every default-grid cell, then five cells that fail to run, in file order.
 GOLDEN = Path(__file__).parent / "data" / "grid_golden.jsonl"
@@ -44,6 +44,19 @@ def test_prop_1_1_small_primes():
         assert rep.passing_spectral == 1
         assert rep.passing_oracle == 1
         assert rep.witnesses == [(legendre_unit_function(p).exps, p - 1)]
+
+
+def test_prop_1_1_is_prop_2_2_at_n_2():
+    # F_p^x is cyclic, so its one nontrivial sign character is the Legendre
+    # symbol: prop_1_1 is judged as prop_2_2 at n = 2, and the two reports
+    # differ only in their name and timing.
+    for p in (3, 5, 7, 11, 13, 17):
+        fields = [run_statement("prop_1_1", p).to_json_dict(),
+                  run_statement("prop_2_2", p, 2).to_json_dict()]
+        for record in fields:
+            del record["statement"], record["elapsed_ms"]
+        assert fields[0] == fields[1], p
+        assert fields[0]["total_functions"] == 2 ** (p - 2) and fields[0]["success"], p
 
 
 def test_thm_1_2_cells():
@@ -202,7 +215,9 @@ def test_huge_p_at_n_one_refused_before_primality(monkeypatch):
 
 
 def test_budget_refused_before_cell_constants(monkeypatch):
-    _forbid(monkeypatch, "legendre_unit_function")
+    # The candidate list needs a primitive root of p, a cell constant that
+    # is built only after the budget passes.
+    _forbid(monkeypatch, "find_primitive_root")
     with pytest.raises(BudgetExceededError):
         verify_prop_1_1(100003)
 
